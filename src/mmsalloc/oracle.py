@@ -16,6 +16,7 @@ All arithmetic is on integers and Fractions; no floats touch any decision.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,13 +76,18 @@ def _desc_items(vals: Sequence[int]) -> list[Item]:
 
 def _lpt(items: list[Item], k: int) -> tuple[list[int], list[list[int]]]:
     """Longest-processing-time first: each item goes to the currently lightest
-    bundle (ties to the lowest index).  Deterministic and a decent incumbent."""
+    bundle (ties to the lowest index).  Deterministic and a decent incumbent.
+
+    A heap of (load, index) pairs finds that bundle in O(log k) per item.
+    """
     loads = [0] * k
     bundles: list[list[int]] = [[] for _ in range(k)]
+    heap = [(0, b) for b in range(k)]
     for v, j in items:
-        b = min(range(k), key=lambda x: (loads[x], x))
-        loads[b] += v
+        load, b = heap[0]
+        loads[b] = load + v
         bundles[b].append(j)
+        heapq.heapreplace(heap, (load + v, b))
     return loads, bundles
 
 
@@ -266,7 +272,7 @@ def mms_approx(
         _, r_best = _search_maximin(rounded, k, min(r_loads), r_bundles)
         sums = [sum(vals[j] for j in b) for b in r_best]
         if dust:
-            dump = min(range(k), key=lambda b: (sums[b], b))
+            dump = sums.index(min(sums))
             r_best[dump].extend(dust)
             sums[dump] += sum(vals[j] for j in dust)
         r_min = min(sums)

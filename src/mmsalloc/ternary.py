@@ -20,11 +20,12 @@ with at least her full maximin share, with no approximation loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+from .core import Allocation, GuaranteeError, InputError, Instance
 
-from .core import Allocation, InputError, Instance
+if TYPE_CHECKING:
+    import numpy as np
 
 ROW_2 = "2"
 ROW_1 = "1"
@@ -217,8 +218,10 @@ def color_rows(graph: RowGraph) -> RowColoring:
         nxt += 1
         blue_blue = sum(1 for u, v in graph.edges if not red[u] and not red[v])
     red_red = sum(1 for u, v in graph.edges if red[u] and red[v])
-    assert 2 * blue_blue <= e
-    assert e == 0 or 2 * red_red < e
+    if 2 * blue_blue > e:
+        raise GuaranteeError(f"{blue_blue} of {e} row edges left blue on both ends")
+    if e and 2 * red_red >= e:
+        raise GuaranteeError(f"{red_red} of {e} row edges red on both ends")
     return RowColoring(red=tuple(red), blue_blue=blue_blue, red_red=red_red)
 
 
@@ -282,6 +285,8 @@ def _lift_ternary(
     agent's next pick is the lowest available bit of her highest nonempty
     class mask.  Each pick costs a few word-parallel big-integer ops.
     """
+    import numpy as np
+
     n = len(bundles_positions)
     owner = [0] * m
     for i, bundle in enumerate(bundles_positions):
@@ -325,6 +330,9 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     >>> sorted(sum(2 if g < 2 else 1 for g in b) for b in alloc.bundles)
     [3, 3]
     """
+    # numpy costs tens of ms to import, so only this solver pays for it.
+    import numpy as np
+
     n, m = instance.n, instance.m
     values = np.empty((n, m), dtype=np.int8)
     for i, row in enumerate(instance.valuations):
@@ -365,7 +373,8 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
 
     bucket_values = cube.sum(axis=1, dtype=np.int64)
     gaps = bucket_values[:, 0] - bucket_values[:, -1]
-    assert int(gaps.min()) >= 0 and int(gaps.max()) <= 2
+    if int(gaps.min()) < 0 or int(gaps.max()) > 2:
+        raise GuaranteeError("first-to-last bucket gap outside [0, 2]")
     count_2 = np.count_nonzero(padded == 2, axis=1)
     count_12 = np.count_nonzero(padded >= 1, axis=1)
     # Rows whose first and last entries agree are constant for that agent,
@@ -381,9 +390,13 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
         expected_mixed = {
             r for r, t in enumerate(profile.row_types) if t in _MIXED_TYPES
         }
-        assert {int(r) for r in np.nonzero(mixed[i])[0]} == expected_mixed
+        if {int(r) for r in np.nonzero(mixed[i])[0]} != expected_mixed:
+            raise GuaranteeError(f"agent {i}: mixed rows disagree with her profile")
         if profile.classified:
-            assert int(gaps[i]) == 2
+            if int(gaps[i]) != 2:
+                raise GuaranteeError(
+                    f"agent {i}: classified with bucket gap {int(gaps[i])}, not 2"
+                )
             edges.append((profile.row_21, profile.row_10))
             edge_agents.append(i)
 
@@ -407,10 +420,15 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
         else:
             anywhere.append(i)
     n_left, n_right = len(left), len(right)
-    assert n_left == coloring.blue_blue and n_right == coloring.red_red
-    assert n_left <= n // 2
-    assert n_right <= (n - 1) // 2
-    assert n_left + n_right <= n
+    if n_left != coloring.blue_blue or n_right != coloring.red_red:
+        raise GuaranteeError(
+            f"{n_left} left and {n_right} right agents for a coloring with "
+            f"{coloring.blue_blue} blue and {coloring.red_red} red edges"
+        )
+    if n_left > n // 2:
+        raise GuaranteeError(f"{n_left} agents need a leftmost bucket, n={n}")
+    if n_right > (n - 1) // 2:
+        raise GuaranteeError(f"{n_right} agents need a rightmost bucket, n={n}")
 
     seat = [0] * n
     for col, i in enumerate(left):

@@ -147,3 +147,28 @@ def test_xi_vector_reuses_identical_rows():
     rows = [[4, 3, 2, 1]] * 3
     certs = xi_vector(Instance.from_rows(rows), 3, mode="exact")
     assert certs[0].value == certs[1].value == certs[2].value
+
+
+def _lpt_by_scan(items, k):
+    """The greedy split as a linear scan for the lightest bundle per item,
+    ties to the lowest index: the reference for the heap in oracle._lpt."""
+    loads = [0] * k
+    bundles = [[] for _ in range(k)]
+    for v, j in items:
+        b = min(range(k), key=lambda x: (loads[x], x))
+        loads[b] += v
+        bundles[b].append(j)
+    return loads, bundles
+
+
+def test_lpt_heap_matches_linear_scan():
+    rng = random.Random(41)
+    for k in range(1, 41):
+        for _ in range(5):
+            # Few distinct values, so loads tie often and the tie rule shows.
+            m = rng.randint(0, 3 * k + 10)
+            values = [rng.choice((0, 1, 1, 2, 3, 3, 5)) for _ in range(m)]
+            items = oracle._desc_items(values)
+            loads, bundles = _lpt_by_scan(items, k)
+            assert oracle._lpt(items, k) == (loads, bundles)
+            assert greedy_floor(values, k) == min(loads)

@@ -1,0 +1,73 @@
+"""Start-up cost: only the three-valued solver may import numpy.
+
+Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
+because this test session has long since imported numpy itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = """
+import json, sys
+from mmsalloc import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "numpy": "numpy" in sys.modules}, fh)
+"""
+
+
+def run_fresh(tmp_path, commands):
+    """Run each argv list through ``cli.main`` in one new interpreter and
+    return its exit codes, its stdout and whether numpy got imported."""
+    report = tmp_path / "report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands), str(report)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    got = json.loads(report.read_text())
+    return got["codes"], result.stdout, got["numpy"]
+
+
+def test_common_commands_leave_numpy_unloaded(tmp_path):
+    inst = str(tmp_path / "inst.json")
+    solve = ["solve", "--instance", inst, "--algo"]
+    codes, _, numpy_loaded = run_fresh(tmp_path, [
+        ["gen", "--n", "3", "--m", "8", "--seed", "11", "--out", inst],
+        ["mms", "--instance", inst, "--agent", "2", "--k", "3", "--exact"],
+        solve + ["rr"],
+        solve + ["half"],
+        solve + ["twothirds", "--eps", "1/10"],
+    ])
+    assert codes == [0] * 5
+    assert not numpy_loaded
+
+
+def test_ternary_solver_loads_numpy_and_keeps_its_output(tmp_path):
+    inst = tmp_path / "tern.json"
+    inst.write_text(json.dumps({
+        "n": 3, "m": 6, "scale": 1,
+        "valuations": [[2, 1, 0, 2, 1, 1], [1, 1, 1, 2, 2, 0], [2, 2, 2, 1, 0, 0]],
+    }))
+    codes, out, numpy_loaded = run_fresh(
+        tmp_path, [["solve", "--algo", "ternary", "--instance", str(inst)]]
+    )
+    assert codes == [0]
+    assert numpy_loaded
+    assert json.loads(out) == {
+        "bundles": [[2, 5], [3, 4], [1, 6]],
+        "certificates": [
+            {"agent": 1, "value": 2, "threshold": 2},
+            {"agent": 2, "value": 3, "threshold": 2},
+            {"agent": 3, "value": 2, "threshold": 2},
+        ],
+    }

@@ -1,6 +1,7 @@
 """Exact allocation for two-valued and three-valued instances."""
 
 import doctest
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import ternary_suite
 
 from mmsalloc import (
     Allocation,
+    GuaranteeError,
     InputError,
     Instance,
     bundle_value,
@@ -19,6 +21,7 @@ from mmsalloc import (
     profile_rows,
     sort_reduce,
 )
+from mmsalloc.cli import main
 
 
 def test_module_doctests():
@@ -158,3 +161,34 @@ class TestExactTernary:
     def test_deterministic(self):
         for inst in ternary_suite(count=20, seed=57721):
             assert exact_mms_012(inst) == exact_mms_012(inst)
+
+
+class TestGuaranteeChecks:
+    # Both agents have a 2/1 row and a 1/0 row, so each adds a row edge.
+    ROWS = [[2, 2, 2, 1, 1, 0]] * 2
+
+    @staticmethod
+    def miscount(graph):
+        """A coloring whose edge counts disagree with its colors."""
+        return ternary_mod.RowColoring(red=(False,) * graph.k, blue_blue=0, red_red=0)
+
+    def test_bad_coloring_raises(self, monkeypatch):
+        monkeypatch.setattr(ternary_mod, "color_rows", self.miscount)
+        with pytest.raises(GuaranteeError):
+            exact_mms_012(Instance.from_rows(self.ROWS))
+
+    def test_bad_coloring_exits_one(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 2, "m": 6, "scale": 1, "valuations": self.ROWS}
+        ))
+        monkeypatch.setattr(ternary_mod, "color_rows", self.miscount)
+        assert main(["solve", "--algo", "ternary", "--instance", str(path)]) == 1
+        assert "guarantee violation" in capsys.readouterr().err
+
+    def test_color_rows_bound_checked(self):
+        # Every edge is a self-loop on row 0: once row 0 is red, all are
+        # red on both ends, which the coloring's own bound forbids.
+        graph = ternary_mod.RowGraph(k=2, edges=((0, 0),), agents=(0,))
+        with pytest.raises(GuaranteeError):
+            ternary_mod.color_rows(graph)
