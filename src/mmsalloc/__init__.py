@@ -44,7 +44,6 @@ from .matching import (
 from .oracle import (
     EXACT_ITEM_CAP,
     MaximinCertificate,
-    feasible_cover,
     greedy_floor,
     mms_approx,
     mms_exact,
@@ -84,7 +83,6 @@ __all__ = [
     "compute_x_plus",
     "emit_report",
     "exact_mms_012",
-    "feasible_cover",
     "gen_uniform_instance",
     "greedy_floor",
     "greedy_round_robin",

@@ -3,8 +3,12 @@
 Given one agent's values for a set of goods and a bundle count k, the maximin
 value is the best worst-bundle total achievable by any k-partition.  Two modes:
 
-* :func:`mms_exact` binary-searches the largest achievable floor, deciding
-  each candidate with a bundle-by-bundle search over minimal covers.
+* :func:`mms_exact` searches for the largest achievable floor, deciding each
+  candidate with a bundle-by-bundle search over minimal covers.  It tries
+  the averaging bound total // k first, then climbs from the greedy floor:
+  each cover found lifts the floor to that cover's worst bundle, and the
+  first failed candidate ends the search.  Bisection takes over after
+  O(log gap) climbs, so the number of candidates stays logarithmic.
 * :func:`mms_approx` runs the same search on values rounded down to a coarse
   grain chosen so the rounding loss stays under half of eps times the
   optimum.  The returned certificate value is the recomputed true minimum of
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import InputError, Instance
+from .core import GuaranteeError, InputError, Instance
 
 #: Exact search refuses instances with more goods than this unless the caller
 #: raises the cap explicitly.  Beyond it, use mms_approx.
@@ -175,23 +179,61 @@ def _cover_search(
 def _search_maximin(
     items: list[Item], k: int, lo: int, lo_witness: list[list[int]]
 ) -> tuple[int, list[list[int]]]:
-    """Largest t with a k-cover at floor t, by binary search from a known
-    achievable lo up to the averaging bound."""
+    """Largest t with a k-cover at floor t, from a known achievable lo.
+
+    The averaging bound total // k is probed first, since it is often met.
+    Otherwise the search climbs: it probes lo + 1, and each cover found
+    lifts lo to that cover's own worst bundle, until a probe fails.  After
+    (hi - lo).bit_length() climbs it bisects what is left, so the probe
+    count stays O(log(hi - lo)).  The witness is the cover the search finds
+    at the answer itself (lo_witness when nothing beats lo), which does not
+    depend on the probes made before it.
+    """
     total = sum(v for v, _ in items)
     hi = total // k
-    witness = lo_witness
+    if lo >= hi:
+        return lo, lo_witness
     depth = len(items) + 1000
     if sys.getrecursionlimit() < depth:
         sys.setrecursionlimit(depth)
+    got = _cover_search(items, k, hi, set())
+    if got is not None:
+        return hi, got
+    hi -= 1
+    value_of = {j: v for v, j in items}
+    witness, found_at = lo_witness, lo
+    climbs = (hi - lo).bit_length()
+    while lo < hi and climbs:
+        climbs -= 1
+        got = _cover_search(items, k, lo + 1, set())
+        if got is None:
+            hi = lo
+            break
+        witness, found_at = got, lo + 1
+        lo = min(hi, min(sum(value_of[j] for j in b) for b in got))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         got = _cover_search(items, k, mid, set())
         if got is None:
             hi = mid - 1
         else:
-            lo = mid
-            witness = got
+            witness, found_at, lo = got, mid, mid
+    if found_at != lo:
+        witness = _cover_search(items, k, lo, set())
     return lo, witness
+
+
+def _checked_witness(
+    vals: Sequence[int], bundles: list[list[int]], value: int
+) -> tuple[frozenset[int], ...]:
+    """The bundles as a witness, checked to have its worst bundle at value."""
+    witness = tuple(frozenset(b) for b in bundles)
+    worst = min(sum(vals[j] for j in b) for b in witness)
+    if worst != value:
+        raise GuaranteeError(
+            f"witness's worst bundle is worth {worst}, not the share {value}"
+        )
+    return witness
 
 
 def mms_exact(
@@ -221,8 +263,7 @@ def mms_exact(
     value, best = _search_maximin(items, k, min(loads0), bundles0)
 
     best[0].extend(zeros)
-    witness = tuple(frozenset(b) for b in best)
-    assert min(sum(vals[j] for j in b) for b in witness) == value
+    witness = _checked_witness(vals, best, value)
     return MaximinCertificate(value=value, k=k, witness=witness, mode="exact")
 
 
@@ -280,39 +321,15 @@ def mms_approx(
             value = r_min
             best = r_best
 
-    assert value <= upper
+    if value > upper:
+        raise GuaranteeError(
+            f"approximate share {value} exceeds the averaging bound {upper}"
+        )
     best[0].extend(zeros)
-    witness = tuple(frozenset(b) for b in best)
-    assert min(sum(vals[j] for j in b) for b in witness) == value
+    witness = _checked_witness(vals, best, value)
     return MaximinCertificate(
         value=value, k=k, witness=witness, mode="ptas", eps=frac
     )
-
-
-def feasible_cover(
-    values: Sequence[int],
-    k: int,
-    target: int,
-    eps: RationalLike = Fraction(1, 10),
-) -> Optional[tuple[frozenset[int], ...]]:
-    """A k-partition with every bundle worth at least ``target``, or None.
-
-    Never returns None when target <= (1 - eps) * maximin; may return None
-    for feasible targets inside that last eps sliver.
-
-    >>> feasible_cover([3, 1, 1, 1], 2, 3) is None
-    False
-    >>> feasible_cover([3, 1, 1, 1], 2, 4) is None
-    True
-    """
-    if not isinstance(target, int) or isinstance(target, bool):
-        raise InputError(f"target must be an integer, got {target!r}")
-    if target < 0:
-        raise InputError(f"target must be non-negative, got {target}")
-    cert = mms_approx(values, k, eps)
-    if cert.value < target:
-        return None
-    return cert.witness
 
 
 def greedy_floor(values: Sequence[int], k: int) -> int:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
-from .oracle import MaximinCertificate, mms_approx, mms_exact
+from .oracle import MaximinCertificate, mms_approx, mms_exact, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
@@ -63,7 +63,8 @@ def apx_3_mms(
         raise InputError(f"oracle_mode must be 'exact' or 'ptas', got {oracle_mode!r}")
     eps_prime = 8 * eps / 7
     rows = [instance.row(i) for i in instance.agents]
-    xi = [_partition(rows[i], 3, eps, oracle_mode).value for i in range(3)]
+    certs = xi_vector(instance, 3, eps, oracle_mode)
+    xi = [cert.value for cert in certs]
 
     # Branch b: a single good already worth 7/8 of someone's estimate.
     for i in range(3):
@@ -100,8 +101,7 @@ def apx_3_mms(
                 return Allocation.of(bundles[a] for a in range(3))
 
     # Branch c: agent 0 partitions; try to seat agents 1 and 2 directly.
-    cert0 = _partition(rows[0], 3, eps, oracle_mode)
-    a_sets = tuple(tuple(sorted(part)) for part in cert0.witness)
+    a_sets = tuple(tuple(sorted(part)) for part in certs[0].witness)
     value_of = lambda agent, part: sum(rows[agent][g] for g in part)
     for j1, j2 in _ORDERED_PAIRS:
         if (

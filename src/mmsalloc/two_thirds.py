@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import mms_approx, mms_exact, xi_vector
+from .oracle import MaximinCertificate, mms_approx, mms_exact, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
@@ -86,14 +86,19 @@ class LevelTrace:
 
 
 def rec_mms(
-    state: RecursionState, trace: Optional[list] = None
+    state: RecursionState,
+    trace: Optional[list] = None,
+    partition: Optional[MaximinCertificate] = None,
 ) -> dict[int, frozenset[int]]:
     """Allocate the state's goods among its active agents recursively.
 
     Returns a bundle per active agent; the bundles partition state.goods.
-    Raises GuaranteeError if the partitioner fails her own threshold on one
-    of her bundles or ends up unmatched, which the balance invariant rules
-    out for inputs reachable from apx_mms.
+    ``partition``, if given, is the partitioner's certificate over
+    state.goods for len(state.agents) bundles, already computed with this
+    level's oracle; it saves repeating that call.  Raises GuaranteeError if
+    the partitioner fails her own threshold on one of her bundles or ends
+    up unmatched, which the balance invariant rules out for inputs
+    reachable from apx_mms.
     """
     agents = state.agents
     goods = state.goods
@@ -102,11 +107,13 @@ def rec_mms(
 
     partitioner = agents[0]
     k = len(agents)
-    local_values = [state.instance.row(partitioner)[g] for g in goods]
-    if state.oracle_mode == "exact":
-        cert = mms_exact(local_values, k)
-    else:
-        cert = mms_approx(local_values, k, state.eps_prime)
+    cert = partition
+    if cert is None:
+        local_values = [state.instance.row(partitioner)[g] for g in goods]
+        if state.oracle_mode == "exact":
+            cert = mms_exact(local_values, k)
+        else:
+            cert = mms_approx(local_values, k, state.eps_prime)
     bundles = tuple(
         tuple(sorted(goods[pos] for pos in bundle)) for bundle in cert.witness
     )
@@ -212,5 +219,7 @@ def apx_mms(
         n=instance.n,
         oracle_mode=oracle_mode,
     )
-    result = rec_mms(state, trace)
+    # The first level's partitioner is agent 0 over all goods with k = n:
+    # exactly the query that gave certs[0].
+    result = rec_mms(state, trace, certs[0])
     return Allocation.of(result[i] for i in instance.agents)

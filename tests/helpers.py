@@ -122,3 +122,21 @@ def three_agent_suite(count: int = 200, seed: int = 424242) -> list[Instance]:
             rows = [[rng.randint(1, 4) for _ in range(m)] for _ in range(3)]
         out.append(Instance.from_rows(rows))
     return out
+
+
+def record_oracle_queries(monkeypatch, *modules) -> list[tuple]:
+    """Record every mms_exact and mms_approx call made through the oracle
+    module or through the names the given solver modules bound."""
+    import mmsalloc.oracle as oracle
+
+    queries: list[tuple] = []
+    for name in ("mms_exact", "mms_approx"):
+        real = getattr(oracle, name)
+
+        def recorded(values, k, *rest, _real=real, _name=name):
+            queries.append((_name, tuple(values), k) + rest)
+            return _real(values, k, *rest)
+
+        for module in (oracle,) + modules:
+            monkeypatch.setattr(module, name, recorded)
+    return queries

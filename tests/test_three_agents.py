@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import mmsalloc.three_agents as ta_mod
-from helpers import three_agent_suite
+from helpers import record_oracle_queries, three_agent_suite
 
 from mmsalloc import (
     Instance,
@@ -120,3 +120,11 @@ def test_deterministic():
         a = apx_3_mms(inst, Fraction(1, 10), oracle_mode="exact")
         b = apx_3_mms(inst, Fraction(1, 10), oracle_mode="exact")
         assert a == b
+
+
+@pytest.mark.parametrize("rows", [UNIFORM_ROWS, REPARTITION_ROWS])
+@pytest.mark.parametrize("mode", ["exact", "ptas"])
+def test_no_oracle_query_is_repeated(monkeypatch, rows, mode):
+    queries = record_oracle_queries(monkeypatch, ta_mod)
+    apx_3_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
+    assert len(queries) == len(set(queries))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import mmsalloc.two_thirds as tt_mod
-from helpers import random_suite
+from helpers import random_suite, record_oracle_queries
 
 from mmsalloc import (
     InputError,
@@ -127,3 +127,12 @@ def test_deterministic():
         a = apx_mms(inst, Fraction(1, 12), oracle_mode="exact")
         b = apx_mms(inst, Fraction(1, 12), oracle_mode="exact")
         assert a == b
+
+
+@pytest.mark.parametrize("mode", ["exact", "ptas"])
+def test_first_level_reuses_the_partitioner_share(monkeypatch, mode):
+    queries = record_oracle_queries(monkeypatch, tt_mod)
+    rows = [[5, 4, 3, 2, 1, 1], [1, 2, 3, 4, 5, 1], [2, 2, 2, 2, 2, 2]]
+    apx_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
+    assert len(queries) == len(set(queries))
+    assert queries[0][1:3] == (tuple(rows[0]), 3)
