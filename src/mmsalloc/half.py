@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, Instance
+from .core import Allocation, GuaranteeError, Instance
 from .round_robin import _take_turns
 
 
@@ -67,6 +67,7 @@ def apx_mms_half(
         for a, extra in _take_turns(rows, tuple(active), pool).items():
             bundles[a].extend(extra)
     elif pool:
-        assert last_exit is not None
+        if last_exit is None:
+            raise GuaranteeError(f"goods {pool} are left with no agent to take them")
         bundles[last_exit].extend(pool)
     return Allocation.of(bundles[i] for i in instance.agents)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .core import InputError
+from .core import GuaranteeError, InputError
 
 Threshold = Union[int, Fraction]
 
@@ -154,6 +154,41 @@ def compute_x_plus(
         ):
             raise InputError("matching is not maximum: an augmenting path exists")
 
+    reached = _alternating_reach(graph, match_left, match_right)
+    x_plus = tuple(u for u in range(graph.n_left) if reached[u])
+    gamma = tuple(sorted({v for u in x_plus for v in graph.adj[u]}))
+    restricted = tuple(
+        (u, match_left[u])
+        for u in range(graph.n_left)
+        if not reached[u] and match_left[u] != -1
+    )
+
+    if x_plus and len(x_plus) <= len(gamma):
+        raise GuaranteeError(
+            f"X+ has {len(x_plus)} agents and {len(gamma)} neighbors, "
+            "so it is no Hall violator"
+        )
+    gamma_set = set(gamma)
+    for u in range(graph.n_left):
+        if reached[u]:
+            continue
+        if match_left[u] == -1:
+            raise GuaranteeError(f"agent {u} lies outside X+ but is unmatched")
+        if match_left[u] in gamma_set:
+            raise GuaranteeError(
+                f"agent {u} outside X+ is matched to bundle {match_left[u]}, "
+                "a neighbor of X+"
+            )
+    return XPlusDecomposition(
+        x_plus=x_plus, gamma=gamma, restricted_matching=restricted
+    )
+
+
+def _alternating_reach(
+    graph: PreferenceGraph, match_left: list[int], match_right: list[int]
+) -> list[bool]:
+    """Which left vertices the unmatched ones reach along alternating paths
+    (free edge right, matched edge left)."""
     reached = [False] * graph.n_left
     queue = [u for u in range(graph.n_left) if match_left[u] == -1]
     for u in queue:
@@ -166,22 +201,4 @@ def compute_x_plus(
             if w != -1 and not reached[w]:
                 reached[w] = True
                 queue.append(w)
-
-    x_plus = tuple(u for u in range(graph.n_left) if reached[u])
-    gamma = tuple(sorted({v for u in x_plus for v in graph.adj[u]}))
-    restricted = tuple(
-        (u, match_left[u])
-        for u in range(graph.n_left)
-        if not reached[u] and match_left[u] != -1
-    )
-
-    if x_plus:
-        assert len(x_plus) > len(gamma)
-    gamma_set = set(gamma)
-    for u in range(graph.n_left):
-        if not reached[u]:
-            assert match_left[u] != -1
-            assert match_left[u] not in gamma_set
-    return XPlusDecomposition(
-        x_plus=x_plus, gamma=gamma, restricted_matching=restricted
-    )
+    return reached

@@ -4,11 +4,13 @@ Given one agent's values for a set of goods and a bundle count k, the maximin
 value is the best worst-bundle total achievable by any k-partition.  Two modes:
 
 * :func:`mms_exact` searches for the largest achievable floor, deciding each
-  candidate with a bundle-by-bundle search over minimal covers.  It tries
-  the averaging bound total // k first, then climbs from the greedy floor:
-  each cover found lifts the floor to that cover's worst bundle, and the
-  first failed candidate ends the search.  Bisection takes over after
-  O(log gap) climbs, so the number of candidates stays logarithmic.
+  candidate with a bundle-by-bundle search over minimal covers.  A cover is
+  never worth more than total - (k-1)*t, since anything above that leaves
+  the other bundles short of their floors.  The search tries the averaging
+  bound total // k first, then climbs from the greedy floor: each cover
+  found lifts the floor to that cover's worst bundle, and the first failed
+  candidate ends the search.  Bisection takes over after O(log gap) climbs,
+  so the number of candidates stays logarithmic.
 * :func:`mms_approx` runs the same search on values rounded down to a coarse
   grain chosen so the rounding loss stays under half of eps times the
   optimum.  The returned certificate value is the recomputed true minimum of
@@ -105,14 +107,24 @@ def _lpt(items: list[Item], k: int) -> tuple[list[int], list[list[int]]]:
 # interchangeable, which gives two further cuts: when the search declines an
 # item it declines all equal-valued followers at once, and pools that already
 # failed are remembered by their value multiset.
+#
+# Covers are also bounded above by cap = total - (k-1)*t.  A cover worth more
+# leaves a remainder worth less than (k-1)*t, which cannot give the other
+# k-1 bundles t each, so the search under it would fail at once.  Skipping
+# such covers is therefore sound, and as the skip only drops failing
+# branches, the covers kept come in the same order and the first one that
+# succeeds, hence the answer and the witness, is unchanged.
 # ---------------------------------------------------------------------------
 
 
-def _minimal_covers(pool: list[Item], t: int) -> Iterator[list[Item]]:
-    """Minimal covers of t drawn from pool that contain pool[0].
+def _minimal_covers(pool: list[Item], t: int, cap: int) -> Iterator[list[Item]]:
+    """Minimal covers of t drawn from pool that contain pool[0], each worth
+    at most cap, where pool[0] alone is worth less than t.
 
     Minimal means no member other than the forced first one could be dropped
-    with the total still at t or above.
+    with the total still at t or above.  Every cover built is minimal: items
+    are taken largest first and a cover ends as soon as it reaches t, so its
+    last member is its smallest and is worth more than the excess over t.
     """
     first = pool[0]
     rest = pool[1:]
@@ -124,15 +136,14 @@ def _minimal_covers(pool: list[Item], t: int) -> Iterator[list[Item]]:
 
     def go(i: int, acc: int) -> Iterator[list[Item]]:
         if acc >= t:
-            over = acc - t
-            if all(rest[c][0] > over for c in chosen):
-                yield [first] + [rest[c] for c in chosen]
+            yield [first] + [rest[c] for c in chosen]
             return
         if i == n or acc + suffix[i] < t:
             return
-        chosen.append(i)
-        yield from go(i + 1, acc + rest[i][0])
-        chosen.pop()
+        if acc + rest[i][0] <= cap:
+            chosen.append(i)
+            yield from go(i + 1, acc + rest[i][0])
+            chosen.pop()
         skip = i + 1
         while skip < n and rest[skip][0] == rest[i][0]:
             skip += 1
@@ -149,27 +160,38 @@ def _cover_search(
     Items the cover search leaves over are appended to the final bundle,
     where they can only help.
     """
+    return _covers(pool, sum(v for v, _ in pool), k, t, fail_memo)
+
+
+def _covers(
+    pool: list[Item], total: int, k: int, t: int, fail_memo: set
+) -> Optional[list[list[int]]]:
+    """:func:`_cover_search` on a pool whose values sum to total."""
     if t <= 0:
         bundles = [[j for _, j in pool]]
         bundles.extend([] for _ in range(k - 1))
         return bundles
-    total = sum(v for v, _ in pool)
     if total < k * t or len(pool) < k:
         return None
     if k == 1:
         return [[j for _, j in pool]]
-    if pool[0][0] >= t:
-        sub = _cover_search(pool[1:], k - 1, t, fail_memo)
+    cap = total - (k - 1) * t
+    head = pool[0][0]
+    if head >= t:
+        if head > cap:
+            return None
+        sub = _covers(pool[1:], total - head, k - 1, t, fail_memo)
         if sub is None:
             return None
         return [[pool[0][1]]] + sub
     key = (k, tuple(v for v, _ in pool))
     if key in fail_memo:
         return None
-    for cover in _minimal_covers(pool, t):
+    for cover in _minimal_covers(pool, t, cap):
         taken = {j for _, j in cover}
         remainder = [it for it in pool if it[1] not in taken]
-        sub = _cover_search(remainder, k - 1, t, fail_memo)
+        worth = sum(v for v, _ in cover)
+        sub = _covers(remainder, total - worth, k - 1, t, fail_memo)
         if sub is not None:
             return [[j for _, j in cover]] + sub
     fail_memo.add(key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, InputError, Instance
+from .core import Allocation, GuaranteeError, InputError, Instance
 
 
 def _take_turns(
@@ -100,6 +100,6 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
     if active:
         for a, bundle in _take_turns(rows, tuple(active), pool).items():
             final[a].extend(bundle)
-    else:
-        assert not pool
+    elif pool:
+        raise GuaranteeError(f"goods {pool} are left with no agent to take them")
     return Allocation.of(final[i] for i in instance.agents)

@@ -2,11 +2,14 @@
 
 import doctest
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 import mmsalloc.half as half_mod
 from helpers import random_suite
 
-from mmsalloc import Instance, apx_mms_half, bundle_value, mms_exact
+from mmsalloc import GuaranteeError, Instance, apx_mms_half, bundle_value, mms_exact
 
 
 def test_module_doctests():
@@ -59,3 +62,11 @@ def test_last_agent_keeps_leftovers():
 def test_deterministic():
     for inst in random_suite(count=20, seed=6688):
         assert apx_mms_half(inst) == apx_mms_half(inst)
+
+
+def test_leftovers_without_an_agent_raise():
+    # No agent ever takes part, so nobody can take the goods: a stand-in
+    # for an instance with no agents, which Instance itself refuses.
+    nobody = SimpleNamespace(agents=range(0), goods=range(2))
+    with pytest.raises(GuaranteeError):
+        apx_mms_half(nobody)

@@ -1,6 +1,7 @@
 """Bipartite matching and the Hall-violator decomposition."""
 
 import doctest
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,12 +10,14 @@ import pytest
 
 import mmsalloc.matching as matching_mod
 from mmsalloc import (
+    GuaranteeError,
     InputError,
     PreferenceGraph,
     build_preference_graph,
     compute_x_plus,
     maximum_matching,
 )
+from mmsalloc.cli import main
 
 
 def test_module_doctests():
@@ -144,3 +147,49 @@ class TestComputeXPlus:
             assert {u for u, _ in restricted} == set(range(n)) - x_plus
             assert all(v not in gamma for _, v in restricted)
             assert all(v in graph.adj[u] for u, v in restricted)
+
+
+class TestGuaranteeChecks:
+    """Each check of compute_x_plus, forced to fail."""
+
+    @staticmethod
+    def no_augmenting_path(graph, u, match_right, visited):
+        return False
+
+    def test_non_maximum_matching_is_no_hall_violator(self, monkeypatch):
+        # The empty matching passes as maximum; X+ = {0} then has the one
+        # neighbor 0, which is not fewer.
+        monkeypatch.setattr(matching_mod, "_augment", self.no_augmenting_path)
+        with pytest.raises(GuaranteeError, match="no Hall violator"):
+            compute_x_plus(PreferenceGraph(1, 1, ((0,),)), ())
+
+    def test_unmatched_agent_outside_x_plus(self, monkeypatch):
+        monkeypatch.setattr(
+            matching_mod, "_alternating_reach",
+            lambda graph, match_left, match_right: [False] * graph.n_left,
+        )
+        with pytest.raises(GuaranteeError, match="unmatched"):
+            compute_x_plus(PreferenceGraph(1, 1, ((),)), ())
+
+    def test_agent_outside_x_plus_matched_into_gamma(self, monkeypatch):
+        # Agents 0 and 2 are free and reach agent 1 through bundle 0; a reach
+        # that stops at the free agents leaves 1 matched into X+'s neighbors.
+        monkeypatch.setattr(
+            matching_mod, "_alternating_reach",
+            lambda graph, match_left, match_right: [v == -1 for v in match_left],
+        )
+        graph = PreferenceGraph(3, 1, ((0,), (0,), (0,)))
+        with pytest.raises(GuaranteeError, match="a neighbor of X"):
+            compute_x_plus(graph, ((1, 0),))
+
+    def test_failed_check_exits_one(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 3, "m": 6, "scale": 1, "valuations": [[3, 3, 2, 2, 1, 1]] * 3}
+        ))
+        monkeypatch.setattr(matching_mod, "_augment", self.no_augmenting_path)
+        argv = ["solve", "--algo", "twothirds", "--eps", "1/10",
+                "--oracle", "exact", "--instance", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "guarantee violation" in err and "no Hall violator" in err

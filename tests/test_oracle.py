@@ -315,6 +315,159 @@ def test_witness_is_the_cover_found_at_the_answer():
 
 
 # ---------------------------------------------------------------------------
+# The capped cover search against the uncapped enumeration.
+# ---------------------------------------------------------------------------
+
+
+def _minimal_covers_uncapped(pool, t):
+    """Every minimal cover of t that contains pool[0], in depth-first order,
+    with no upper bound on its worth: the reference for
+    oracle._minimal_covers."""
+    first = pool[0]
+    rest = pool[1:]
+    n = len(rest)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + rest[i][0]
+    chosen = []
+
+    def go(i, acc):
+        if acc >= t:
+            over = acc - t
+            if all(rest[c][0] > over for c in chosen):
+                yield [first] + [rest[c] for c in chosen]
+            return
+        if i == n or acc + suffix[i] < t:
+            return
+        chosen.append(i)
+        yield from go(i + 1, acc + rest[i][0])
+        chosen.pop()
+        skip = i + 1
+        while skip < n and rest[skip][0] == rest[i][0]:
+            skip += 1
+        yield from go(skip, acc)
+
+    yield from go(0, first[0])
+
+
+def _cover_search_uncapped(pool, k, t, fail_memo):
+    """The cover search over every minimal cover, summing each pool afresh:
+    the reference oracle._cover_search must agree with exactly."""
+    if t <= 0:
+        bundles = [[j for _, j in pool]]
+        bundles.extend([] for _ in range(k - 1))
+        return bundles
+    total = sum(v for v, _ in pool)
+    if total < k * t or len(pool) < k:
+        return None
+    if k == 1:
+        return [[j for _, j in pool]]
+    if pool[0][0] >= t:
+        sub = _cover_search_uncapped(pool[1:], k - 1, t, fail_memo)
+        if sub is None:
+            return None
+        return [[pool[0][1]]] + sub
+    key = (k, tuple(v for v, _ in pool))
+    if key in fail_memo:
+        return None
+    for cover in _minimal_covers_uncapped(pool, t):
+        taken = {j for _, j in cover}
+        remainder = [it for it in pool if it[1] not in taken]
+        sub = _cover_search_uncapped(remainder, k - 1, t, fail_memo)
+        if sub is not None:
+            return [[j for _, j in cover]] + sub
+    fail_memo.add(key)
+    return None
+
+
+def _floors(pool, k):
+    """Floors 1..total//k + 1 that between them show every behaviour of the
+    cover search on pool.
+
+    The search compares t only with numbers floor(S/j), S a subset sum of
+    pool and j in 1..k, so two floors that no such number separates run the
+    same way.  Every floor is listed when there are at most 2000 of them;
+    beyond that, one floor per gap between those numbers.
+    """
+    top = sum(v for v, _ in pool) // k + 1
+    if top <= 2000:
+        return list(range(1, top + 1))
+    sums = {0}
+    for v, _ in pool:
+        sums |= {s + v for s in sums}
+    cuts = {s // j for s in sums for j in range(1, k + 1)}
+    return sorted(t for t in cuts | {c + 1 for c in cuts} | {1} if 1 <= t <= top)
+
+
+# Up to 8 values 0..60, with zeros and repeats, and up to two up to 10**6.
+_pools = st.builds(
+    lambda small, big: oracle._desc_items(small + big),
+    st.lists(
+        st.one_of(st.integers(0, 60), st.sampled_from((0, 0, 7, 7, 30))),
+        max_size=8,
+    ),
+    st.lists(st.integers(0, 10**6), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pool=_pools, k=st.integers(1, 5))
+def test_cover_search_matches_uncapped_search(pool, k):
+    for t in _floors(pool, k):
+        got = oracle._cover_search(pool, k, t, set())
+        assert got == _cover_search_uncapped(pool, k, t, set())
+
+
+def test_minimal_covers_are_the_uncapped_ones_up_to_cap():
+    rng = random.Random(43)
+    for _ in range(400):
+        values = [rng.choice((0, 1, 2, 2, 3, 5, 8, 8, 13)) for _ in range(10)]
+        pool = oracle._desc_items(values)
+        total = sum(values)
+        if not pool or pool[0][0] == total:
+            continue
+        # The cover search asks only for covers of more than its first item.
+        t = rng.randint(pool[0][0] + 1, total)
+        for cap in range(total + 2):
+            expected = [
+                cover for cover in _minimal_covers_uncapped(pool, t)
+                if sum(v for v, _ in cover) <= cap
+            ]
+            assert list(oracle._minimal_covers(pool, t, cap)) == expected
+
+
+def _recorded_cover_calls(query, *args):
+    """query(*args), with (pool, total, k, t) for every call of the cover
+    search's recursive step."""
+    calls = []
+    covers = oracle._covers
+
+    def recorded(pool, total, k, t, fail_memo):
+        calls.append((pool, total, k, t))
+        return covers(pool, total, k, t, fail_memo)
+
+    with patch.object(oracle, "_covers", recorded):
+        query(*args)
+    return calls
+
+
+@pytest.mark.parametrize("query,args", [
+    (mms_approx, list(_approx_rows())[-1] + (Fraction(1, 10),)),
+    (mms_exact, (random.Random(5).choices(range(10**6), k=14), 3)),
+    # One good worth more than the other bundles can spare.
+    (mms_exact, ([90, 8, 7, 6, 5, 4, 3, 2, 1], 3)),
+])
+def test_no_cover_leaves_the_other_bundles_short(query, args):
+    calls = _recorded_cover_calls(query, *args)
+    assert calls
+    for pool, total, k, t in calls:
+        assert total == sum(v for v, _ in pool)
+        # Probes never exceed the averaging bound, and a cover's remainder
+        # is always worth at least (k-1)*t, so no call fails this check.
+        assert total >= k * t
+
+
+# ---------------------------------------------------------------------------
 # Guarantee checks run as code, not as assert statements.
 # ---------------------------------------------------------------------------
 
