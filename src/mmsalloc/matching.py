@@ -90,15 +90,33 @@ def build_preference_graph(
 def _augment(
     graph: PreferenceGraph, u: int, match_right: list[int], visited: set[int]
 ) -> bool:
-    for v in graph.adj[u]:
-        if v in visited:
+    """Look for an augmenting path from left vertex u, depth first over each
+    vertex's neighbors in ascending order, and flip it into match_right.
+
+    The walk keeps its own stack, so a long path cannot exhaust Python's
+    recursion limit.  stack[i] is a left vertex with its remaining
+    neighbors, and via[i] the bundle it reached stack[i + 1] through.
+    """
+    stack = [(u, iter(graph.adj[u]))]
+    via: list[int] = []
+    while stack:
+        x, nbrs = stack[-1]
+        for v in nbrs:
+            if v not in visited:
+                visited.add(v)
+                break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
             continue
-        visited.add(v)
-        if match_right[v] == -1 or _augment(
-            graph, match_right[v], match_right, visited
-        ):
-            match_right[v] = u
+        if match_right[v] == -1:
+            match_right[v] = x
+            for (y, _), w in zip(stack, via):
+                match_right[w] = y
             return True
+        via.append(v)
+        stack.append((match_right[v], iter(graph.adj[match_right[v]])))
     return False
 
 

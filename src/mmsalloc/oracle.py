@@ -1,20 +1,27 @@
 """Single-agent maximin partition oracles.
 
 Given one agent's values for a set of goods and a bundle count k, the maximin
-value is the best worst-bundle total achievable by any k-partition.  Two modes:
+value is the best worst-bundle total achievable by any k-partition.  Both
+oracles start from a proven upper bound U on it: strip the goods worth more
+than the average of what is left, and U is that average over the remaining
+bundles (:func:`_upper_bound`).  Every certificate carries U.
 
 * :func:`mms_exact` searches for the largest achievable floor, deciding each
   candidate with a bundle-by-bundle search over minimal covers.  A cover is
   never worth more than total - (k-1)*t, since anything above that leaves
-  the other bundles short of their floors.  The search tries the averaging
-  bound total // k first, then climbs from the greedy floor: each cover
-  found lifts the floor to that cover's worst bundle, and the first failed
-  candidate ends the search.  Bisection takes over after O(log gap) climbs,
-  so the number of candidates stays logarithmic.
-* :func:`mms_approx` runs the same search on values rounded down to a coarse
-  grain chosen so the rounding loss stays under half of eps times the
-  optimum.  The returned certificate value is the recomputed true minimum of
-  the witness, so it is at least (1-eps) times the exact optimum and never
+  the other bundles short of their floors, and the pools that failed are
+  remembered across candidates.  The search tries U first, then climbs from
+  the greedy floor: each cover found lifts the floor to that cover's worst
+  bundle, and the first failed candidate ends the search.  Bisection takes
+  over after O(log gap) climbs, so the number of candidates stays
+  logarithmic.
+* :func:`mms_approx` builds a witness split (greedy, then moves and swaps
+  that raise its worst bundle) and returns it as soon as its worst bundle
+  reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
+  otherwise does it run the same search, from the witness, on values rounded
+  down to a grain chosen so the rounding loss stays under half of eps times
+  the optimum.  Either way the certificate value is the true minimum of the
+  witness, so it is at least (1-eps) times the exact optimum and never
   above it.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
@@ -43,12 +50,14 @@ Item = tuple[int, int]  # (value, position), kept sorted by value desc
 class MaximinCertificate:
     """A maximin query answer: the value, the bundle count, and a witness
     k-partition (bundles of positions into the queried value sequence) whose
-    worst bundle attains exactly ``value``."""
+    worst bundle attains exactly ``value``, and ``upper``, a proven upper
+    bound on the exact share."""
 
     value: int
     k: int
     witness: tuple[frozenset[int], ...]
     mode: str
+    upper: int
     eps: Optional[Fraction] = None
 
 
@@ -97,6 +106,71 @@ def _lpt(items: list[Item], k: int) -> tuple[list[int], list[list[int]]]:
     return loads, bundles
 
 
+def _upper_bound(items: list[Item], total: int, k: int) -> int:
+    """U = min over 0 <= j < k of (total - the j largest values) // (k - j).
+
+    The j largest goods lie in at most j bundles, so some k - j bundles hold
+    none of them, and the worst of those is at most their average.  Over
+    descending values the averages fall while the next good is worth more
+    than the current average and rise from then on, so the walk stops there.
+    """
+    bins = k
+    for v, _ in items:
+        if v * bins <= total:
+            break
+        total -= v
+        bins -= 1
+    return total // bins
+
+
+def _raise_worst(
+    vals: Sequence[int], loads: list[int], bundles: list[list[int]], target: int
+) -> None:
+    """Raise the worst bundle of a split, in place, until it reaches target
+    or no step raises it.
+
+    A step moves one good into the worst bundle (the first of equals), or
+    swaps one of its goods for a larger one from another bundle.  Of the
+    steps that leave both bundles above the worst one's load it takes the
+    one whose lower bundle ends highest, the first found on ties.  Each step
+    lowers the sum of squared loads, so the steps end.
+    """
+    while True:
+        low = min(loads)
+        if low >= target:
+            return
+        w = loads.index(low)
+        mine = [vals[x] for x in bundles[w]]
+        best, step = low, None
+        for b, load in enumerate(loads):
+            if (load + low) // 2 <= best:
+                continue
+            for at, y in enumerate(bundles[b]):
+                vy = vals[y]
+                # A shift of d into the worst bundle leaves both bundles
+                # above best exactly when best - low < d < load - best.
+                if best - low < vy < load - best:
+                    best, step = min(low + vy, load - vy), (b, at, -1)
+                for swap, vx in enumerate(mine):
+                    if best - low < vy - vx < load - best:
+                        best = min(low + vy - vx, load - vy + vx)
+                        step = (b, at, swap)
+        if step is None:
+            return
+        b, at, swap = step
+        y = bundles[b][at]
+        if swap < 0:
+            del bundles[b][at]
+            bundles[w].append(y)
+            d = vals[y]
+        else:
+            x = bundles[w][swap]
+            bundles[b][at], bundles[w][swap] = x, y
+            d = vals[y] - vals[x]
+        loads[w] += d
+        loads[b] -= d
+
+
 # ---------------------------------------------------------------------------
 # Decision core: can the pool be split into k bundles each worth >= t?
 #
@@ -106,14 +180,18 @@ def _lpt(items: list[Item], k: int) -> tuple[list[int], list[list[int]]]:
 # floor t exists, one with a minimal first cover does too.  Equal values are
 # interchangeable, which gives two further cuts: when the search declines an
 # item it declines all equal-valued followers at once, and pools that already
-# failed are remembered by their value multiset.
+# failed are remembered by their value multiset, with the least floor they
+# failed at.  A pool that fails at t fails at every higher floor, so one memo
+# serves every probe of a search, and it only ever cuts failing branches.
 #
 # Covers are also bounded above by cap = total - (k-1)*t.  A cover worth more
 # leaves a remainder worth less than (k-1)*t, which cannot give the other
 # k-1 bundles t each, so the search under it would fail at once.  Skipping
 # such covers is therefore sound, and as the skip only drops failing
 # branches, the covers kept come in the same order and the first one that
-# succeeds, hence the answer and the witness, is unchanged.
+# succeeds, hence the answer and the witness, is unchanged.  A good worth t
+# or more is a bundle of its own; no probe exceeds the upper bound U, so the
+# goods left after such bundles are always worth the rest's floors.
 # ---------------------------------------------------------------------------
 
 
@@ -149,22 +227,28 @@ def _minimal_covers(pool: list[Item], t: int, cap: int) -> Iterator[list[Item]]:
             skip += 1
         yield from go(skip, acc)
 
-    yield from go(0, first[0])
+    try:
+        yield from go(0, first[0])
+    finally:
+        # go holds itself through its closure cell; clearing it frees the
+        # call's lists at once, also when the caller stops at a first cover.
+        del go
 
 
 def _cover_search(
-    pool: list[Item], k: int, t: int, fail_memo: set
+    pool: list[Item], k: int, t: int, fail_memo: dict
 ) -> Optional[list[list[int]]]:
     """Split pool into k bundles each totalling at least t, or None.
 
     Items the cover search leaves over are appended to the final bundle,
-    where they can only help.
+    where they can only help.  fail_memo maps (bundle count, values) to the
+    least floor that pool failed at.
     """
     return _covers(pool, sum(v for v, _ in pool), k, t, fail_memo)
 
 
 def _covers(
-    pool: list[Item], total: int, k: int, t: int, fail_memo: set
+    pool: list[Item], total: int, k: int, t: int, fail_memo: dict
 ) -> Optional[list[list[int]]]:
     """:func:`_cover_search` on a pool whose values sum to total."""
     if t <= 0:
@@ -178,14 +262,12 @@ def _covers(
     cap = total - (k - 1) * t
     head = pool[0][0]
     if head >= t:
-        if head > cap:
-            return None
         sub = _covers(pool[1:], total - head, k - 1, t, fail_memo)
         if sub is None:
             return None
         return [[pool[0][1]]] + sub
     key = (k, tuple(v for v, _ in pool))
-    if key in fail_memo:
+    if fail_memo.get(key, t + 1) <= t:
         return None
     for cover in _minimal_covers(pool, t, cap):
         taken = {j for _, j in cover}
@@ -194,7 +276,7 @@ def _covers(
         sub = _covers(remainder, total - worth, k - 1, t, fail_memo)
         if sub is not None:
             return [[j for _, j in cover]] + sub
-    fail_memo.add(key)
+    fail_memo[key] = t
     return None
 
 
@@ -203,22 +285,22 @@ def _search_maximin(
 ) -> tuple[int, list[list[int]]]:
     """Largest t with a k-cover at floor t, from a known achievable lo.
 
-    The averaging bound total // k is probed first, since it is often met.
+    The upper bound U is probed first, since it is often met.
     Otherwise the search climbs: it probes lo + 1, and each cover found
     lifts lo to that cover's own worst bundle, until a probe fails.  After
     (hi - lo).bit_length() climbs it bisects what is left, so the probe
     count stays O(log(hi - lo)).  The witness is the cover the search finds
     at the answer itself (lo_witness when nothing beats lo), which does not
-    depend on the probes made before it.
+    depend on the probes made before it.  All probes share one fail memo.
     """
-    total = sum(v for v, _ in items)
-    hi = total // k
+    hi = _upper_bound(items, sum(v for v, _ in items), k)
     if lo >= hi:
         return lo, lo_witness
     depth = len(items) + 1000
     if sys.getrecursionlimit() < depth:
         sys.setrecursionlimit(depth)
-    got = _cover_search(items, k, hi, set())
+    memo: dict = {}
+    got = _cover_search(items, k, hi, memo)
     if got is not None:
         return hi, got
     hi -= 1
@@ -227,7 +309,7 @@ def _search_maximin(
     climbs = (hi - lo).bit_length()
     while lo < hi and climbs:
         climbs -= 1
-        got = _cover_search(items, k, lo + 1, set())
+        got = _cover_search(items, k, lo + 1, memo)
         if got is None:
             hi = lo
             break
@@ -235,13 +317,13 @@ def _search_maximin(
         lo = min(hi, min(sum(value_of[j] for j in b) for b in got))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        got = _cover_search(items, k, mid, set())
+        got = _cover_search(items, k, mid, memo)
         if got is None:
             hi = mid - 1
         else:
             witness, found_at, lo = got, mid, mid
     if found_at != lo:
-        witness = _cover_search(items, k, lo, set())
+        witness = _cover_search(items, k, lo, memo)
     return lo, witness
 
 
@@ -274,11 +356,12 @@ def mms_exact(
         )
     items = _desc_items(vals)
     zeros = [j for j, v in enumerate(vals) if v == 0]
+    total = sum(v for v, _ in items)
 
     if k == 1:
         witness = (frozenset(range(len(vals))),)
         return MaximinCertificate(
-            value=sum(vals), k=1, witness=witness, mode="exact"
+            value=total, k=1, witness=witness, mode="exact", upper=total
         )
 
     loads0, bundles0 = _lpt(items, k)
@@ -286,7 +369,42 @@ def mms_exact(
 
     best[0].extend(zeros)
     witness = _checked_witness(vals, best, value)
-    return MaximinCertificate(value=value, k=k, witness=witness, mode="exact")
+    return MaximinCertificate(
+        value=value, k=k, witness=witness, mode="exact",
+        upper=_upper_bound(items, total, k),
+    )
+
+
+def _rounded_search(
+    vals: Sequence[int], items: list[Item], k: int, frac: Fraction,
+    bundles: list[list[int]],
+) -> tuple[int, list[list[int]]]:
+    """The maximin search on values rounded down, started from bundles: the
+    better of the split it finds and bundles, with its true worst bundle.
+
+    Values are rounded down to multiples of a grain u <= eps*G/(2m), where G
+    is the worst bundle of the given split (so G never exceeds the optimum)
+    and m counts the positive values.  An optimal bundle loses less than
+    m*u <= eps/2 times the optimum to rounding, hence the exact search on
+    rounded values yields a split whose true minimum is at least (1 - eps)
+    times the optimum.  Goods worth less than u go to its worst bundle.
+    """
+    p, q = frac.numerator, frac.denominator
+    value = min(sum(vals[j] for j in b) for b in bundles)
+    grain = max(1, (p * value) // (2 * len(items) * q))
+    rounded = [(v // grain, j) for v, j in items if v >= grain]
+    dust = [j for v, j in items if v < grain]
+    start = [[j for j in b if vals[j] >= grain] for b in bundles]
+    lo = min(sum(vals[j] // grain for j in b) for b in start)
+    _, found = _search_maximin(rounded, k, lo, start)
+    sums = [sum(vals[j] for j in b) for b in found]
+    if dust:
+        dump = sums.index(min(sums))
+        found[dump].extend(dust)
+        sums[dump] += sum(vals[j] for j in dust)
+    if min(sums) > value:
+        return min(sums), found
+    return value, bundles
 
 
 def mms_approx(
@@ -294,13 +412,14 @@ def mms_approx(
 ) -> MaximinCertificate:
     """Maximin over k bundles to within a factor (1 - eps), with a witness.
 
-    Values are rounded down to multiples of a grain u <= eps*G/(2m), where G
-    is the minimum load of a greedy partition (so G never exceeds the
-    optimum) and m counts the positive values.  An optimal bundle loses less
-    than m*u <= eps/2 times the optimum to rounding, hence the exact search
-    on rounded values yields a witness whose true minimum is at least
-    (1 - eps) times the optimum.  The certificate value is that recomputed
-    true minimum, so it never exceeds the optimum either.
+    The certificate: U (:func:`_upper_bound`) is at least the share, so a
+    witness whose worst bundle reaches (1 - eps)*U is within (1 - eps) of
+    it.  The witness is the greedy split, raised by moves and swaps
+    (:func:`_raise_worst`) only when greedy misses that bar.  When the
+    raised split misses it too, the exact search on rounded values
+    (:func:`_rounded_search`) improves it to within (1 - eps) of the
+    optimum.  The certificate value is the witness's true minimum, so it
+    never exceeds the optimum either, and ``upper`` is U.
 
     >>> mms_approx([1, 1, 1, 1], 2, Fraction(1, 10)).value
     2
@@ -314,43 +433,27 @@ def mms_approx(
     if k == 1:
         witness = (frozenset(range(len(vals))),)
         return MaximinCertificate(
-            value=total, k=1, witness=witness, mode="ptas", eps=frac
+            value=total, k=1, witness=witness, mode="ptas", upper=total,
+            eps=frac,
         )
 
-    loads0, bundles0 = _lpt(items, k)
-    value = min(loads0)
-    best = [list(b) for b in bundles0]
-    upper = total // k
+    upper = _upper_bound(items, total, k)
     p, q = frac.numerator, frac.denominator
-
-    # The greedy split is already optimal when it meets the averaging bound,
-    # and certifiably within (1 - eps) when no single item exceeds eps*G:
-    # greedy's minimum is at least the optimum minus the largest item.
-    sharp = value == upper or not items or q * items[0][0] <= p * value
-    if value > 0 and not sharp:
-        grain = max(1, (p * value) // (2 * len(items) * q))
-        rounded = [(v // grain, j) for v, j in items if v // grain >= 1]
-        dust = [j for v, j in items if v // grain < 1]
-        r_loads, r_bundles = _lpt(rounded, k)
-        _, r_best = _search_maximin(rounded, k, min(r_loads), r_bundles)
-        sums = [sum(vals[j] for j in b) for b in r_best]
-        if dust:
-            dump = sums.index(min(sums))
-            r_best[dump].extend(dust)
-            sums[dump] += sum(vals[j] for j in dust)
-        r_min = min(sums)
-        if r_min > value:
-            value = r_min
-            best = r_best
+    bar = -(-(q - p) * upper // q)  # the least value with q*value >= (q-p)*U
+    loads, best = _lpt(items, k)
+    _raise_worst(vals, loads, best, bar)
+    value = min(loads)
+    if value < bar:
+        value, best = _rounded_search(vals, items, k, frac, best)
 
     if value > upper:
         raise GuaranteeError(
-            f"approximate share {value} exceeds the averaging bound {upper}"
+            f"approximate share {value} exceeds the upper bound {upper}"
         )
     best[0].extend(zeros)
     witness = _checked_witness(vals, best, value)
     return MaximinCertificate(
-        value=value, k=k, witness=witness, mode="ptas", eps=frac
+        value=value, k=k, witness=witness, mode="ptas", upper=upper, eps=frac
     )
 
 

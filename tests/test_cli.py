@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -218,6 +219,22 @@ class TestMms:
         payload = json.loads(out)
         assert payload["mode"] == "ptas" and payload["eps"] == "1/10"
         assert 10 * payload["value"] >= 9 * 5
+
+    def test_ptas_on_sixty_goods_and_twenty_bundles(self, tmp_path):
+        # A fresh process under a time limit, so a search that runs away
+        # fails this test instead of hanging the suite.
+        rng = random.Random(60)
+        row = [rng.randint(0, 10**6) for _ in range(60)]
+        path = write_instance(tmp_path / "inst.json", [row], scale=10**6)
+        result = subprocess.run(
+            [sys.executable, "-m", "mmsalloc.cli", "mms", "--instance", path,
+             "--agent", "1", "--k", "20", "--eps", "1/10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert len(payload["witness"]) == 20
+        assert 0 < 20 * payload["value"] <= sum(row)
 
     def test_agent_out_of_range(self, capsys, instance_path):
         code, _, err = run_cli(

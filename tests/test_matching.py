@@ -93,6 +93,42 @@ class TestMaximumMatching:
         assert maximum_matching(graph) == maximum_matching(graph)
         assert maximum_matching(graph) == ((0, 1), (1, 0), (2, 2))
 
+    def test_long_augmenting_chain(self):
+        # Greedy matches u to u for u < n - 1; the last agent accepts only
+        # bundle 0, so its augmenting path runs through every agent.
+        n = 3000
+        adj = tuple((u, u + 1) for u in range(n - 1)) + ((0,),)
+        pairs = maximum_matching(PreferenceGraph(n, n, adj))
+        assert pairs == tuple((u, u + 1) for u in range(n - 1)) + ((n - 1, 0),)
+
+    def test_augment_matches_recursive_search(self):
+        rng = random.Random(74)
+        for _ in range(300):
+            n_left, n_right = rng.randint(1, 9), rng.randint(1, 9)
+            graph = random_graph(rng, n_left, n_right, rng.choice([0.2, 0.4, 0.7]))
+            match_right = [-1] * n_right
+            expected = [-1] * n_right
+            for u in range(n_left):
+                visited, ref_visited = set(), set()
+                got = matching_mod._augment(graph, u, match_right, visited)
+                ref = _augment_recursive(graph, u, expected, ref_visited)
+                assert (got, match_right, visited) == (ref, expected, ref_visited)
+
+
+def _augment_recursive(graph, u, match_right, visited):
+    """The recursive augmenting-path search, the reference for the
+    iterative matching._augment."""
+    for v in graph.adj[u]:
+        if v in visited:
+            continue
+        visited.add(v)
+        if match_right[v] == -1 or _augment_recursive(
+            graph, match_right[v], match_right, visited
+        ):
+            match_right[v] = u
+            return True
+    return False
+
 
 class TestComputeXPlus:
     def test_worked_example(self):

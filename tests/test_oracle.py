@@ -1,9 +1,14 @@
 """Maximin share oracles: exact search, approximation scheme, bounds."""
 
 import doctest
+import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -193,7 +198,7 @@ def _bisection_search(items, k, lo, lo_witness):
     witness = lo_witness
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        got = oracle._cover_search(items, k, mid, set())
+        got = oracle._cover_search(items, k, mid, {})
         if got is None:
             hi = mid - 1
         else:
@@ -251,20 +256,57 @@ def test_exact_search_matches_bisection_and_exhaustive(values, k):
 
 
 def _approx_rows():
-    # Rows on which greedy misses the averaging bound, so the search runs.
+    # Rows on which greedy misses the averaging bound.  mms_approx settles
+    # them by its certificate, so the tests below run the rounded search on
+    # them directly.
     rng = random.Random(3)
     for m, k in ((40, 4), (60, 5), (90, 5), (105, 10)):
         yield [rng.randint(0, 10**6) for _ in range(m)], k
 
 
+def _rounded_search_from_greedy(values, k, eps):
+    """The rounded search of mms_approx, started from the greedy split."""
+    items = oracle._desc_items(values)
+    _, bundles = oracle._lpt(items, k)
+    return oracle._rounded_search(values, items, k, eps, bundles)
+
+
 @pytest.mark.parametrize("values,k", list(_approx_rows()))
 def test_approx_search_matches_bisection(values, k):
-    cert, searches = _assert_same_as_bisection(
-        mms_approx, values, k, Fraction(1, 10)
+    (value, _), searches = _assert_same_as_bisection(
+        _rounded_search_from_greedy, values, k, Fraction(1, 10)
     )
     # The rounded share meets the averaging bound: one probe settles it.
     assert [probes for _, probes in searches] == [1]
-    assert cert.value <= sum(values) // k
+    assert value <= sum(values) // k
+
+
+def _heavy_rows(m, k, count, seed=5):
+    """Heavy-tailed rows with two goods per bundle whose raised greedy
+    split misses (1 - eps)*U at eps 1/10, so mms_approx runs its search."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        row = [int(1000 * rng.paretovariate(1.2)) for _ in range(m)]
+        items = oracle._desc_items(row)
+        loads, bundles = oracle._lpt(items, k)
+        upper = oracle._upper_bound(items, sum(row), k)
+        oracle._raise_worst(row, loads, bundles, upper)
+        if 10 * min(loads) < 9 * upper:
+            rows.append(row)
+    return rows
+
+
+_HEAVY = [(row, k) for m, k in ((8, 4), (12, 6), (16, 8)) for row in _heavy_rows(m, k, 3)]
+
+
+@pytest.mark.parametrize("values,k", _HEAVY)
+def test_approx_search_from_the_witness_matches_bisection(values, k):
+    cert, searches = _assert_same_as_bisection(
+        mms_approx, values, k, Fraction(1, 10)
+    )
+    assert len(searches) == 1
+    assert 9 * mms_exact(values, k).value <= 10 * cert.value <= 10 * cert.upper
 
 
 def _probes_with_slowest_climb(opt, n=2000):
@@ -414,7 +456,7 @@ _pools = st.builds(
 @given(pool=_pools, k=st.integers(1, 5))
 def test_cover_search_matches_uncapped_search(pool, k):
     for t in _floors(pool, k):
-        got = oracle._cover_search(pool, k, t, set())
+        got = oracle._cover_search(pool, k, t, {})
         assert got == _cover_search_uncapped(pool, k, t, set())
 
 
@@ -452,10 +494,12 @@ def _recorded_cover_calls(query, *args):
 
 
 @pytest.mark.parametrize("query,args", [
-    (mms_approx, list(_approx_rows())[-1] + (Fraction(1, 10),)),
+    (mms_approx, (_heavy_rows(16, 8, 1)[0], 8, Fraction(1, 10))),
     (mms_exact, (random.Random(5).choices(range(10**6), k=14), 3)),
-    # One good worth more than the other bundles can spare.
-    (mms_exact, ([90, 8, 7, 6, 5, 4, 3, 2, 1], 3)),
+    # One good worth more than the other bundles could spare at the
+    # averaging bound: U leaves it out, and the search makes it a bundle of
+    # its own.
+    (mms_exact, ([90, 5, 5, 4, 4, 4], 3)),
 ])
 def test_no_cover_leaves_the_other_bundles_short(query, args):
     calls = _recorded_cover_calls(query, *args)
@@ -465,6 +509,132 @@ def test_no_cover_leaves_the_other_bundles_short(query, args):
         # Probes never exceed the averaging bound, and a cover's remainder
         # is always worth at least (k-1)*t, so no call fails this check.
         assert total >= k * t
+
+
+# ---------------------------------------------------------------------------
+# The upper bound U, the raised greedy witness and the certificate.
+# ---------------------------------------------------------------------------
+
+
+def _upper_by_definition(values, k):
+    """min over 0 <= j < k of (total - the j largest values) // (k - j)."""
+    desc = sorted(values, reverse=True)
+    return min((sum(values) - sum(desc[:j])) // (k - j) for j in range(k))
+
+
+_eps = st.sampled_from(
+    (Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(9, 10))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=_values, k=st.integers(1, 4), eps=_eps)
+def test_upper_bound_and_approximate_share(values, k, eps):
+    share = exhaustive_mms(values, k)
+    upper = _upper_by_definition(values, k)
+    assert upper >= share
+    cert = mms_approx(values, k, eps)
+    assert (1 - eps) * share <= cert.value <= share
+    assert cert.upper == upper == mms_exact(values, k).upper
+    assert_witness_certifies(values, k, cert)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=_values, k=st.integers(1, 5), target=st.integers(0, 200))
+def test_raise_worst_keeps_a_split_and_stops_where_it_should(values, k, target):
+    items = oracle._desc_items(values)
+    loads, bundles = oracle._lpt(items, k)
+    before = min(loads)
+    oracle._raise_worst(values, loads, bundles, target)
+    assert sorted(j for b in bundles for j in b) == sorted(j for _, j in items)
+    assert loads == [sum(values[j] for j in b) for b in bundles]
+    low = min(loads)
+    assert low >= before
+    if low < target:
+        # No move into the worst bundle, and no swap of one of its goods
+        # for a larger one, leaves both bundles above its load.
+        w = loads.index(low)
+        for b, load in enumerate(loads):
+            for y in bundles[b] if b != w else ():
+                for d in [values[y]] + [values[y] - values[x] for x in bundles[w]]:
+                    assert not 0 < d < load - low
+
+
+def test_raised_witness_settles_rows_greedy_misses():
+    # Uniform rows with three goods per bundle on which greedy alone stays
+    # under 9/10 of U; moves and swaps lift them over, so no search runs.
+    rng = random.Random("30/10")
+    rows = [[rng.randint(0, 1000) for _ in range(30)] for _ in range(40)]
+    missed = [
+        row for row in rows
+        if 10 * greedy_floor(row, 10)
+        < 9 * oracle._upper_bound(oracle._desc_items(row), sum(row), 10)
+    ]
+    assert missed
+    with patch.object(oracle, "_rounded_search", side_effect=AssertionError):
+        for row in missed:
+            cert = mms_approx(row, 10, Fraction(1, 10))
+            assert 10 * cert.value >= 9 * cert.upper
+
+
+def test_fail_memo_keeps_the_least_failing_floor():
+    pool = oracle._desc_items([5, 5, 5])
+    memo = {}
+    assert oracle._cover_search(pool, 2, 7, memo) is None
+    assert memo == {(2, (5, 5, 5)): 7}
+    assert oracle._cover_search(pool, 2, 6, memo) is None
+    assert memo == {(2, (5, 5, 5)): 6}
+    # A pool that failed is not searched again at the same or a higher floor.
+    with patch.object(oracle, "_minimal_covers", side_effect=AssertionError):
+        assert oracle._cover_search(pool, 2, 7, memo) is None
+        assert oracle._cover_search(pool, 2, 6, memo) is None
+    assert oracle._cover_search(pool, 2, 5, memo) == [[0], [1, 2]]
+
+
+def test_minimal_covers_leave_no_reference_cycles():
+    pool = oracle._desc_items([8, 7, 6, 5, 4, 3, 2, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(oracle._minimal_covers(pool, 12, 20))) > 1
+        # Stopped after its first cover, as the cover search stops it.
+        assert next(oracle._minimal_covers(pool, 12, 20))
+        assert oracle._cover_search(pool, 3, 11, {}) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_LARGE_SHAPES = """
+import random, sys
+from fractions import Fraction
+from mmsalloc import mms_approx
+m, k = int(sys.argv[1]), int(sys.argv[2])
+rng = random.Random(f"{m}/{k}")
+for _ in range(3):
+    row = [rng.randint(0, 10**6) for _ in range(m)]
+    cert = mms_approx(row, k, Fraction(1, 10))
+    print(cert.value, cert.upper, sum(row) // k)
+"""
+
+
+@pytest.mark.parametrize("m,k", [(60, 20), (120, 40)])
+def test_approx_finishes_with_three_goods_per_bundle(m, k):
+    # A fresh interpreter under a time limit, so a search that runs away
+    # fails this test instead of hanging the suite.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _LARGE_SHAPES, str(m), str(k)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        value, upper, average = map(int, line.split())
+        assert 9 * upper <= 10 * value <= 10 * upper <= 10 * average
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +658,11 @@ def test_exact_witness_check_raises(monkeypatch):
 
 
 def test_approx_upper_bound_check_raises(monkeypatch):
-    # Greedy gives 9 | 5 here, which the search is asked to improve.
+    # U is 7 here but the share is 5, so no split meets the bar of 9/10 of
+    # U and the search is asked to improve greedy's 5 | 10.
     monkeypatch.setattr(oracle, "_search_maximin", _every_item_in_every_bundle)
     with pytest.raises(GuaranteeError):
-        mms_approx([9, 1, 1, 1, 1, 1], 2, Fraction(1, 10))
+        mms_approx([5, 5, 5], 2, Fraction(1, 10))
 
 
 def test_oracle_guarantee_failure_exits_one(monkeypatch, tmp_path, capsys):
