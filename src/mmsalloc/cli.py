@@ -13,6 +13,7 @@ files and printed artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -326,6 +327,11 @@ def cmd_verify(args) -> int:
         if not 0 <= cert.agent < instance.n:
             raise InputError(f"certificate agent {cert.agent + 1} out of range")
         thresholds[cert.agent] = cert.threshold
+    print(
+        "checking the allocation file's own thresholds; they are not rebuilt "
+        "from the instance",
+        file=sys.stderr,
+    )
     report = verify_allocation(instance, allocation, thresholds)
     for check in report.checks:
         status = "ok" if check.ok else "FAIL"
@@ -425,9 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process.  A parser is full of
+    reference cycles, so one built per call would leave them to the cyclic
+    garbage collector."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuaranteeError as exc:

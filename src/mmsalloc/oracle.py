@@ -10,11 +10,14 @@ bundles (:func:`_upper_bound`).  Every certificate carries U.
   candidate with a bundle-by-bundle search over minimal covers.  A cover is
   never worth more than total - (k-1)*t, since anything above that leaves
   the other bundles short of their floors, and the pools that failed are
-  remembered across candidates.  The search tries U first, then climbs from
-  the greedy floor: each cover found lifts the floor to that cover's worst
-  bundle, and the first failed candidate ends the search.  Bisection takes
-  over after O(log gap) climbs, so the number of candidates stays
-  logarithmic.
+  remembered across candidates.  The search walks explicit stacks, one of
+  bundles and one of covers per bundle, so it never recurses and needs no
+  recursion limit.  It tries U first, then climbs from the greedy floor:
+  each cover found lifts the floor to that cover's worst bundle, and the
+  first failed candidate ends the search.  Bisection takes over after
+  O(log gap) climbs, so the number of candidates stays logarithmic.  The
+  last cover found is the witness; the search at the answer would find the
+  same one, so it is not run.
 * :func:`mms_approx` builds a witness split (greedy, then moves and swaps
   that raise its worst bundle) and returns it as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
@@ -30,9 +33,9 @@ All arithmetic is on integers and Fractions; no floats touch any decision.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import GuaranteeError, InputError, Instance
@@ -192,47 +195,101 @@ def _raise_worst(
 # succeeds, hence the answer and the witness, is unchanged.  A good worth t
 # or more is a bundle of its own; no probe exceeds the upper bound U, so the
 # goods left after such bundles are always worth the rest's floors.
+#
+# Nothing here recurses.  The search keeps one generator of first-bundle
+# choices per open level on an explicit stack (_first_bundles), and each
+# level's cover walk keeps its own stack of skip points (_cover_walk), so
+# the depth of a search is bounded by k and the size of the pool, not by
+# the interpreter's recursion limit, and no call leaves a reference cycle.
 # ---------------------------------------------------------------------------
 
 
-def _minimal_covers(pool: list[Item], t: int, cap: int) -> Iterator[list[Item]]:
-    """Minimal covers of t drawn from pool that contain pool[0], each worth
-    at most cap, where pool[0] alone is worth less than t.
+def _cover_walk(
+    vals: list[int], t: int, cap: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(worth, chosen) for each minimal cover of t drawn from the descending
+    values vals that contains vals[0], worth at most cap, in depth-first
+    order, where vals[0] alone is worth less than t.  chosen holds the
+    indices of the cover's other members in ascending order; it is the
+    walk's own list, valid until the next step.
 
     Minimal means no member other than the forced first one could be dropped
     with the total still at t or above.  Every cover built is minimal: items
     are taken largest first and a cover ends as soon as it reaches t, so its
     last member is its smallest and is worth more than the excess over t.
+
+    The walk takes each value that fits under cap; coming back, it declines
+    that value together with every equal one after it.  Those skip points
+    wait on a stack as (index, worth so far, members chosen), so coming back
+    is one pop, and a branch that cannot reach t is never pushed.
     """
-    first = pool[0]
-    rest = pool[1:]
-    n = len(rest)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + rest[i][0]
+    n = len(vals)
+    suffix = list(accumulate(reversed(vals), initial=0))[::-1]
+    skip = list(range(1, n + 1))
+    for i in range(n - 2, 0, -1):
+        if vals[i] == vals[i + 1]:
+            skip[i] = skip[i + 1]
     chosen: list[int] = []
+    stack = [(1, vals[0], 0)]
+    while stack:
+        i, acc, depth = stack.pop()
+        del chosen[depth:]
+        while acc < t:
+            if acc + suffix[i] < t:
+                break
+            v = vals[i]
+            if acc + v <= cap:
+                if acc + suffix[skip[i]] >= t:
+                    stack.append((skip[i], acc, len(chosen)))
+                chosen.append(i)
+                acc += v
+                i += 1
+            else:
+                i = skip[i]
+        else:
+            yield acc, chosen
 
-    def go(i: int, acc: int) -> Iterator[list[Item]]:
-        if acc >= t:
-            yield [first] + [rest[c] for c in chosen]
-            return
-        if i == n or acc + suffix[i] < t:
-            return
-        if acc + rest[i][0] <= cap:
-            chosen.append(i)
-            yield from go(i + 1, acc + rest[i][0])
-            chosen.pop()
-        skip = i + 1
-        while skip < n and rest[skip][0] == rest[i][0]:
-            skip += 1
-        yield from go(skip, acc)
 
-    try:
-        yield from go(0, first[0])
-    finally:
-        # go holds itself through its closure cell; clearing it frees the
-        # call's lists at once, also when the caller stops at a first cover.
-        del go
+def _minimal_covers(pool: list[Item], t: int, cap: int) -> Iterator[list[Item]]:
+    """Minimal covers of t drawn from pool that contain pool[0], each worth
+    at most cap, where pool[0] alone is worth less than t: the walk of
+    :func:`_cover_walk` over pool's values, as lists of items."""
+    for _, chosen in _cover_walk([v for v, _ in pool], t, cap):
+        yield [pool[0]] + [pool[c] for c in chosen]
+
+
+def _first_bundles(
+    pool: list[Item], total: int, k: int, t: int, fail_memo: dict
+) -> Iterator[tuple[list[int], list[Item], int]]:
+    """The choices of a first bundle when splitting pool, whose values sum
+    to total, into k bundles each worth at least t > 0, in search order:
+    each as (bundle, the pool left, its worth).  With k = 1 the one choice
+    is the whole pool.  A pool whose covers all fail is recorded in
+    fail_memo, which maps (bundle count, values) to the least floor that
+    pool failed at."""
+    if total < k * t or len(pool) < k:
+        return
+    if k == 1:
+        yield [j for _, j in pool], [], 0
+        return
+    head = pool[0][0]
+    if head >= t:
+        yield [pool[0][1]], pool[1:], total - head
+        return
+    vals = [v for v, _ in pool]
+    key = (k, tuple(vals))
+    if fail_memo.get(key, t + 1) <= t:
+        return
+    first = pool[0][1]
+    for worth, chosen in _cover_walk(vals, t, total - (k - 1) * t):
+        left: list[Item] = []
+        start = 1
+        for c in chosen:
+            left += pool[start:c]
+            start = c + 1
+        left += pool[start:]
+        yield [first] + [pool[c][1] for c in chosen], left, total - worth
+    fail_memo[key] = t
 
 
 def _cover_search(
@@ -242,41 +299,29 @@ def _cover_search(
 
     Items the cover search leaves over are appended to the final bundle,
     where they can only help.  fail_memo maps (bundle count, values) to the
-    least floor that pool failed at.
+    least floor that pool failed at.  The search is depth first: levels
+    holds the choices of each bundle built so far, and a level whose
+    choices run out hands back to the one before it.
     """
-    return _covers(pool, sum(v for v, _ in pool), k, t, fail_memo)
-
-
-def _covers(
-    pool: list[Item], total: int, k: int, t: int, fail_memo: dict
-) -> Optional[list[list[int]]]:
-    """:func:`_cover_search` on a pool whose values sum to total."""
     if t <= 0:
         bundles = [[j for _, j in pool]]
         bundles.extend([] for _ in range(k - 1))
         return bundles
-    if total < k * t or len(pool) < k:
-        return None
-    if k == 1:
-        return [[j for _, j in pool]]
-    cap = total - (k - 1) * t
-    head = pool[0][0]
-    if head >= t:
-        sub = _covers(pool[1:], total - head, k - 1, t, fail_memo)
-        if sub is None:
-            return None
-        return [[pool[0][1]]] + sub
-    key = (k, tuple(v for v, _ in pool))
-    if fail_memo.get(key, t + 1) <= t:
-        return None
-    for cover in _minimal_covers(pool, t, cap):
-        taken = {j for _, j in cover}
-        remainder = [it for it in pool if it[1] not in taken]
-        worth = sum(v for v, _ in cover)
-        sub = _covers(remainder, total - worth, k - 1, t, fail_memo)
-        if sub is not None:
-            return [[j for _, j in cover]] + sub
-    fail_memo[key] = t
+    levels = [_first_bundles(pool, sum(v for v, _ in pool), k, t, fail_memo)]
+    bundles: list[list[int]] = []
+    while levels:
+        got = next(levels[-1], None)
+        if got is None:
+            levels.pop()
+            continue
+        del bundles[len(levels) - 1:]
+        bundle, pool, total = got
+        bundles.append(bundle)
+        if len(bundles) == k:
+            return bundles
+        levels.append(
+            _first_bundles(pool, total, k - len(bundles), t, fail_memo)
+        )
     return None
 
 
@@ -289,23 +334,34 @@ def _search_maximin(
     Otherwise the search climbs: it probes lo + 1, and each cover found
     lifts lo to that cover's own worst bundle, until a probe fails.  After
     (hi - lo).bit_length() climbs it bisects what is left, so the probe
-    count stays O(log(hi - lo)).  The witness is the cover the search finds
-    at the answer itself (lo_witness when nothing beats lo), which does not
-    depend on the probes made before it.  All probes share one fail memo.
+    count stays O(log(hi - lo)).  All probes share one fail memo.  The
+    witness is the last cover found (lo_witness when nothing beats lo); it
+    is the cover the search finds at the answer itself (see below), so it
+    does not depend on the probes made before it.
     """
+    # A climb's cover, found at floor t with worst bundle w, is the cover the
+    # search finds at floor w too, so the answer needs no search of its own:
+    # - Its first bundle reaches t only with its last member and is worth at
+    #   least w, so the walk at w builds it as well, and the other bundles,
+    #   each worth at least w, keep it within w's cap.  A good that is a
+    #   bundle of its own at one floor is one at the other.
+    # - Any cover built at w before it starts with a prefix that first
+    #   reaches t.  That prefix is a cover at t, within t's cap, which is no
+    #   smaller than w's, and it comes before the found bundle in the walk at
+    #   t, which therefore tried it and failed on its remainder.
+    # - Feasibility only falls as the pool shrinks or the floor rises, so
+    #   the earlier cover's remainder fails at w, and level by level the
+    #   search at w makes the same choices as the one at t.
     hi = _upper_bound(items, sum(v for v, _ in items), k)
     if lo >= hi:
         return lo, lo_witness
-    depth = len(items) + 1000
-    if sys.getrecursionlimit() < depth:
-        sys.setrecursionlimit(depth)
     memo: dict = {}
     got = _cover_search(items, k, hi, memo)
     if got is not None:
         return hi, got
     hi -= 1
     value_of = {j: v for v, j in items}
-    witness, found_at = lo_witness, lo
+    witness = lo_witness
     climbs = (hi - lo).bit_length()
     while lo < hi and climbs:
         climbs -= 1
@@ -313,7 +369,7 @@ def _search_maximin(
         if got is None:
             hi = lo
             break
-        witness, found_at = got, lo + 1
+        witness = got
         lo = min(hi, min(sum(value_of[j] for j in b) for b in got))
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -321,9 +377,7 @@ def _search_maximin(
         if got is None:
             hi = mid - 1
         else:
-            witness, found_at, lo = got, mid, mid
-    if found_at != lo:
-        witness = _cover_search(items, k, lo, memo)
+            witness, lo = got, mid
     return lo, witness
 
 

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
+import gc
 import json
 import random
 import subprocess
@@ -303,6 +304,29 @@ class TestGenVerifyExperiment:
         assert code == 2
         assert "input error" in err
 
+    def test_verify_says_whose_thresholds_it_checks(self, capsys, tmp_path):
+        # Thresholds of 0 pass any partition: verify checks the file's own
+        # thresholds and says so, since it has no way to rebuild them.
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        main(["gen", "--n", "2", "--m", "6", "--seed", "8", "--out", str(inst)])
+        main(["solve", "--algo", "half", "--instance", str(inst), "--out", str(alloc)])
+        payload = json.loads(alloc.read_text())
+        for cert in payload["certificates"]:
+            cert["threshold"] = 0
+        alloc.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--instance", str(inst), "--allocation", str(alloc)],
+        )
+        assert code == 0
+        assert out.count(" >= 0 ok") == 2
+        assert err == (
+            "checking the allocation file's own thresholds; they are not "
+            "rebuilt from the instance\n"
+        )
+
     def test_gen_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "--n", "2", "--m", "3", "--seed", "1"])
         assert code == 0
@@ -344,6 +368,24 @@ class TestGenVerifyExperiment:
         )
         assert code == 2
         assert "input error" in err
+
+
+def test_main_leaves_no_parser_garbage(capsys, instance_path):
+    argv = ["solve", "--algo", "rr", "--instance", instance_path]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        kinds = {type(obj) for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert not [kind for kind in kinds if kind.__module__ == "argparse"]
 
 
 def test_unknown_subcommand_exits_two():

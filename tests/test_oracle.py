@@ -340,20 +340,32 @@ def test_climbs_are_capped_then_bisection_finishes():
 
 
 def test_witness_is_the_cover_found_at_the_answer():
-    # Covers exist up to floor 5.  The one found at floor 1 is already worth
-    # 5 but is not the one found at floor 5, which bisection returns.
-    def cover_search(pool, k, t, fail_memo):
-        if t > 5:
-            return None
-        first = [j for _, j in (pool[:5] if t < 5 else pool[5:10])]
-        return [first, [j for _, j in pool if j not in first]]
+    # The climb lifts its floor to the worst bundle of each cover it finds,
+    # so its last cover is often found below the answer.  That cover is the
+    # one a search at the answer finds, as bisection's is.
+    rng = random.Random(17)
+    search = oracle._cover_search
+    below = 0
+    for _ in range(300):
+        values = [rng.randint(0, 1000) for _ in range(rng.randint(6, 11))]
+        k = rng.randint(2, 4)
+        items = oracle._desc_items(values)
+        loads, bundles = oracle._lpt(items, k)
+        found = []
 
-    items = [(1, j) for j in range(20)]
-    args = (items, 2, 0, [[], list(range(20))])
-    with patch.object(oracle, "_cover_search", cover_search):
-        expected = _bisection_search(*args)
-        assert expected[1][0] == [5, 6, 7, 8, 9]
-        assert oracle._search_maximin(*args) == expected
+        def recorded(pool, k, t, fail_memo):
+            got = search(pool, k, t, fail_memo)
+            if got is not None:
+                found.append(t)
+            return got
+
+        with patch.object(oracle, "_cover_search", recorded):
+            value, witness = oracle._search_maximin(items, k, min(loads), bundles)
+        if found and value not in found:
+            below += 1
+            assert witness == search(items, k, value, {})
+        assert (value, witness) == _bisection_search(items, k, min(loads), bundles)
+    assert below >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +472,21 @@ def test_cover_search_matches_uncapped_search(pool, k):
         assert got == _cover_search_uncapped(pool, k, t, set())
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pool=_pools, k=st.integers(2, 5))
+def test_cover_found_is_the_cover_at_its_worst_bundle(pool, k):
+    # The property that lets the maximin search keep the cover a climb
+    # found below its answer: the search at any floor from the one it was
+    # found at up to its worst bundle finds it again.
+    value_of = {j: v for v, j in pool}
+    for t in _floors(pool, k):
+        got = oracle._cover_search(pool, k, t, {})
+        if got is not None:
+            worst = min(sum(value_of[j] for j in b) for b in got)
+            for floor in {worst, (t + worst) // 2}:
+                assert oracle._cover_search(pool, k, floor, {}) == got
+
+
 def test_minimal_covers_are_the_uncapped_ones_up_to_cap():
     rng = random.Random(43)
     for _ in range(400):
@@ -479,16 +506,16 @@ def test_minimal_covers_are_the_uncapped_ones_up_to_cap():
 
 
 def _recorded_cover_calls(query, *args):
-    """query(*args), with (pool, total, k, t) for every call of the cover
-    search's recursive step."""
+    """query(*args), with (pool, total, k, t) for every level of the cover
+    search."""
     calls = []
-    covers = oracle._covers
+    first_bundles = oracle._first_bundles
 
     def recorded(pool, total, k, t, fail_memo):
         calls.append((pool, total, k, t))
-        return covers(pool, total, k, t, fail_memo)
+        return first_bundles(pool, total, k, t, fail_memo)
 
-    with patch.object(oracle, "_covers", recorded):
+    with patch.object(oracle, "_first_bundles", recorded):
         query(*args)
     return calls
 
@@ -585,7 +612,7 @@ def test_fail_memo_keeps_the_least_failing_floor():
     assert oracle._cover_search(pool, 2, 6, memo) is None
     assert memo == {(2, (5, 5, 5)): 6}
     # A pool that failed is not searched again at the same or a higher floor.
-    with patch.object(oracle, "_minimal_covers", side_effect=AssertionError):
+    with patch.object(oracle, "_cover_walk", side_effect=AssertionError):
         assert oracle._cover_search(pool, 2, 7, memo) is None
         assert oracle._cover_search(pool, 2, 6, memo) is None
     assert oracle._cover_search(pool, 2, 5, memo) == [[0], [1, 2]]
@@ -603,6 +630,31 @@ def test_minimal_covers_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(before)
+
+
+def test_cover_search_needs_no_recursion_limit(default_recursion_limit):
+    # 3000 bundles of one good each: a search 3000 levels deep.
+    got = oracle._cover_search(oracle._desc_items([1] * 3000), 3000, 1, {})
+    assert got == [[j] for j in range(3000)]
+
+
+def test_oracles_leave_the_recursion_limit_alone(default_recursion_limit):
+    # Rows on which both oracles run the maximin search.
+    with patch.object(
+        oracle, "_search_maximin", wraps=oracle._search_maximin
+    ) as searched:
+        assert mms_exact([90, 5, 5, 4, 4, 4], 3).value == 10
+        mms_approx(_HEAVY[0][0], _HEAVY[0][1], Fraction(1, 10))
+    assert searched.call_count == 2
+    assert sys.getrecursionlimit() == 1000
 
 
 _LARGE_SHAPES = """
