@@ -5,7 +5,6 @@ for fair division instances with integer values on a common scale.
 """
 
 from .core import (
-    AgentCheck,
     Allocation,
     Certificate,
     GuaranteeError,
@@ -20,7 +19,6 @@ from .core import (
     instance_to_json,
     load_allocation,
     load_instance,
-    proportional_upper_bound,
     save_allocation,
     save_instance,
     verify_allocation,
@@ -50,14 +48,13 @@ from .oracle import (
     xi_vector,
 )
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
-from .ternary import exact_mms_012, lift_allocation, profile_rows, sort_reduce
+from .ternary import exact_mms_012
 from .three_agents import apx_3_mms
-from .two_thirds import RecursionState, RhoN, apx_mms, rec_mms, rho
+from .two_thirds import RhoN, apx_mms, rec_mms, rho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentCheck",
     "Allocation",
     "Certificate",
     "EXACT_ITEM_CAP",
@@ -67,7 +64,6 @@ __all__ = [
     "MaximinCertificate",
     "PartitionError",
     "PreferenceGraph",
-    "RecursionState",
     "RhoN",
     "TrialConfig",
     "TrialStats",
@@ -88,22 +84,18 @@ __all__ = [
     "greedy_round_robin",
     "instance_from_json",
     "instance_to_json",
-    "lift_allocation",
     "load_allocation",
     "load_instance",
     "maximum_matching",
     "mms_approx",
     "mms_exact",
     "modified_greedy_round_robin",
-    "profile_rows",
-    "proportional_upper_bound",
     "rec_mms",
     "report_text",
     "rho",
     "run_existence_trials",
     "save_allocation",
     "save_instance",
-    "sort_reduce",
     "verify_allocation",
     "xi_vector",
     "__version__",

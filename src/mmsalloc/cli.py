@@ -7,7 +7,8 @@ result.  When the exact oracle is out of reach (too many goods) the
 thresholds fall back to a fast certified lower bound on each maximin
 share, so the check stays sound.  Exit codes: 0 success, 1 guarantee
 violation, 2 input error.  Good and agent indices are 1-based in all
-files and printed artifacts.
+files and printed artifacts.  ``solve --trace`` prints each solver's own
+trace steps through one rule that holds for every solver (:func:`_one_based`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .experiments import (
     run_existence_trials,
 )
 from .half import apx_mms_half
-from .oracle import EXACT_ITEM_CAP, greedy_floor, mms_approx, mms_exact
+from .oracle import EXACT_ITEM_CAP, greedy_floor, mms_approx, mms_exact, xi_vector
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
 from .ternary import exact_mms_012
 from .three_agents import apx_3_mms
@@ -57,16 +58,6 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise InputError(f"{flag} must be a rational like 1/10, got {text!r}") from exc
 
 
-def _mu_lower_bounds(instance: Instance) -> list[int]:
-    """Per-agent certified lower bounds on the n-way maximin share: exact
-    when the oracle cap allows, greedy otherwise."""
-    if instance.m <= EXACT_ITEM_CAP:
-        return [
-            mms_exact(instance.row(i), instance.n).value for i in instance.agents
-        ]
-    return [greedy_floor(instance.row(i), instance.n) for i in instance.agents]
-
-
 def _solve_thresholds(
     instance: Instance, algo: str, eps: Optional[Fraction], oracle_mode: str
 ) -> list[Fraction]:
@@ -80,7 +71,10 @@ def _solve_thresholds(
         return out
     if algo == "rr-modified":
         return [Fraction(0)] * n
-    base = _mu_lower_bounds(instance)
+    if instance.m <= EXACT_ITEM_CAP:
+        base = [cert.value for cert in xi_vector(instance, n, mode="exact")]
+    else:
+        base = [greedy_floor(instance.row(i), n) for i in instance.agents]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds":
@@ -98,99 +92,30 @@ def _solve_thresholds(
     return [Fraction(b) for b in base]
 
 
-def _fraction_text(value: Fraction) -> str:
-    return str(value)
+#: Trace fields that hold counts or values, not 0-based indices.
+_NOT_INDICES = frozenset({"rows", "dummies", "kept_value", "discarded_value"})
 
 
-def _goods_1based(goods) -> list:
-    return sorted(g + 1 for g in goods)
-
-
-def _trace_to_json(algo: str, trace: list) -> list:
-    if algo in ("rr", "rr-modified"):
-        return []
-    if algo == "half":
-        return [
-            {
-                "agent": step["agent"] + 1,
-                "good": step["good"] + 1,
-                "alpha": _fraction_text(step["alpha"]),
-            }
-            for step in trace
-        ]
-    if algo == "twothirds":
-        out = []
-        for level in trace:
-            out.append(
-                {
-                    "agents": [a + 1 for a in level.agents],
-                    "goods": _goods_1based(level.goods),
-                    "partitioner": level.partitioner + 1,
-                    "partition": [_goods_1based(part) for part in level.partition],
-                    "thresholds": [_fraction_text(t) for t in level.thresholds],
-                    "adjacency": [
-                        [b + 1 for b in nbrs] for nbrs in level.adjacency
-                    ],
-                    "matching": [[a + 1, b + 1] for a, b in level.matching],
-                    "x_plus": [a + 1 for a in level.x_plus],
-                    "gamma": [b + 1 for b in level.gamma],
-                    "restricted_matching": [
-                        [a + 1, b + 1] for a, b in level.restricted_matching
-                    ],
-                }
-            )
-        return out
-    if algo == "three78":
-        out = []
-        for step in trace:
-            entry = {"branch": step["branch"]}
-            if step["branch"] == "b":
-                entry.update(
-                    {
-                        "agent": step["agent"] + 1,
-                        "good": step["good"] + 1,
-                        "cutter": step["cutter"] + 1,
-                        "chooser": step["chooser"] + 1,
-                        "halves": [_goods_1based(h) for h in step["halves"]],
-                    }
-                )
-            elif step["branch"] == "c":
-                entry.update(
-                    {
-                        "a_sets": [_goods_1based(s) for s in step["a_sets"]],
-                        "seats": [j + 1 for j in step["seats"]],
-                    }
-                )
-            else:
-                entry.update(
-                    {
-                        "a_sets": [_goods_1based(s) for s in step["a_sets"]],
-                        "base": step["base"] + 1,
-                        "kept_with": step["kept_with"] + 1,
-                        "kept_value": step["kept_value"],
-                        "discarded_value": step["discarded_value"],
-                        "halves": [_goods_1based(h) for h in step["halves"]],
-                    }
-                )
-            out.append(entry)
-        return out
-    assert algo == "ternary"
-    out = []
-    for step in trace:
-        out.append(
-            {
-                "rows": step["rows"],
-                "dummies": step["dummies"],
-                "sorted_applied": step["sorted_applied"],
-                "edges": [[u + 1, v + 1] for u, v in step["edges"]],
-                "edge_agents": [a + 1 for a in step["edge_agents"]],
-                "red_rows": [r + 1 for r, red in enumerate(step["red_rows"]) if red],
-                "left": [a + 1 for a in step["left"]],
-                "right": [a + 1 for a in step["right"]],
-                "seats": [c + 1 for c in step["seats"]],
-            }
-        )
-    return out
+def _one_based(value):
+    """A solver's trace, or any part of it, as JSON: every index 1-based,
+    Fractions as text, frozensets as sorted lists and other sequences as
+    lists.  A step is a dict or a dataclass (read through ``vars``); its
+    fields named in _NOT_INDICES are copied as they are."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, frozenset):
+        return sorted(map(_one_based, value))
+    if isinstance(value, (list, tuple)):
+        return [_one_based(item) for item in value]
+    fields = value if isinstance(value, dict) else vars(value)
+    return {
+        key: item if key in _NOT_INDICES else _one_based(item)
+        for key, item in fields.items()
+    }
 
 
 def _check_solve_flags(args) -> None:
@@ -239,7 +164,7 @@ def _run_solver(args, instance: Instance, trace: Optional[list]):
 def _certificate_table(certificates: Sequence[Certificate]) -> str:
     lines = ["agent  value  threshold  ok"]
     for cert in certificates:
-        ok = "yes" if cert.value >= cert.threshold else "NO"
+        ok = "yes" if cert.ok else "NO"
         lines.append(
             f"{cert.agent + 1:>5}  {cert.value:>5}  {cert.threshold_int:>9}  {ok}"
         )
@@ -264,19 +189,15 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
         return 1
-    certificates = [
-        Certificate(agent=c.agent, value=c.value, threshold=c.threshold)
-        for c in report.checks
-    ]
-    text = allocation_to_json(allocation, certificates)
+    text = allocation_to_json(allocation, report.checks)
     if args.trace:
         payload = json.loads(text)
-        payload["trace"] = _trace_to_json(args.algo, trace)
+        payload["trace"] = _one_based(trace)
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(_certificate_table(certificates))
+        print(_certificate_table(report.checks))
     else:
         sys.stdout.write(text)
     return 0
@@ -297,9 +218,9 @@ def cmd_mms(args) -> int:
         "agent": args.agent,
         "k": cert.k,
         "mode": cert.mode,
-        "eps": None if cert.eps is None else _fraction_text(cert.eps),
+        "eps": None if cert.eps is None else str(cert.eps),
         "value": cert.value,
-        "witness": [_goods_1based(bundle) for bundle in cert.witness],
+        "witness": _one_based(cert.witness),
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:

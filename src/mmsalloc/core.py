@@ -147,40 +147,33 @@ def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
     return total
 
 
-def proportional_upper_bound(
-    instance: Instance, agent: int, goods: Iterable[int], k: int
-) -> Fraction:
-    """The bound v_i(goods) / k, an exact rational.
-
-    No k-partition of ``goods`` can give every bundle more than this, so the
-    agent's maximin value over k bundles never exceeds it.
-
-    >>> inst = Instance.from_rows([[4, 3, 2, 1]])
-    >>> proportional_upper_bound(inst, 0, range(4), 3)
-    Fraction(10, 3)
-    """
-    if k < 1:
-        raise InputError(f"bundle count must be positive, got k={k}")
-    return Fraction(bundle_value(instance, agent, goods), k)
-
-
 @dataclass(frozen=True)
-class AgentCheck:
+class Certificate:
+    """One agent's guarantee row: her bundle value and the threshold the
+    solver promises it meets; ``ok`` says whether it does."""
+
     agent: int
     value: int
     threshold: Fraction
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.value >= self.threshold
+
+    @property
+    def threshold_int(self) -> int:
+        return math.ceil(self.threshold)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    checks: tuple[AgentCheck, ...]
+    checks: tuple[Certificate, ...]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[AgentCheck, ...]:
+    def failures(self) -> tuple[Certificate, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
 
@@ -215,8 +208,8 @@ def verify_allocation(
     checks = []
     for i in instance.agents:
         value = bundle_value(instance, i, allocation.bundles[i])
-        thr = Fraction(thresholds[i])
-        checks.append(AgentCheck(agent=i, value=value, threshold=thr, ok=value >= thr))
+        threshold = Fraction(thresholds[i])
+        checks.append(Certificate(agent=i, value=value, threshold=threshold))
     return VerificationReport(checks=tuple(checks))
 
 
@@ -228,20 +221,6 @@ def verify_allocation(
 # are integers, v >= p/q holds exactly when v >= ceil(p/q), so the stored
 # check is equivalent to the exact one.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One agent's guarantee row: her bundle value and the threshold the
-    solver promises it meets."""
-
-    agent: int
-    value: int
-    threshold: Fraction
-
-    @property
-    def threshold_int(self) -> int:
-        return math.ceil(self.threshold)
 
 
 def instance_to_json(instance: Instance) -> str:

@@ -250,14 +250,6 @@ def _cover_walk(
             yield acc, chosen
 
 
-def _minimal_covers(pool: list[Item], t: int, cap: int) -> Iterator[list[Item]]:
-    """Minimal covers of t drawn from pool that contain pool[0], each worth
-    at most cap, where pool[0] alone is worth less than t: the walk of
-    :func:`_cover_walk` over pool's values, as lists of items."""
-    for _, chosen in _cover_walk([v for v, _ in pool], t, cap):
-        yield [pool[0]] + [pool[c] for c in chosen]
-
-
 def _first_bundles(
     pool: list[Item], total: int, k: int, t: int, fail_memo: dict
 ) -> Iterator[tuple[list[int], list[Item], int]]:

@@ -3,18 +3,21 @@
 The solver works on a sorted copy of the instance in which each agent's
 values are non-increasing by position, so all agents rank positions the
 same way.  Positions are padded with zero-value dummies to a multiple of n
-and laid out row-major into a k x n bucket matrix; bucket j is column j.
+and laid out row-major into k rows of n columns; bucket c is column c.
 Each agent's per-row value pattern is classified from two counters (her
 number of 2s and her number of nonzeros).  An agent is at risk only when
 she has both a row mixing 2s and 1s and a row mixing 1s and 0s; each such
 agent contributes one edge joining those two rows in a multigraph on rows.
-A greedy two-coloring of the rows bounds the monochromatic edges, every
-red row is reversed, and edge colors decide whether an at-risk agent must
-sit in a leftmost bucket, a rightmost bucket, or anywhere.  Everyone else
-is safe in any bucket.  Finally dummies are stripped and the bucket
-contents are lifted back to original goods, each owner picking her
-most-valued remaining good in decreasing position order.  Every agent ends
-with at least her full maximin share, with no approximation loss.
+A greedy two-coloring of the rows (:func:`color_rows`) bounds the
+monochromatic edges, every red row is reversed, so bucket c takes position
+r*n + (n-1-c) from a red row r and r*n + c from a blue one, and edge colors
+decide whether an at-risk agent must sit in a leftmost bucket, a rightmost
+bucket, or anywhere.  Everyone else is safe in any bucket.  Finally
+dummies are stripped and, unless the rows came sorted, the bucket contents
+are lifted back to original goods (:func:`_lift_ternary`), each owner
+picking her most-valued remaining good in decreasing position order.
+Every agent ends with at least her full maximin share, with no
+approximation loss.
 """
 
 from __future__ import annotations
@@ -38,42 +41,6 @@ _MIXED_TYPES = (ROW_21, ROW_10, ROW_210)
 
 
 @dataclass(frozen=True)
-class BucketMatrix:
-    """Row-major layout of sorted positions into k rows by n columns.
-
-    Position ``r*n + c`` sits in row r, column c when row r is forward;
-    reversing a row mirrors its columns.  Column j collects one position
-    per row and is called bucket j.
-    """
-
-    n: int
-    k: int
-    reversed_rows: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"bucket matrix needs n >= 1 columns, got {self.n}")
-        if self.k < 0:
-            raise InputError(f"bucket matrix needs k >= 0 rows, got {self.k}")
-        if len(self.reversed_rows) != self.k:
-            raise InputError(
-                f"{len(self.reversed_rows)} reversal flags for k={self.k} rows"
-            )
-
-    def position(self, row: int, col: int) -> int:
-        if not 0 <= row < self.k:
-            raise InputError(f"row {row} out of range for k={self.k}")
-        if not 0 <= col < self.n:
-            raise InputError(f"column {col} out of range for n={self.n}")
-        c = self.n - 1 - col if self.reversed_rows[row] else col
-        return row * self.n + c
-
-    def bucket(self, col: int) -> tuple[int, ...]:
-        """All positions of bucket ``col``, one per row."""
-        return tuple(self.position(r, col) for r in range(self.k))
-
-
-@dataclass(frozen=True)
 class RowProfile:
     """Per-row value patterns of one agent over the sorted padded layout.
 
@@ -94,31 +61,6 @@ class RowProfile:
         return self.row_21 is not None and self.row_10 is not None
 
 
-@dataclass(frozen=True)
-class RowGraph:
-    """Multigraph on the k rows, one edge per classified agent."""
-
-    k: int
-    edges: tuple[tuple[int, int], ...]
-    agents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.agents) != len(self.edges):
-            raise InputError("each edge needs exactly one owning agent")
-        for u, v in self.edges:
-            if not (0 <= u < self.k and 0 <= v < self.k):
-                raise InputError(f"edge ({u}, {v}) out of range for k={self.k}")
-
-
-@dataclass(frozen=True)
-class RowColoring:
-    """Red/blue row colors with the monochromatic edge counts."""
-
-    red: tuple[bool, ...]
-    blue_blue: int
-    red_red: int
-
-
 def _boundary_row(count: int, n: int) -> Optional[int]:
     """Row index whose interior contains the value boundary after ``count``
     positions, or None when the boundary falls between rows."""
@@ -126,6 +68,8 @@ def _boundary_row(count: int, n: int) -> Optional[int]:
 
 
 def _profile_from_counts(agent: int, c2: int, c21: int, k: int, n: int) -> RowProfile:
+    """The row profile of an agent whose non-increasing padded values, k
+    rows of n, hold c2 twos and c21 nonzeros."""
     r2 = _boundary_row(c2, n)
     r1 = _boundary_row(c21, n)
     types = []
@@ -151,129 +95,36 @@ def _profile_from_counts(agent: int, c2: int, c21: int, k: int, n: int) -> RowPr
     )
 
 
-def profile_rows(sorted_row: Sequence[int], n_buckets: int, agent: int = 0) -> RowProfile:
-    """Classify the rows of one agent's non-increasing padded value vector.
-
-    >>> profile_rows([2, 2, 2, 1, 1, 0], 2).row_types
-    ('2', '2/1', '1/0')
-    >>> profile_rows([2, 2, 2, 1, 1, 0], 2).classified
-    True
-    >>> profile_rows([1, 1, 1, 0], 2).row_types
-    ('1', '1/0')
-    """
-    vals = list(sorted_row)
-    if n_buckets < 1:
-        raise InputError(f"need n >= 1 buckets, got {n_buckets}")
-    if len(vals) % n_buckets:
-        raise InputError(
-            f"padded length {len(vals)} is not a multiple of n={n_buckets}"
-        )
-    if any(v not in (0, 1, 2) for v in vals):
-        raise InputError("values must be 0, 1, or 2")
-    if any(vals[p] < vals[p + 1] for p in range(len(vals) - 1)):
-        raise InputError("values must be non-increasing by position")
-    c2 = sum(1 for v in vals if v == 2)
-    c21 = sum(1 for v in vals if v >= 1)
-    return _profile_from_counts(agent, c2, c21, len(vals) // n_buckets, n_buckets)
-
-
-def sort_reduce(instance: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:
-    """Sort each agent's values non-increasing; return the sorted instance
-    and per-agent maps from sorted position to original good.
-
-    Ties go to the lower original index.
-
-    >>> inst, sigmas = sort_reduce(Instance.from_rows([[0, 2, 1]]))
-    >>> inst.row(0), sigmas
-    ((2, 1, 0), ((1, 2, 0),))
-    """
-    sigmas = []
-    rows = []
-    for i in instance.agents:
-        row = instance.row(i)
-        order = sorted(instance.goods, key=lambda g: (-row[g], g))
-        sigmas.append(tuple(order))
-        rows.append([row[g] for g in order])
-    return Instance.from_rows(rows, scale=instance.scale), tuple(sigmas)
-
-
-def color_rows(graph: RowGraph) -> RowColoring:
-    """Two-color the rows: start all blue, recolor rows red in ascending
-    index until at most half the edges are blue on both ends.
+def color_rows(
+    k: int, edges: Sequence[tuple[int, int]]
+) -> tuple[list[bool], int, int]:
+    """Two-color the k rows of the row multigraph: start all blue, recolor
+    rows red in ascending index until at most half the edges are blue on
+    both ends.  Returns the red flags and the counts of edges blue on both
+    ends and red on both ends.
 
     Stopping at the first such step leaves strictly fewer than half the
     edges red on both ends.
 
-    >>> color_rows(RowGraph(k=2, edges=(), agents=())).red
-    (False, False)
-    >>> color_rows(RowGraph(k=3, edges=((1, 2),), agents=(0,))).red
-    (True, True, False)
+    >>> color_rows(2, [])
+    ([False, False], 0, 0)
+    >>> color_rows(3, [(1, 2)])
+    ([True, True, False], 0, 0)
     """
-    e = len(graph.edges)
-    red = [False] * graph.k
+    e = len(edges)
+    red = [False] * k
     blue_blue = e
     nxt = 0
-    while 2 * blue_blue > e and nxt < graph.k:
+    while 2 * blue_blue > e and nxt < k:
         red[nxt] = True
         nxt += 1
-        blue_blue = sum(1 for u, v in graph.edges if not red[u] and not red[v])
-    red_red = sum(1 for u, v in graph.edges if red[u] and red[v])
+        blue_blue = sum(1 for u, v in edges if not red[u] and not red[v])
+    red_red = sum(1 for u, v in edges if red[u] and red[v])
     if 2 * blue_blue > e:
         raise GuaranteeError(f"{blue_blue} of {e} row edges left blue on both ends")
     if e and 2 * red_red >= e:
         raise GuaranteeError(f"{red_red} of {e} row edges red on both ends")
-    return RowColoring(red=tuple(red), blue_blue=blue_blue, red_red=red_red)
-
-
-def lift_allocation(
-    original: Instance,
-    sorted_alloc: Allocation,
-    permutations: Sequence[Sequence[int]],
-) -> Allocation:
-    """Map an allocation of sorted positions back to original goods.
-
-    Positions are processed in increasing index (most valuable first) and
-    the owner of each position picks her most-valued remaining original
-    good, ties to the lowest index.  Each agent's lifted value is at least
-    her bundle value in the sorted instance.
-
-    >>> inst = Instance.from_rows([[2, 1], [1, 2]])
-    >>> alloc = lift_allocation(inst, Allocation.of([[0], [1]]), [(0, 1), (1, 0)])
-    >>> sorted(alloc.bundles[0]), sorted(alloc.bundles[1])
-    ([0], [1])
-    """
-    n, m = original.n, original.m
-    if len(sorted_alloc.bundles) != n:
-        raise InputError(
-            f"allocation has {len(sorted_alloc.bundles)} bundles, expected n={n}"
-        )
-    sorted_alloc.require_partition(m)
-    if len(permutations) != n:
-        raise InputError(f"{len(permutations)} permutations for n={n} agents")
-    for i, sigma in enumerate(permutations):
-        if sorted(sigma) != list(range(m)):
-            raise InputError(f"permutation {i} is not a permutation of 0..{m - 1}")
-    owner = [0] * m
-    for i, bundle in enumerate(sorted_alloc.bundles):
-        for p in bundle:
-            owner[p] = i
-    prefs = []
-    for i in range(n):
-        row = original.row(i)
-        prefs.append(sorted(range(m), key=lambda g: (-row[g], g)))
-    pointers = [0] * n
-    taken = bytearray(m)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for position in range(m):
-        i = owner[position]
-        p = pointers[i]
-        while taken[prefs[i][p]]:
-            p += 1
-        good = prefs[i][p]
-        taken[good] = 1
-        pointers[i] = p + 1
-        out[i].append(good)
-    return Allocation.of(out)
+    return red, blue_blue, red_red
 
 
 def _lift_ternary(
@@ -400,9 +251,7 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
             edges.append((profile.row_21, profile.row_10))
             edge_agents.append(i)
 
-    graph = RowGraph(k=k, edges=tuple(edges), agents=tuple(edge_agents))
-    coloring = color_rows(graph)
-    red = coloring.red
+    red, blue_blue, red_red = color_rows(k, edges)
 
     left = []
     right = []
@@ -420,10 +269,10 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
         else:
             anywhere.append(i)
     n_left, n_right = len(left), len(right)
-    if n_left != coloring.blue_blue or n_right != coloring.red_red:
+    if n_left != blue_blue or n_right != red_red:
         raise GuaranteeError(
             f"{n_left} left and {n_right} right agents for a coloring with "
-            f"{coloring.blue_blue} blue and {coloring.red_red} red edges"
+            f"{blue_blue} blue and {red_red} red edges"
         )
     if n_left > n // 2:
         raise GuaranteeError(f"{n_left} agents need a leftmost bucket, n={n}")
@@ -438,10 +287,12 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     for col, i in zip(range(n_left, n - n_right), anywhere):
         seat[i] = col
 
-    matrix = BucketMatrix(n=n, k=k, reversed_rows=tuple(bool(r) for r in red))
-    bundles_positions = [
-        sorted(p for p in matrix.bucket(seat[i]) if p < m) for i in range(n)
-    ]
+    # Agent i's bucket is column c = seat[i] of the k x n grid of sorted
+    # positions, mirrored in red rows; dummies (positions m and up) go.
+    bundles_positions = []
+    for c in seat:
+        cells = (r * n + (n - 1 - c if red[r] else c) for r in range(k))
+        bundles_positions.append([p for p in cells if p < m])
     if is_sorted:
         bundles = bundles_positions
     else:
@@ -454,7 +305,7 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
                 "sorted_applied": not is_sorted,
                 "edges": tuple(edges),
                 "edge_agents": tuple(edge_agents),
-                "red_rows": tuple(bool(r) for r in red),
+                "red_rows": tuple(r for r in range(k) if red[r]),
                 "left": tuple(left),
                 "right": tuple(right),
                 "seats": tuple(seat),

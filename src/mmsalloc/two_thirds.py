@@ -1,16 +1,18 @@
 """Recursive bundle-matching solver with a rho(n) guarantee.
 
-The driver computes every agent's n-way maximin estimate xi_i once, then
-recursively satisfies agents: at each level the lowest-indexed active agent
-partitions the remaining goods into |K| bundles as well as she can, a
-bipartite preference graph records which active agents accept which bundles
-at threshold (1 - eps') * rho(n) * xi_i, and a maximum matching hands
-bundles to every agent outside the Hall violator X+.  The agents in X+
-recurse on the unallocated goods.  The guarantee rests on a balance
-invariant: entering any level, the goods already gone are worth at most
-(n - |K|) * rho(n) * xi_i to each remaining agent, so the partitioner's own
-|K|-maximin value over the residual is still at least rho(n) * xi_i and her
-bundles all clear her threshold.
+apx_mms computes every agent's n-way maximin estimate xi_i once, and from
+it her threshold (1 - eps') * rho(n) * xi_i; it also fixes the oracle
+every level partitions with (exact, or ptas at eps').  It then recursively
+satisfies agents, each level taking only its active agents K and the goods
+left: the lowest-indexed active agent partitions those goods into |K|
+bundles as well as she can, a bipartite preference graph records which
+active agents accept which bundles at their thresholds, and a maximum
+matching hands bundles to every agent outside the Hall violator X+.  The
+agents in X+ recurse on the unallocated goods.  The guarantee rests on a
+balance invariant: entering any level, the goods already gone are worth at
+most (n - |K|) * rho(n) * xi_i to each remaining agent, so the
+partitioner's own |K|-maximin value over the residual is still at least
+rho(n) * xi_i and her bundles all clear her threshold.
 
 With an exact oracle each agent ends with at least rho(n) times her true
 maximin value; rho(n) = 2*odd(n) / (3*odd(n) - 1) exceeds 2/3 for every
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
@@ -56,20 +58,6 @@ def rho(n: int) -> RhoN:
 
 
 @dataclass(frozen=True)
-class RecursionState:
-    """One level of the recursion: active agents, unallocated goods, and the
-    quantities fixed by the top-level call."""
-
-    instance: Instance
-    agents: tuple[int, ...]
-    goods: tuple[int, ...]
-    xi: tuple[int, ...]
-    eps_prime: Fraction
-    n: int
-    oracle_mode: str
-
-
-@dataclass(frozen=True)
 class LevelTrace:
     """What one recursion level did, for inspection and trace output."""
 
@@ -86,22 +74,26 @@ class LevelTrace:
 
 
 def rec_mms(
-    state: RecursionState,
+    instance: Instance,
+    agents: tuple[int, ...],
+    goods: tuple[int, ...],
+    thresholds: Sequence[Fraction],
+    oracle: Callable[[list[int], int], MaximinCertificate],
     trace: Optional[list] = None,
     partition: Optional[MaximinCertificate] = None,
 ) -> dict[int, frozenset[int]]:
-    """Allocate the state's goods among its active agents recursively.
+    """Allocate goods among the active agents recursively.
 
-    Returns a bundle per active agent; the bundles partition state.goods.
-    ``partition``, if given, is the partitioner's certificate over
-    state.goods for len(state.agents) bundles, already computed with this
-    level's oracle; it saves repeating that call.  Raises GuaranteeError if
-    the partitioner fails her own threshold on one of her bundles or ends
-    up unmatched, which the balance invariant rules out for inputs
-    reachable from apx_mms.
+    Returns a bundle per active agent; the bundles partition goods.
+    ``thresholds[i]`` is agent i's threshold (1 - eps') * rho(n) * xi_i,
+    and ``oracle(values, k)`` is the level oracle, both fixed by apx_mms
+    for the whole recursion.  ``partition``, if given, is the
+    partitioner's certificate over goods for len(agents) bundles, already
+    computed with that oracle; it saves repeating that call.  Raises
+    GuaranteeError if the partitioner fails her own threshold on one of
+    her bundles or ends up unmatched, which the balance invariant rules
+    out for inputs reachable from apx_mms.
     """
-    agents = state.agents
-    goods = state.goods
     if len(agents) == 1:
         return {agents[0]: frozenset(goods)}
 
@@ -109,19 +101,14 @@ def rec_mms(
     k = len(agents)
     cert = partition
     if cert is None:
-        local_values = [state.instance.row(partitioner)[g] for g in goods]
-        if state.oracle_mode == "exact":
-            cert = mms_exact(local_values, k)
-        else:
-            cert = mms_approx(local_values, k, state.eps_prime)
+        cert = oracle([instance.row(partitioner)[g] for g in goods], k)
     bundles = tuple(
         tuple(sorted(goods[pos] for pos in bundle)) for bundle in cert.witness
     )
 
-    factor = (1 - state.eps_prime) * rho(state.n).value
-    thresholds = tuple(factor * state.xi[i] for i in agents)
-    rows = [state.instance.row(i) for i in agents]
-    graph = build_preference_graph(rows, bundles, thresholds)
+    level_thresholds = tuple(thresholds[i] for i in agents)
+    rows = [instance.row(i) for i in agents]
+    graph = build_preference_graph(rows, bundles, level_thresholds)
     if graph.adj[0] != tuple(range(k)):
         raise GuaranteeError(
             f"agent {partitioner}'s own partition misses her threshold; "
@@ -140,7 +127,7 @@ def rec_mms(
                 goods=goods,
                 partitioner=partitioner,
                 partition=bundles,
-                thresholds=thresholds,
+                thresholds=level_thresholds,
                 adjacency=graph.adj,
                 matching=matching,
                 x_plus=tuple(agents[u] for u in decomposition.x_plus),
@@ -165,16 +152,10 @@ def rec_mms(
                 for g in bundle
             )
         )
-        deferred = RecursionState(
-            instance=state.instance,
-            agents=tuple(agents[u] for u in decomposition.x_plus),
-            goods=leftover,
-            xi=state.xi,
-            eps_prime=state.eps_prime,
-            n=state.n,
-            oracle_mode=state.oracle_mode,
+        deferred = tuple(agents[u] for u in decomposition.x_plus)
+        result.update(
+            rec_mms(instance, deferred, leftover, thresholds, oracle, trace)
         )
-        result.update(rec_mms(deferred, trace))
     return result
 
 
@@ -206,20 +187,17 @@ def apx_mms(
         return Allocation.of([tuple(instance.goods)])
     if oracle_mode == "exact":
         eps_prime = Fraction(0)
-        certs = xi_vector(instance, instance.n, mode="exact")
+        oracle = mms_exact
     else:
         eps_prime = 3 * eps / 4
-        certs = xi_vector(instance, instance.n, eps=eps_prime, mode="ptas")
-    state = RecursionState(
-        instance=instance,
-        agents=tuple(instance.agents),
-        goods=tuple(instance.goods),
-        xi=tuple(c.value for c in certs),
-        eps_prime=eps_prime,
-        n=instance.n,
-        oracle_mode=oracle_mode,
-    )
+        oracle = lambda values, k: mms_approx(values, k, eps_prime)
+    certs = xi_vector(instance, instance.n, eps_prime, oracle_mode)
+    factor = (1 - eps_prime) * rho(instance.n).value
+    thresholds = tuple(factor * cert.value for cert in certs)
     # The first level's partitioner is agent 0 over all goods with k = n:
     # exactly the query that gave certs[0].
-    result = rec_mms(state, trace, certs[0])
+    result = rec_mms(
+        instance, tuple(instance.agents), tuple(instance.goods), thresholds,
+        oracle, trace, certs[0],
+    )
     return Allocation.of(result[i] for i in instance.agents)

@@ -191,6 +191,167 @@ class TestSolve:
         assert json.loads(out)["bundles"] == [[2, 4], [1, 3]]
 
 
+# The complete --trace output of one solve per solver, recorded before the
+# conversion to 1-based JSON became one generic rule: that rule must keep
+# every key, index and number of each solver's trace.
+TRACE_CASES = {
+    "half": (
+        ["--algo", "half"],
+        [[9, 1, 1, 1, 2], [1, 8, 1, 1, 1], [2, 2, 2, 2, 2]],
+        {
+            "bundles": [[1], [2], [3, 4, 5]],
+            "certificates": [
+                {"agent": 1, "value": 9, "threshold": 1},
+                {"agent": 2, "value": 8, "threshold": 1},
+                {"agent": 3, "value": 6, "threshold": 1},
+            ],
+            "trace": [
+                {"agent": 1, "good": 1, "alpha": "14/3"},
+                {"agent": 2, "good": 2, "alpha": "11/2"},
+            ],
+        },
+    ),
+    # The first level defers agents 2 and 3 (the Hall violator set X+).
+    "twothirds": (
+        ["--algo", "twothirds", "--eps", "1/10"],
+        [[3, 5, 5, 2, 0, 6, 6], [6, 0, 1, 4, 8, 6, 1], [1, 0, 5, 4, 8, 7, 2]],
+        {
+            "bundles": [[4, 7], [1, 6], [2, 3, 5]],
+            "certificates": [
+                {"agent": 1, "value": 8, "threshold": 5},
+                {"agent": 2, "value": 12, "threshold": 5},
+                {"agent": 3, "value": 13, "threshold": 6},
+            ],
+            "trace": [
+                {
+                    "agents": [1, 2, 3],
+                    "goods": [1, 2, 3, 4, 5, 6, 7],
+                    "partitioner": 1,
+                    "partition": [[1, 5, 6], [4, 7], [2, 3]],
+                    "thresholds": ["111/20", "111/20", "999/160"],
+                    "adjacency": [[1, 2, 3], [1], [1]],
+                    "matching": [[1, 2], [2, 1]],
+                    "x_plus": [2, 3],
+                    "gamma": [1],
+                    "restricted_matching": [[1, 2]],
+                },
+                {
+                    "agents": [2, 3],
+                    "goods": [1, 2, 3, 5, 6],
+                    "partitioner": 2,
+                    "partition": [[2, 3, 5], [1, 6]],
+                    "thresholds": ["111/20", "999/160"],
+                    "adjacency": [[1, 2], [1, 2]],
+                    "matching": [[1, 2], [2, 1]],
+                    "x_plus": [],
+                    "gamma": [],
+                    "restricted_matching": [[2, 2], [3, 1]],
+                },
+            ],
+        },
+    ),
+    "three78-b": (
+        ["--algo", "three78", "--eps", "1/10", "--oracle", "exact"],
+        BRANCH_ROWS["b"],
+        {
+            "bundles": [[1], [3, 5, 7], [2, 4, 6, 8]],
+            "certificates": [
+                {"agent": 1, "value": 7, "threshold": 3},
+                {"agent": 2, "value": 3, "threshold": 3},
+                {"agent": 3, "value": 4, "threshold": 3},
+            ],
+            "trace": [
+                {
+                    "branch": "b",
+                    "agent": 1,
+                    "good": 1,
+                    "cutter": 2,
+                    "chooser": 3,
+                    "halves": [[2, 4, 6, 8], [3, 5, 7]],
+                }
+            ],
+        },
+    ),
+    "three78-c": (
+        ["--algo", "three78", "--eps", "1/10", "--oracle", "exact"],
+        BRANCH_ROWS["c"],
+        {
+            "bundles": [[3, 6, 9], [1, 4, 7], [2, 5, 8]],
+            "certificates": [
+                {"agent": 1, "value": 3, "threshold": 3},
+                {"agent": 2, "value": 3, "threshold": 3},
+                {"agent": 3, "value": 3, "threshold": 3},
+            ],
+            "trace": [
+                {
+                    "branch": "c",
+                    "a_sets": [[1, 4, 7], [2, 5, 8], [3, 6, 9]],
+                    "seats": [3, 1, 2],
+                }
+            ],
+        },
+    ),
+    "three78-d": (
+        ["--algo", "three78", "--eps", "1/10", "--oracle", "exact"],
+        BRANCH_ROWS["d"],
+        {
+            "bundles": [[5, 6], [1, 2, 7], [3, 4, 8]],
+            "certificates": [
+                {"agent": 1, "value": 7, "threshold": 7},
+                {"agent": 2, "value": 9, "threshold": 7},
+                {"agent": 3, "value": 10, "threshold": 7},
+            ],
+            "trace": [
+                {
+                    "branch": "d",
+                    "a_sets": [[3, 4], [5, 6], [1, 2, 7, 8]],
+                    "base": 3,
+                    "kept_with": 1,
+                    "kept_value": 9,
+                    "discarded_value": 8,
+                    "halves": [[3, 4, 8], [1, 2, 7]],
+                }
+            ],
+        },
+    ),
+    # Unsorted rows, each a shuffle of [2, 2, 2, 1, 1, 0]: both agents add
+    # a row edge, so rows are colored red and the lift runs.
+    "ternary": (
+        ["--algo", "ternary"],
+        [[1, 2, 0, 2, 1, 2], [2, 1, 2, 0, 2, 1]],
+        {
+            "bundles": [[2, 4, 6], [1, 3, 5]],
+            "certificates": [
+                {"agent": 1, "value": 6, "threshold": 4},
+                {"agent": 2, "value": 6, "threshold": 4},
+            ],
+            "trace": [
+                {
+                    "rows": 3,
+                    "dummies": 0,
+                    "sorted_applied": True,
+                    "edges": [[2, 3], [2, 3]],
+                    "edge_agents": [1, 2],
+                    "red_rows": [1, 2],
+                    "left": [],
+                    "right": [],
+                    "seats": [1, 2],
+                }
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_json_is_pinned(capsys, tmp_path, case):
+    argv, rows, expected = TRACE_CASES[case]
+    path = write_instance(tmp_path / "inst.json", rows)
+    code, out, err = run_cli(capsys, ["solve", *argv, "--instance", path, "--trace"])
+    assert code == 0, err
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 class TestMms:
     def test_exact_certificate(self, capsys, instance_path):
         code, out, _ = run_cli(
@@ -220,6 +381,31 @@ class TestMms:
         payload = json.loads(out)
         assert payload["mode"] == "ptas" and payload["eps"] == "1/10"
         assert 10 * payload["value"] >= 9 * 5
+
+    def test_ptas_witness_is_pinned(self, capsys, tmp_path):
+        # The witness's first bundle, frozenset({1, 3, 8, 9}) (0-based),
+        # iterates out of order in CPython, so this case shows that each
+        # printed bundle is sorted.
+        path = write_instance(
+            tmp_path / "inst.json", [[3, 9, 8, 2, 5, 9, 7, 9, 1, 9], [1] * 10]
+        )
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "mms", "--instance", path,
+                "--agent", "1", "--k", "3", "--eps", "1/4",
+            ],
+        )
+        assert code == 0
+        expected = {
+            "agent": 1,
+            "k": 3,
+            "mode": "ptas",
+            "eps": "1/4",
+            "value": 20,
+            "witness": [[2, 4, 9, 10], [1, 3, 6], [5, 7, 8]],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_ptas_on_sixty_goods_and_twenty_bundles(self, tmp_path):
         # A fresh process under a time limit, so a search that runs away

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc
 import mmsalloc.core as core
 from mmsalloc import (
     Allocation,
@@ -20,7 +21,6 @@ from mmsalloc import (
     instance_to_json,
     load_allocation,
     load_instance,
-    proportional_upper_bound,
     save_allocation,
     save_instance,
     verify_allocation,
@@ -88,16 +88,21 @@ class TestAllocation:
             Allocation.checked([[0], [3]], 2)
 
 
+def test_public_names_resolve():
+    for name in mmsalloc.__all__:
+        assert hasattr(mmsalloc, name), name
+    deleted = {
+        "AgentCheck", "RecursionState", "lift_allocation", "profile_rows",
+        "sort_reduce", "proportional_upper_bound",
+    }
+    assert not deleted & set(mmsalloc.__all__)
+    assert not [name for name in deleted if hasattr(mmsalloc, name)]
+
+
 def test_bundle_value_is_exact_sum():
     inst = Instance.from_rows([[5, 7, 11]])
     assert bundle_value(inst, 0, [0, 2]) == 16
     assert bundle_value(inst, 0, []) == 0
-
-
-def test_proportional_upper_bound_is_average():
-    inst = Instance.from_rows([[3, 3, 4]])
-    assert proportional_upper_bound(inst, 0, [0, 1, 2], 2) == Fraction(5)
-    assert proportional_upper_bound(inst, 0, [0, 1], 2) == Fraction(3)
 
 
 class TestVerifyAllocation:
@@ -115,6 +120,12 @@ class TestVerifyAllocation:
         report = verify_allocation(self.inst, self.alloc, [6, 2])
         assert not report.ok
         assert [c.agent for c in report.failures()] == [0]
+        # The checks are the certificate rows solve prints.
+        assert report.checks == (
+            Certificate(agent=0, value=5, threshold=Fraction(6)),
+            Certificate(agent=1, value=2, threshold=Fraction(2)),
+        )
+        assert [c.ok for c in report.checks] == [False, True]
 
     def test_fraction_thresholds_compared_exactly(self):
         report = verify_allocation(self.inst, self.alloc, [Fraction(5), Fraction(2)])

@@ -376,7 +376,7 @@ def test_witness_is_the_cover_found_at_the_answer():
 def _minimal_covers_uncapped(pool, t):
     """Every minimal cover of t that contains pool[0], in depth-first order,
     with no upper bound on its worth: the reference for
-    oracle._minimal_covers."""
+    oracle._cover_walk."""
     first = pool[0]
     rest = pool[1:]
     n = len(rest)
@@ -502,7 +502,11 @@ def test_minimal_covers_are_the_uncapped_ones_up_to_cap():
                 cover for cover in _minimal_covers_uncapped(pool, t)
                 if sum(v for v, _ in cover) <= cap
             ]
-            assert list(oracle._minimal_covers(pool, t, cap)) == expected
+            got = [
+                [pool[0]] + [pool[c] for c in chosen]
+                for _, chosen in oracle._cover_walk([v for v, _ in pool], t, cap)
+            ]
+            assert got == expected
 
 
 def _recorded_cover_calls(query, *args):
@@ -620,12 +624,13 @@ def test_fail_memo_keeps_the_least_failing_floor():
 
 def test_minimal_covers_leave_no_reference_cycles():
     pool = oracle._desc_items([8, 7, 6, 5, 4, 3, 2, 1])
+    vals = [v for v, _ in pool]
     gc.collect()
     gc.disable()
     try:
-        assert len(list(oracle._minimal_covers(pool, 12, 20))) > 1
+        assert len(list(oracle._cover_walk(vals, 12, 20))) > 1
         # Stopped after its first cover, as the cover search stops it.
-        assert next(oracle._minimal_covers(pool, 12, 20))
+        assert next(oracle._cover_walk(vals, 12, 20))
         assert oracle._cover_search(pool, 3, 11, {}) is not None
         assert gc.collect() == 0
     finally:

@@ -4,6 +4,7 @@ import doctest
 import json
 import random
 
+import numpy as np
 import pytest
 
 import mmsalloc.ternary as ternary_mod
@@ -16,10 +17,7 @@ from mmsalloc import (
     Instance,
     bundle_value,
     exact_mms_012,
-    lift_allocation,
     mms_exact,
-    profile_rows,
-    sort_reduce,
 )
 from mmsalloc.cli import main
 
@@ -29,14 +27,18 @@ def test_module_doctests():
 
 
 class TestProfileRows:
+    # profile(agent, count of 2s, count of nonzeros, rows k, columns n);
+    # each case names the padded non-increasing row with those counts.
+    profile = staticmethod(ternary_mod._profile_from_counts)
+
     def test_both_mixed_rows(self):
-        profile = profile_rows([2, 2, 2, 1, 1, 0], 2)
+        profile = self.profile(0, 3, 5, 3, 2)  # [2, 2, 2, 1, 1, 0], n = 2
         assert profile.row_types == ("2", "2/1", "1/0")
         assert profile.row_21 == 1 and profile.row_10 == 2
         assert profile.classified
 
     def test_clean_boundaries_are_unclassified(self):
-        profile = profile_rows([2, 2, 1, 1, 0, 0], 2)
+        profile = self.profile(0, 2, 4, 3, 2)  # [2, 2, 1, 1, 0, 0], n = 2
         assert profile.row_types == ("2", "1", "0")
         assert profile.row_21 is None and profile.row_10 is None
         assert not profile.classified
@@ -44,58 +46,38 @@ class TestProfileRows:
     def test_shared_mixed_row_is_unclassified(self):
         # 2s and 1s both end inside row 0, so it holds all three values
         # and the agent cannot be classified.
-        profile = profile_rows([2, 1, 0, 0, 0, 0], 3)
+        profile = self.profile(0, 1, 2, 2, 3)  # [2, 1, 0, 0, 0, 0], n = 3
         assert profile.row_types == ("2/1/0", "0")
         assert not profile.classified
 
     def test_single_mixed_row_is_unclassified(self):
         # Only the upper boundary is mixed; the 1/0 split is clean.
-        profile = profile_rows([2, 1, 0, 0], 2)
+        profile = self.profile(0, 1, 2, 2, 2)  # [2, 1, 0, 0], n = 2
         assert profile.row_types == ("2/1", "0")
         assert profile.row_21 is None and profile.row_10 is None
         assert not profile.classified
 
-    def test_rejects_unsorted_row(self):
-        with pytest.raises(InputError):
-            profile_rows([1, 2], 2)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(InputError):
-            profile_rows([3, 1], 2)
-
 
 class TestSortReduce:
-    def test_sorts_rows_with_stable_ties(self):
-        inst = Instance.from_rows([[0, 2, 1], [1, 1, 2]])
-        reduced, sigmas = sort_reduce(inst)
-        assert reduced.row(0) == (2, 1, 0)
-        assert reduced.row(1) == (2, 1, 1)
-        assert sigmas[0] == (1, 2, 0)
-        assert sigmas[1] == (2, 0, 1)
-
     def test_lift_round_trip_preserves_value(self):
+        # Lifting an allocation of the sorted rows back to the original
+        # goods never lowers anyone's value.
         rng = random.Random(314)
         for _ in range(50):
             n = rng.randint(1, 4)
             m = rng.randint(n, 12)
             rows = [[rng.randint(0, 2) for _ in range(m)] for _ in range(n)]
             inst = Instance.from_rows(rows)
-            reduced, sigmas = sort_reduce(inst)
+            reduced = Instance.from_rows([sorted(row, reverse=True) for row in rows])
             sorted_alloc = exact_mms_012(reduced)
-            lifted = lift_allocation(inst, sorted_alloc, sigmas)
-            lifted.require_partition(m)
+            lifted = ternary_mod._lift_ternary(
+                np.array(rows, dtype=np.int8), sorted_alloc.bundles, m
+            )
+            Allocation.checked(lifted, m)
             for i in inst.agents:
                 before = bundle_value(reduced, i, sorted_alloc.bundles[i])
-                after = bundle_value(inst, i, lifted.bundles[i])
+                after = bundle_value(inst, i, lifted[i])
                 assert after >= before
-
-    def test_lift_validates_inputs(self):
-        inst = Instance.from_rows([[2, 1], [1, 2]])
-        alloc = Allocation.of([[0], [1]])
-        with pytest.raises(InputError):
-            lift_allocation(inst, alloc, ((0, 1),))  # one permutation missing
-        with pytest.raises(InputError):
-            lift_allocation(inst, alloc, ((0, 0), (0, 1)))  # not a permutation
 
 
 class TestExactTernary:
@@ -168,9 +150,9 @@ class TestGuaranteeChecks:
     ROWS = [[2, 2, 2, 1, 1, 0]] * 2
 
     @staticmethod
-    def miscount(graph):
+    def miscount(k, edges):
         """A coloring whose edge counts disagree with its colors."""
-        return ternary_mod.RowColoring(red=(False,) * graph.k, blue_blue=0, red_red=0)
+        return [False] * k, 0, 0
 
     def test_bad_coloring_raises(self, monkeypatch):
         monkeypatch.setattr(ternary_mod, "color_rows", self.miscount)
@@ -189,6 +171,5 @@ class TestGuaranteeChecks:
     def test_color_rows_bound_checked(self):
         # Every edge is a self-loop on row 0: once row 0 is red, all are
         # red on both ends, which the coloring's own bound forbids.
-        graph = ternary_mod.RowGraph(k=2, edges=((0, 0),), agents=(0,))
         with pytest.raises(GuaranteeError):
-            ternary_mod.color_rows(graph)
+            ternary_mod.color_rows(2, [(0, 0)])
