@@ -118,12 +118,29 @@ def _trial_thresholds(instance: Instance, predicate: str) -> list:
     return [mms_exact(instance.row(i), instance.n).value for i in instance.agents]
 
 
+def trial_seed(seed: int, t: int) -> int:
+    """The seed of trial t >= 0 of a run seeded with seed.
+
+    Distinct (seed, t) pairs get distinct non-negative seeds, so no two
+    runs share a trial: seed is folded onto the non-negative integers
+    (0, -1, 1, -2, ... to 0, 1, 2, 3, ...), since random.Random reads a
+    negative seed as its absolute value, and paired with t by Cantor's
+    pairing function.
+
+    >>> len({trial_seed(s, t) for s in range(-4, 4) for t in range(500)})
+    4000
+    """
+    s = 2 * seed if seed >= 0 else -2 * seed - 1
+    return (s + t) * (s + t + 1) // 2 + t
+
+
 def run_existence_trials(config: TrialConfig) -> TrialStats:
     """Run the configured algorithm on fresh random instances and count
     how often every agent clears the predicate threshold.
 
-    Trial t uses seed ``config.seed ^ t``.  The mms predicate needs the
-    exact oracle, so it is limited to m at most EXACT_ITEM_CAP goods.
+    Trial t uses seed ``trial_seed(config.seed, t)``, so runs with
+    different seeds share no trial.  The mms predicate needs the exact
+    oracle, so it is limited to m at most EXACT_ITEM_CAP goods.
     """
     if config.predicate == "mms" and config.m > EXACT_ITEM_CAP:
         raise InputError(
@@ -132,13 +149,13 @@ def run_existence_trials(config: TrialConfig) -> TrialStats:
     successes = 0
     trial_minima: list[Fraction] = []
     for t in range(config.trials):
-        trial_seed = config.seed ^ t
-        instance = gen_uniform_instance(config.n, config.m, trial_seed, config.scale)
+        seed = trial_seed(config.seed, t)
+        instance = gen_uniform_instance(config.n, config.m, seed, config.scale)
         if config.algorithm == "rr":
             allocation = greedy_round_robin(instance)
         else:
             allocation = modified_greedy_round_robin(
-                instance, seed=trial_seed ^ _ALGO_SEED_SALT
+                instance, seed=seed ^ _ALGO_SEED_SALT
             )
         thresholds = _trial_thresholds(instance, config.predicate)
         report = verify_allocation(instance, allocation, thresholds)

@@ -12,12 +12,13 @@ bundles (:func:`_upper_bound`).  Every certificate carries U.
   the other bundles short of their floors, and the pools that failed are
   remembered across candidates.  The search walks explicit stacks, one of
   bundles and one of covers per bundle, so it never recurses and needs no
-  recursion limit.  It tries U first, then climbs from the greedy floor:
-  each cover found lifts the floor to that cover's worst bundle, and the
-  first failed candidate ends the search.  Bisection takes over after
-  O(log gap) climbs, so the number of candidates stays logarithmic.  The
-  last cover found is the witness; the search at the answer would find the
-  same one, so it is not run.
+  recursion limit.  It tries U first, then climbs from the worst bundle of
+  the greedy split raised by moves and swaps, the start :func:`mms_approx`
+  builds: each cover found lifts the floor to that cover's worst bundle,
+  and the first failed candidate ends the search.  Bisection takes over
+  after O(log gap) climbs, so the number of candidates stays logarithmic.
+  The last cover found is the witness; the search at the answer would find
+  the same one, so it is not run.
 * :func:`mms_approx` builds a witness split (greedy, then moves and swaps
   that raise its worst bundle) and returns it as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
@@ -389,7 +390,13 @@ def _checked_witness(
 def mms_exact(
     values: Sequence[int], k: int, *, max_items: int = EXACT_ITEM_CAP
 ) -> MaximinCertificate:
-    """Exact maximin over k bundles.
+    """Exact maximin over k bundles, with a witness and ``upper`` = U.
+
+    The search starts from the greedy split raised toward U by moves and
+    swaps (:func:`_raise_worst`): a higher start leaves fewer floors to
+    climb.  The witness is the greedy split when its worst bundle is the
+    share, and otherwise the cover the search finds at the share, whatever
+    the start.
 
     >>> mms_exact([4, 3, 2, 1], 2).value
     5
@@ -410,14 +417,25 @@ def mms_exact(
             value=total, k=1, witness=witness, mode="exact", upper=total
         )
 
+    upper = _upper_bound(items, total, k)
     loads0, bundles0 = _lpt(items, k)
-    value, best = _search_maximin(items, k, min(loads0), bundles0)
+    loads = list(loads0)
+    raised = [list(b) for b in bundles0]
+    _raise_worst(vals, loads, raised, upper)
+    value, best = _search_maximin(items, k, min(loads), raised)
+    if value == min(loads0):
+        best = bundles0
+    elif best is raised:
+        # The raised split is never the witness, so the start cannot change
+        # it: fetch the cover the search finds at the share.
+        best = _cover_search(items, k, value, {})
+        if best is None:
+            raise GuaranteeError(f"no split reaches the share {value}")
 
     best[0].extend(zeros)
     witness = _checked_witness(vals, best, value)
     return MaximinCertificate(
-        value=value, k=k, witness=witness, mode="exact",
-        upper=_upper_bound(items, total, k),
+        value=value, k=k, witness=witness, mode="exact", upper=upper,
     )
 
 

@@ -10,9 +10,12 @@ instances.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
-from mmsalloc import Instance
+from hypothesis import strategies as st
+
+from mmsalloc import Allocation, Instance, bundle_value
 
 
 def exhaustive_mms(values: Sequence[int], k: int) -> int:
@@ -45,6 +48,31 @@ def exhaustive_mms(values: Sequence[int], k: int) -> int:
 
     place(0, [0] * k, 0)
     return best
+
+
+def instances(agents, max_goods: int = 8, values=None):
+    """Hypothesis strategy: instances with a number of agents drawn from the
+    strategy ``agents``, 0..max_goods goods and values drawn from
+    ``values`` (by default 0..30, with zeros and equal values common), small
+    enough for exhaustive_mms and shrinkable."""
+    if values is None:
+        values = st.one_of(st.integers(0, 30), st.sampled_from((0, 0, 5, 5, 12)))
+    return st.tuples(agents, st.integers(0, max_goods)).flatmap(
+        lambda nm: st.lists(
+            st.lists(values, min_size=nm[1], max_size=nm[1]),
+            min_size=nm[0], max_size=nm[0],
+        )
+    ).map(Instance.from_rows)
+
+
+def assert_shares_met(instance: Instance, allocation: Allocation, factor) -> None:
+    """The allocation partitions the goods and gives every agent at least
+    factor times its maximin share, found by exhaustive_mms."""
+    allocation.require_partition(instance.m)
+    for i in instance.agents:
+        share = exhaustive_mms(instance.row(i), instance.n)
+        got = bundle_value(instance, i, allocation.bundles[i])
+        assert got >= Fraction(factor) * share, (i, got, share, factor)
 
 
 def random_instance(

@@ -84,7 +84,7 @@ class TestTrials:
         successes = 0
         for t in range(config.trials):
             inst = gen_uniform_instance(
-                config.n, config.m, seed=config.seed ^ t, scale=config.scale
+                config.n, config.m, seed=exp_mod.trial_seed(config.seed, t), scale=config.scale
             )
             alloc = greedy_round_robin(inst)
             ok = all(
@@ -101,7 +101,7 @@ class TestTrials:
         successes = 0
         for t in range(config.trials):
             inst = gen_uniform_instance(
-                config.n, config.m, seed=config.seed ^ t, scale=config.scale
+                config.n, config.m, seed=exp_mod.trial_seed(config.seed, t), scale=config.scale
             )
             alloc = greedy_round_robin(inst)
             ok = all(
@@ -117,6 +117,17 @@ class TestTrials:
         stats = run_existence_trials(config)
         assert isinstance(stats.min_ratio, Fraction)
         assert isinstance(stats.median_ratio, Fraction)
+
+    def test_runs_with_different_seeds_share_no_trial(self):
+        # Under the rule seed ^ t, seeds 6 and 7 drew the same 500
+        # instances in another order.  random.Random reads a negative seed
+        # as its absolute value, so the trial seeds must not be negative.
+        drawn = [
+            exp_mod.trial_seed(seed, t)
+            for seed in (-7, -6, 0, 6, 7) for t in range(500)
+        ]
+        assert len(set(drawn)) == len(drawn)
+        assert min(drawn) >= 0
 
     def test_more_goods_help(self):
         # Success becomes easier as goods multiply for fixed agents; allow

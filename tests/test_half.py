@@ -5,9 +5,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmsalloc.half as half_mod
-from helpers import random_suite
+from helpers import assert_shares_met, instances, random_suite
 
 from mmsalloc import GuaranteeError, Instance, apx_mms_half, bundle_value, mms_exact
 
@@ -70,3 +72,9 @@ def test_leftovers_without_an_agent_raise():
     nobody = SimpleNamespace(agents=range(0), goods=range(2))
     with pytest.raises(GuaranteeError):
         apx_mms_half(nobody)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=instances(st.integers(1, 4)))
+def test_half_factor_against_exhaustive_shares(instance):
+    assert_shares_met(instance, apx_mms_half(instance), Fraction(1, 2))

@@ -369,6 +369,58 @@ def test_witness_is_the_cover_found_at_the_answer():
 
 
 # ---------------------------------------------------------------------------
+# The raised start against the greedy start.
+# ---------------------------------------------------------------------------
+
+
+def _mms_exact_from_greedy(values, k):
+    """(value, witness, upper) of mms_exact with the search started from the
+    plain greedy split: the reference the raised start must agree with
+    exactly."""
+    items = oracle._desc_items(values)
+    total = sum(values)
+    if k == 1:
+        return total, (frozenset(range(len(values))),), total
+    loads, bundles = oracle._lpt(items, k)
+    value, best = oracle._search_maximin(items, k, min(loads), bundles)
+    best[0].extend(j for j, v in enumerate(values) if v == 0)
+    return value, tuple(map(frozenset, best)), oracle._upper_bound(items, total, k)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(_values, st.lists(st.integers(0, 10**6), max_size=12)),
+    k=st.integers(1, 5),
+)
+def test_raised_start_keeps_values_and_witnesses(values, k):
+    cert = mms_exact(values, k)
+    assert (cert.value, cert.witness, cert.upper) == _mms_exact_from_greedy(values, k)
+
+
+def test_witness_is_fetched_when_the_raised_split_attains_the_share():
+    # When the raised split is already optimal and above the greedy floor,
+    # the search has no cover to return, so mms_exact fetches the one the
+    # greedy start would have ended with.
+    rng = random.Random(19)
+    fetched = 0
+    for _ in range(400):
+        values = [rng.randint(0, 1000) for _ in range(rng.randint(6, 11))]
+        k = rng.randint(2, 4)
+        items = oracle._desc_items(values)
+        loads, bundles = oracle._lpt(items, k)
+        floor = min(loads)
+        oracle._raise_worst(
+            values, loads, bundles, oracle._upper_bound(items, sum(values), k)
+        )
+        cert = mms_exact(values, k)
+        if floor < cert.value == min(loads):
+            fetched += 1
+        assert (cert.value, cert.witness, cert.upper) == \
+            _mms_exact_from_greedy(values, k)
+    assert fetched >= 100
+
+
+# ---------------------------------------------------------------------------
 # The capped cover search against the uncapped enumeration.
 # ---------------------------------------------------------------------------
 

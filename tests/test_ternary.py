@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmsalloc.ternary as ternary_mod
-from helpers import ternary_suite
+from helpers import assert_shares_met, instances, ternary_suite
 
 from mmsalloc import (
     Allocation,
@@ -173,3 +175,9 @@ class TestGuaranteeChecks:
         # red on both ends, which the coloring's own bound forbids.
         with pytest.raises(GuaranteeError):
             ternary_mod.color_rows(2, [(0, 0)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=instances(st.integers(1, 4), values=st.integers(0, 2)))
+def test_exact_shares_against_exhaustive_search(instance):
+    assert_shares_met(instance, exact_mms_012(instance), 1)

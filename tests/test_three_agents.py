@@ -4,9 +4,16 @@ import doctest
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmsalloc.three_agents as ta_mod
-from helpers import record_oracle_queries, three_agent_suite
+from helpers import (
+    assert_shares_met,
+    instances,
+    record_oracle_queries,
+    three_agent_suite,
+)
 
 from mmsalloc import (
     Instance,
@@ -128,3 +135,10 @@ def test_no_oracle_query_is_repeated(monkeypatch, rows, mode):
     queries = record_oracle_queries(monkeypatch, ta_mod)
     apx_3_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
     assert len(queries) == len(set(queries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=instances(st.just(3)))
+def test_exact_mode_factor_against_exhaustive_shares(instance):
+    alloc = apx_3_mms(instance, Fraction(1, 10), oracle_mode="exact")
+    assert_shares_met(instance, alloc, Fraction(7, 8))

@@ -4,9 +4,16 @@ import doctest
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmsalloc.two_thirds as tt_mod
-from helpers import random_suite, record_oracle_queries
+from helpers import (
+    assert_shares_met,
+    instances,
+    random_suite,
+    record_oracle_queries,
+)
 
 from mmsalloc import (
     InputError,
@@ -136,3 +143,10 @@ def test_first_level_reuses_the_partitioner_share(monkeypatch, mode):
     apx_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
     assert len(queries) == len(set(queries))
     assert queries[0][1:3] == (tuple(rows[0]), 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=instances(st.integers(2, 4)))
+def test_exact_mode_factor_against_exhaustive_shares(instance):
+    alloc = apx_mms(instance, Fraction(1, 10), oracle_mode="exact")
+    assert_shares_met(instance, alloc, rho(instance.n).value)
