@@ -50,13 +50,14 @@ def exhaustive_mms(values: Sequence[int], k: int) -> int:
     return best
 
 
-def instances(agents, max_goods: int = 8, values=None):
+# Values 0..30, with zeros and equal values common.
+_VALUES = st.one_of(st.integers(0, 30), st.sampled_from((0, 0, 5, 5, 12)))
+
+
+def instances(agents, max_goods: int = 8, values=_VALUES):
     """Hypothesis strategy: instances with a number of agents drawn from the
     strategy ``agents``, 0..max_goods goods and values drawn from
-    ``values`` (by default 0..30, with zeros and equal values common), small
-    enough for exhaustive_mms and shrinkable."""
-    if values is None:
-        values = st.one_of(st.integers(0, 30), st.sampled_from((0, 0, 5, 5, 12)))
+    ``values``, small enough for exhaustive_mms and shrinkable."""
     return st.tuples(agents, st.integers(0, max_goods)).flatmap(
         lambda nm: st.lists(
             st.lists(values, min_size=nm[1], max_size=nm[1]),
