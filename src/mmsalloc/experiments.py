@@ -93,7 +93,8 @@ class TrialStats:
 def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) -> Instance:
     """Draw each value independently and uniformly from {0, 1, ..., scale}.
 
-    Deterministic for a given seed; rows are filled agent by agent.
+    Deterministic for a given seed; rows are filled agent by agent.  The
+    seed must be non-negative, since ``random.Random`` reads -s as s.
 
     >>> gen_uniform_instance(2, 3, seed=7, scale=10**4) == \\
     ...     gen_uniform_instance(2, 3, seed=7, scale=10**4)
@@ -103,6 +104,8 @@ def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) 
     """
     if scale < 1:
         raise InputError(f"scale must be a positive integer, got {scale}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     rows = [[rng.randint(0, scale) for _ in range(m)] for _ in range(n)]
     return Instance(

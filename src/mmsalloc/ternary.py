@@ -1,11 +1,13 @@
 """Exact maximin allocation when every value is 0, 1, or 2.
 
-The solver works on a sorted copy of the instance in which each agent's
-values are non-increasing by position, so all agents rank positions the
-same way.  Positions are padded with zero-value dummies to a multiple of n
-and laid out row-major into k rows of n columns; bucket c is column c.
-Each agent's per-row value pattern is classified from two counters (her
-number of 2s and her number of nonzeros).  An agent is at risk only when
+Each agent's values are read as one ``bytes`` row.  The solver works on a
+sorted layout in which her values are non-increasing by position, so all
+agents rank positions the same way: built from her counts of 2s and 1s, it
+holds her 2s, then her 1s, then zeros, padded with zero-value dummies to a
+multiple of n and read row-major as k rows of n columns; bucket c is
+column c.  Each agent's per-row value pattern is classified from two
+counters (her number of 2s and her number of nonzeros) and checked against
+the first and last column of her layout.  An agent is at risk only when
 she has both a row mixing 2s and 1s and a row mixing 1s and 0s; each such
 agent contributes one edge joining those two rows in a multigraph on rows.
 A greedy two-coloring of the rows (:func:`color_rows`) bounds the
@@ -23,12 +25,15 @@ approximation loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 
-if TYPE_CHECKING:
-    import numpy as np
+_NOT_TERNARY = "values must be 0, 1, or 2 in scaled units"
+
+# One table per value class 2, 1, 0: it maps that byte to b"1" and every
+# other byte to b"0", so a translated row reads as a binary numeral.
+_CLASS_TABLES = tuple(b"0" * cls + b"1" + b"0" * (255 - cls) for cls in (2, 1, 0))
 
 ROW_2 = "2"
 ROW_1 = "1"
@@ -128,34 +133,25 @@ def color_rows(
 
 
 def _lift_ternary(
-    values: np.ndarray, bundles_positions: Sequence[Sequence[int]], m: int
+    rows: Sequence[bytes], bundles_positions: Sequence[Sequence[int]], m: int
 ) -> list[list[int]]:
     """Lift for ternary values using per-class good bitsets.
 
     Within one value class every agent prefers lower good indices, so an
     agent's next pick is the lowest available bit of her highest nonempty
-    class mask.  Each pick costs a few word-parallel big-integer ops.
+    class mask.  A class mask is her byte row translated to the digits
+    ``0``/``1`` and read backwards in base 2, so good j is bit j.  Each pick
+    costs a few word-parallel big-integer ops.
     """
-    import numpy as np
-
     n = len(bundles_positions)
     owner = [0] * m
     for i, bundle in enumerate(bundles_positions):
         for p in bundle:
             owner[p] = i
     class_masks: list[list[int]] = []
-    for i in range(n):
-        row = values[i]
-        per_class = []
-        for cls in (2, 1, 0):
-            members = row == cls
-            if members.any():
-                per_class.append(
-                    int.from_bytes(
-                        np.packbits(members, bitorder="little").tobytes(), "little"
-                    )
-                )
-        class_masks.append(per_class)
+    for raw in rows:
+        masks = (int(raw.translate(table)[::-1], 2) for table in _CLASS_TABLES)
+        class_masks.append([mask for mask in masks if mask])
     available = (1 << m) - 1
     out: list[list[int]] = [[] for _ in range(n)]
     for position in range(m):
@@ -181,72 +177,44 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     >>> sorted(sum(2 if g < 2 else 1 for g in b) for b in alloc.bundles)
     [3, 3]
     """
-    # numpy costs tens of ms to import, so only this solver pays for it.
-    import numpy as np
-
     n, m = instance.n, instance.m
-    values = np.empty((n, m), dtype=np.int8)
-    for i, row in enumerate(instance.valuations):
-        try:
-            wide = np.fromiter(row, dtype=np.int64, count=m)
-        except OverflowError:
-            raise InputError("values must be 0, 1, or 2 in scaled units") from None
-        if m and int(wide.max()) > 2:
-            raise InputError("values must be 0, 1, or 2 in scaled units")
-        values[i] = wide.astype(np.int8)
-    if m == 0:
-        if trace is not None:
-            trace.append(
-                {
-                    "rows": 0,
-                    "dummies": 0,
-                    "sorted_applied": False,
-                    "edges": (),
-                    "edge_agents": (),
-                    "red_rows": (),
-                    "left": (),
-                    "right": (),
-                    "seats": tuple(range(n)),
-                }
-            )
-        return Allocation.of([()] * n)
-
     k = -(-m // n)
-    m_padded = k * n
-    is_sorted = m < 2 or bool(np.all(values[:, 1:] <= values[:, :-1]))
-    if is_sorted:
-        sorted_vals = values
-    else:
-        sorted_vals = -np.sort(-values, axis=1)
-    padded = np.zeros((n, m_padded), dtype=np.int8)
-    padded[:, :m] = sorted_vals
-    cube = padded.reshape(n, k, n)
-
-    bucket_values = cube.sum(axis=1, dtype=np.int64)
-    gaps = bucket_values[:, 0] - bucket_values[:, -1]
-    if int(gaps.min()) < 0 or int(gaps.max()) > 2:
-        raise GuaranteeError("first-to-last bucket gap outside [0, 2]")
-    count_2 = np.count_nonzero(padded == 2, axis=1)
-    count_12 = np.count_nonzero(padded >= 1, axis=1)
-    # Rows whose first and last entries agree are constant for that agent,
-    # so reversing them cannot change any of her bucket values.
-    mixed = cube[:, :, 0] != cube[:, :, -1]
-
+    rows = []
+    is_sorted = True
     profiles = []
     edges = []
     edge_agents = []
-    for i in range(n):
-        profile = _profile_from_counts(i, int(count_2[i]), int(count_12[i]), k, n)
+    for i, row in enumerate(instance.valuations):
+        try:
+            raw = bytes(row)
+        except ValueError:
+            raise InputError(_NOT_TERNARY) from None
+        c2, c1 = raw.count(2), raw.count(1)
+        if c2 + c1 + raw.count(0) != m:
+            raise InputError(_NOT_TERNARY)
+        rows.append(raw)
+        padded = b"\x02" * c2 + b"\x01" * c1 + bytes(k * n - c2 - c1)
+        is_sorted = is_sorted and raw == padded[:m]
+        firsts, lasts = padded[0::n], padded[n - 1 :: n]
+        gap = sum(firsts) - sum(lasts)
+        if not 0 <= gap <= 2:
+            raise GuaranteeError(
+                f"agent {i}: first-to-last bucket gap {gap} outside [0, 2]"
+            )
+        profile = _profile_from_counts(i, c2, c2 + c1, k, n)
         profiles.append(profile)
+        # Rows whose first and last entries agree are constant for that agent,
+        # so reversing them cannot change any of her bucket values.
+        mixed = {r for r, (a, b) in enumerate(zip(firsts, lasts)) if a != b}
         expected_mixed = {
             r for r, t in enumerate(profile.row_types) if t in _MIXED_TYPES
         }
-        if {int(r) for r in np.nonzero(mixed[i])[0]} != expected_mixed:
+        if mixed != expected_mixed:
             raise GuaranteeError(f"agent {i}: mixed rows disagree with her profile")
         if profile.classified:
-            if int(gaps[i]) != 2:
+            if gap != 2:
                 raise GuaranteeError(
-                    f"agent {i}: classified with bucket gap {int(gaps[i])}, not 2"
+                    f"agent {i}: classified with bucket gap {gap}, not 2"
                 )
             edges.append((profile.row_21, profile.row_10))
             edge_agents.append(i)
@@ -296,12 +264,12 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     if is_sorted:
         bundles = bundles_positions
     else:
-        bundles = _lift_ternary(values, bundles_positions, m)
+        bundles = _lift_ternary(rows, bundles_positions, m)
     if trace is not None:
         trace.append(
             {
                 "rows": k,
-                "dummies": m_padded - m,
+                "dummies": k * n - m,
                 "sorted_applied": not is_sorted,
                 "edges": tuple(edges),
                 "edge_agents": tuple(edge_agents),

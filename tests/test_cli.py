@@ -547,6 +547,24 @@ class TestGenVerifyExperiment:
         rows = json.loads(out)
         assert rows[0]["T"] == 6
 
+    def test_negative_seed_exits_two(self, capsys, instance_path):
+        for argv in (
+            ["gen", "--n", "2", "--m", "3", "--seed", "-5"],
+            ["solve", "--algo", "rr-modified", "--seed", "-3",
+             "--instance", instance_path],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+            assert "seed must be non-negative" in err
+
+    def test_experiment_accepts_negative_seed(self, capsys):
+        # Trial seeds fold the sign in, so a negative run seed stays valid.
+        code, _, _ = run_cli(
+            capsys,
+            ["experiment", "--n", "2", "--m", "4", "--trials", "3", "--seed", "-3"],
+        )
+        assert code == 0
+
     def test_experiment_rejects_bad_config(self, capsys):
         code, _, err = run_cli(
             capsys,

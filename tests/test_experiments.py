@@ -50,6 +50,13 @@ class TestGenerator:
         with pytest.raises(InputError):
             gen_uniform_instance(2, 3, seed=1, scale=0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random reads seed -5 as 5, so a negative seed would repeat
+        # the instance of its absolute value.
+        with pytest.raises(InputError):
+            gen_uniform_instance(2, 3, seed=-5)
+        assert gen_uniform_instance(2, 3, seed=0).n == 2
+
 
 class TestTrialConfig:
     def test_validation(self):

@@ -102,6 +102,11 @@ class TestModifiedRoundRobin:
         seen = {modified_greedy_round_robin(inst, seed=s) for s in range(12)}
         assert len(seen) > 1
 
+    def test_rejects_negative_seed(self):
+        inst = Instance.from_rows([[9, 2], [9, 3], [9, 4]])
+        with pytest.raises(InputError):
+            modified_greedy_round_robin(inst, seed=-3)
+
     def test_leftovers_without_an_agent_raise(self):
         # A stand-in for an instance with no agents, which Instance refuses.
         nobody = SimpleNamespace(agents=range(0), goods=range(1))

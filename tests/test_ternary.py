@@ -4,7 +4,6 @@ import doctest
 import json
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +59,7 @@ class TestProfileRows:
         assert not profile.classified
 
 
-class TestSortReduce:
+class TestLift:
     def test_lift_round_trip_preserves_value(self):
         # Lifting an allocation of the sorted rows back to the original
         # goods never lowers anyone's value.
@@ -73,7 +72,7 @@ class TestSortReduce:
             reduced = Instance.from_rows([sorted(row, reverse=True) for row in rows])
             sorted_alloc = exact_mms_012(reduced)
             lifted = ternary_mod._lift_ternary(
-                np.array(rows, dtype=np.int8), sorted_alloc.bundles, m
+                [bytes(row) for row in rows], sorted_alloc.bundles, m
             )
             Allocation.checked(lifted, m)
             for i in inst.agents:
@@ -122,8 +121,11 @@ class TestExactTernary:
         alloc.require_partition(1)
 
     def test_rejects_values_above_two(self):
-        with pytest.raises(InputError):
-            exact_mms_012(Instance.from_rows([[3, 1]]))
+        # 255 is the last value bytes() takes, 256 the first it refuses, and
+        # 2**70 overflows a 64-bit integer.
+        for value in (3, 255, 256, 2**70):
+            with pytest.raises(InputError):
+                exact_mms_012(Instance.from_rows([[value, 1]]))
 
     def test_trace_structure(self):
         inst = Instance.from_rows([[1, 2, 0, 2, 1, 1], [2, 2, 1, 0, 1, 2]])
