@@ -1,6 +1,6 @@
 """Start-up cost: no command imports numpy.
 
-The test runs CLI commands through ``cli.main`` in a fresh interpreter,
+Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
 because this test session may have imported numpy itself.
 """
 
@@ -44,16 +44,11 @@ def run_fresh(tmp_path, commands):
     return got["codes"], got["outs"], got["numpy"]
 
 
-def test_no_command_loads_numpy(tmp_path):
+def test_common_commands_leave_numpy_unloaded(tmp_path):
     inst = str(tmp_path / "inst.json")
-    tern = tmp_path / "tern.json"
-    tern.write_text(json.dumps({
-        "n": 3, "m": 6, "scale": 1,
-        "valuations": [[2, 1, 0, 2, 1, 1], [1, 1, 1, 2, 2, 0], [2, 2, 2, 1, 0, 0]],
-    }))
     alloc = str(tmp_path / "alloc.json")
     solve = ["solve", "--instance", inst, "--algo"]
-    codes, outs, numpy_loaded = run_fresh(tmp_path, [
+    codes, _, numpy_loaded = run_fresh(tmp_path, [
         ["gen", "--n", "3", "--m", "8", "--seed", "11", "--out", inst],
         ["mms", "--instance", inst, "--agent", "2", "--k", "3", "--exact"],
         solve + ["rr", "--out", alloc],
@@ -63,11 +58,23 @@ def test_no_command_loads_numpy(tmp_path):
         solve + ["three78", "--eps", "1/10"],
         ["verify", "--instance", inst, "--allocation", alloc],
         ["experiment", "--n", "3", "--m", "6", "--trials", "4", "--seed", "5"],
-        ["solve", "--algo", "ternary", "--instance", str(tern)],
     ])
-    assert codes == [0] * 10
+    assert codes == [0] * 9
     assert not numpy_loaded
-    assert json.loads(outs[-1]) == {
+
+
+def test_ternary_solver_leaves_numpy_unloaded_and_keeps_its_output(tmp_path):
+    inst = tmp_path / "tern.json"
+    inst.write_text(json.dumps({
+        "n": 3, "m": 6, "scale": 1,
+        "valuations": [[2, 1, 0, 2, 1, 1], [1, 1, 1, 2, 2, 0], [2, 2, 2, 1, 0, 0]],
+    }))
+    codes, outs, numpy_loaded = run_fresh(
+        tmp_path, [["solve", "--algo", "ternary", "--instance", str(inst)]]
+    )
+    assert codes == [0]
+    assert not numpy_loaded
+    assert json.loads(outs[0]) == {
         "bundles": [[2, 5], [3, 4], [1, 6]],
         "certificates": [
             {"agent": 1, "value": 2, "threshold": 2},
