@@ -42,6 +42,7 @@ from .matching import (
 from .oracle import (
     EXACT_ITEM_CAP,
     MaximinCertificate,
+    ShareOracle,
     greedy_floor,
     mms_approx,
     mms_exact,
@@ -65,6 +66,7 @@ __all__ = [
     "PartitionError",
     "PreferenceGraph",
     "RhoN",
+    "ShareOracle",
     "TrialConfig",
     "TrialStats",
     "VerificationReport",

@@ -1,14 +1,16 @@
 """Command line interface: gen, solve, mms, verify, and experiment.
 
 Every solve self-verifies its advertised guarantee before printing: the
-allocation is checked against per-agent thresholds rebuilt from the
+allocation is checked against per-agent thresholds built from the
 instance, and a violation exits with status 1 instead of emitting the
-result.  When the exact oracle is out of reach (too many goods) the
-thresholds fall back to a fast certified lower bound on each maximin
-share, so the check stays sound.  Exit codes: 0 success, 1 guarantee
-violation, 2 input error.  Good and agent indices are 1-based in all
-files and printed artifacts.  ``solve --trace`` prints each solver's own
-trace steps through one rule that holds for every solver (:func:`_one_based`).
+result.  The solver and the thresholds ask one :class:`ShareOracle`, so no
+share is computed twice.  When the exact oracle is out of reach (too many
+goods) the thresholds fall back to a fast certified lower bound on each
+maximin share, so the check stays sound.  Exit codes: 0 success, 1
+guarantee violation, 2 input error.  Good and agent indices are 1-based in
+all files and printed artifacts.  ``solve --trace`` prints each solver's
+own trace steps through one rule that holds for every solver
+(:func:`_one_based`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .experiments import (
     run_existence_trials,
 )
 from .half import apx_mms_half
-from .oracle import EXACT_ITEM_CAP, greedy_floor, mms_approx, mms_exact, xi_vector
+from .oracle import EXACT_ITEM_CAP, ShareOracle, greedy_floor
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
 from .ternary import exact_mms_012
 from .three_agents import apx_3_mms
@@ -59,7 +61,7 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 
 
 def _solve_thresholds(
-    instance: Instance, algo: str, eps: Optional[Fraction], oracle_mode: str
+    instance: Instance, algo: str, eps: Optional[Fraction], oracle: ShareOracle
 ) -> list[Fraction]:
     n = instance.n
     if algo == "rr":
@@ -72,23 +74,18 @@ def _solve_thresholds(
     if algo == "rr-modified":
         return [Fraction(0)] * n
     if instance.m <= EXACT_ITEM_CAP:
-        base = [cert.value for cert in xi_vector(instance, n, mode="exact")]
+        base = [oracle.exact(instance.row(i), n).value for i in instance.agents]
     else:
         base = [greedy_floor(instance.row(i), n) for i in instance.agents]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
-    if algo == "twothirds":
-        if n == 1:
-            factor = Fraction(1)
-        elif oracle_mode == "exact":
-            factor = rho(n).value
-        else:
-            factor = Fraction(2, 3) - eps
+    if algo == "twothirds" and n > 1:
+        factor = Fraction(2, 3) - eps if oracle.loss(eps) else rho(n).value
         return [factor * b for b in base]
     if algo == "three78":
-        factor = Fraction(7, 8) if oracle_mode == "exact" else Fraction(7, 8) - eps
-        return [factor * b for b in base]
-    assert algo == "ternary"
+        return [(Fraction(7, 8) - oracle.loss(eps)) * b for b in base]
+    # ternary, and twothirds with one agent, who takes every good
+    assert algo in ("ternary", "twothirds")
     return [Fraction(b) for b in base]
 
 
@@ -133,7 +130,7 @@ def _check_solve_flags(args) -> None:
         raise InputError("--seed is only accepted for --algo rr-modified")
 
 
-def _run_solver(args, instance: Instance, trace: Optional[list]):
+def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[list]):
     algo = args.algo
     if algo == "rr":
         order = None
@@ -152,11 +149,9 @@ def _run_solver(args, instance: Instance, trace: Optional[list]):
     if algo == "half":
         return apx_mms_half(instance, trace=trace)
     if algo == "twothirds":
-        mode = args.oracle or "ptas"
-        return apx_mms(instance, args.eps, oracle_mode=mode, trace=trace)
+        return apx_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
     if algo == "three78":
-        mode = args.oracle or "ptas"
-        return apx_3_mms(instance, args.eps, oracle_mode=mode, trace=trace)
+        return apx_3_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
     assert algo == "ternary"
     return exact_mms_012(instance, trace=trace)
 
@@ -177,9 +172,9 @@ def cmd_solve(args) -> int:
         args.eps = _parse_fraction(args.eps, "--eps")
     instance = load_instance(args.instance)
     trace: Optional[list] = [] if args.trace else None
-    allocation = _run_solver(args, instance, trace)
-    mode = args.oracle or "ptas"
-    thresholds = _solve_thresholds(instance, args.algo, args.eps, mode)
+    oracle = ShareOracle(args.oracle or "ptas")
+    allocation = _run_solver(args, instance, oracle, trace)
+    thresholds = _solve_thresholds(instance, args.algo, args.eps, oracle)
     report = verify_allocation(instance, allocation, thresholds)
     if not report.ok:
         for check in report.failures():
@@ -210,10 +205,8 @@ def cmd_mms(args) -> int:
             f"--agent must be between 1 and n={instance.n}, got {args.agent}"
         )
     row = instance.row(args.agent - 1)
-    if args.exact:
-        cert = mms_exact(row, args.k)
-    else:
-        cert = mms_approx(row, args.k, _parse_fraction(args.eps, "--eps"))
+    eps = None if args.exact else _parse_fraction(args.eps, "--eps")
+    cert = ShareOracle("exact" if args.exact else "ptas").share(row, args.k, eps)
     payload = {
         "agent": args.agent,
         "k": cert.k,

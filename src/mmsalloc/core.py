@@ -233,11 +233,22 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def instance_from_json(text: str) -> Instance:
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode(text: str, kind: str):
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file is not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
+        raise InputError(f"{kind} file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{kind} file nests too deeply to decode") from None
+
+
+def instance_from_json(text: str) -> Instance:
+    payload = _decode(text, "instance")
     if not isinstance(payload, dict):
         raise InputError("instance file must contain a JSON object")
     missing = {"n", "m", "scale", "valuations"} - payload.keys()
@@ -245,7 +256,7 @@ def instance_from_json(text: str) -> Instance:
         raise InputError(f"instance file missing keys: {sorted(missing)}")
     n, m, scale = payload["n"], payload["m"], payload["scale"]
     rows = payload["valuations"]
-    if not isinstance(n, int) or not isinstance(m, int) or not isinstance(scale, int):
+    if not (_is_int(n) and _is_int(m) and _is_int(scale)):
         raise InputError("instance n, m, scale must be integers")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("instance valuations must be a list of lists")
@@ -279,10 +290,7 @@ def allocation_to_json(
 
 
 def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"allocation file is not valid JSON: {exc}") from exc
+    payload = _decode(text, "allocation")
     if not isinstance(payload, dict) or "bundles" not in payload:
         raise InputError("allocation file must be a JSON object with a 'bundles' key")
     raw_bundles = payload["bundles"]
@@ -293,21 +301,22 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
     bundles = []
     for b in raw_bundles:
         for g in b:
-            if not isinstance(g, int) or g < 1:
+            if not _is_int(g) or g < 1:
                 raise InputError(f"good index {g!r} is not a positive integer")
         bundles.append(frozenset(g - 1 for g in b))
     certs = []
-    for row in payload.get("certificates", []):
+    rows = payload.get("certificates", [])
+    if not isinstance(rows, list):
+        raise InputError("allocation certificates must be a list")
+    for row in rows:
         try:
-            certs.append(
-                Certificate(
-                    agent=int(row["agent"]) - 1,
-                    value=int(row["value"]),
-                    threshold=Fraction(int(row["threshold"])),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = [row["agent"], row["value"], row["threshold"]]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed certificate row: {row!r}") from exc
+        if not all(map(_is_int, fields)):
+            raise InputError(f"malformed certificate row: {row!r}")
+        agent, value, threshold = fields
+        certs.append(Certificate(agent - 1, value, Fraction(threshold)))
     return Allocation(tuple(bundles)), tuple(certs)
 
 

@@ -538,30 +538,55 @@ def greedy_floor(values: Sequence[int], k: int) -> int:
     return min(loads)
 
 
+class ShareOracle:
+    """One command's share oracle, ``exact`` or ``ptas``, with a memo so
+    that no query is answered twice.  :meth:`share` answers by
+    :func:`mms_exact`, or in ptas mode by :func:`mms_approx` at eps, and
+    :meth:`exact` always answers exactly, from the same memo.  Both are
+    called through this module's names, so wrapping those sees every query.
+    """
+
+    def __init__(self, mode: str) -> None:
+        if mode not in ("exact", "ptas"):
+            raise InputError(f"oracle mode must be 'exact' or 'ptas', got {mode!r}")
+        self.mode = mode
+        self._memo: dict[tuple, MaximinCertificate] = {}
+
+    @classmethod
+    def of(cls, oracle: Union[str, "ShareOracle"]) -> "ShareOracle":
+        """The oracle itself, or a fresh one in the named mode."""
+        return oracle if isinstance(oracle, cls) else cls(oracle)
+
+    def loss(self, eps: RationalLike) -> Fraction:
+        """The accuracy :meth:`share` gives up when asked at eps."""
+        return Fraction(0) if self.mode == "exact" else Fraction(eps)
+
+    def share(
+        self, values: Sequence[int], k: int, eps: Optional[RationalLike] = None
+    ) -> MaximinCertificate:
+        if self.mode == "exact":
+            return self.exact(values, k)
+        return self._ask(mms_approx, values, k, eps)
+
+    def exact(self, values: Sequence[int], k: int) -> MaximinCertificate:
+        return self._ask(mms_exact, values, k)
+
+    def _ask(self, query, values, k, *eps) -> MaximinCertificate:
+        key = (tuple(values), k) + eps
+        cert = self._memo.get(key)
+        if cert is None:
+            cert = self._memo[key] = query(values, k, *eps)
+        return cert
+
+
 def xi_vector(
     instance: Instance,
     k: int,
     eps: Optional[RationalLike] = None,
-    mode: str = "ptas",
+    mode: Union[str, ShareOracle] = "ptas",
 ) -> tuple[MaximinCertificate, ...]:
-    """Per-agent maximin certificates over all goods and k bundles.
-
-    Agents with identical valuation rows share one oracle call.
-    """
-    if mode not in ("exact", "ptas"):
-        raise InputError(f"unknown oracle mode: {mode!r}")
-    if mode == "ptas" and eps is None:
-        raise InputError("ptas mode requires eps")
-    cache: dict[tuple[int, ...], MaximinCertificate] = {}
-    certs = []
-    for i in instance.agents:
-        row = instance.row(i)
-        cert = cache.get(row)
-        if cert is None:
-            if mode == "exact":
-                cert = mms_exact(row, k)
-            else:
-                cert = mms_approx(row, k, eps)
-            cache[row] = cert
-        certs.append(cert)
-    return tuple(certs)
+    """Per-agent maximin certificates over all goods and k bundles from
+    ``mode``, a :class:`ShareOracle` or the mode of a fresh one, whose memo
+    gives agents with identical rows one oracle call."""
+    oracle = ShareOracle.of(mode)
+    return tuple(oracle.share(instance.row(i), k, eps) for i in instance.agents)

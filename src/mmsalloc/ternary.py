@@ -5,11 +5,12 @@ sorted layout in which her values are non-increasing by position, so all
 agents rank positions the same way: built from her counts of 2s and 1s, it
 holds her 2s, then her 1s, then zeros, padded with zero-value dummies to a
 multiple of n and read row-major as k rows of n columns; bucket c is
-column c.  Each agent's per-row value pattern is classified from two
-counters (her number of 2s and her number of nonzeros) and checked against
-the first and last column of her layout.  An agent is at risk only when
-she has both a row mixing 2s and 1s and a row mixing 1s and 0s; each such
-agent contributes one edge joining those two rows in a multigraph on rows.
+column c.  Each agent's mixed rows are the rows holding her two value
+boundaries, found from two counters (her number of 2s and her number of
+nonzeros) and checked against the first and last column of her layout.
+An agent is at risk only when those are two distinct rows, one mixing 2s
+and 1s and one mixing 1s and 0s; each such agent contributes one edge
+joining those two rows in a multigraph on rows.
 A greedy two-coloring of the rows (:func:`color_rows`) bounds the
 monochromatic edges, every red row is reversed, so bucket c takes position
 r*n + (n-1-c) from a red row r and r*n + c from a blue one, and edge colors
@@ -24,7 +25,6 @@ approximation loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
@@ -35,69 +35,10 @@ _NOT_TERNARY = "values must be 0, 1, or 2 in scaled units"
 # other byte to b"0", so a translated row reads as a binary numeral.
 _CLASS_TABLES = tuple(b"0" * cls + b"1" + b"0" * (255 - cls) for cls in (2, 1, 0))
 
-ROW_2 = "2"
-ROW_1 = "1"
-ROW_0 = "0"
-ROW_21 = "2/1"
-ROW_10 = "1/0"
-ROW_210 = "2/1/0"
-
-_MIXED_TYPES = (ROW_21, ROW_10, ROW_210)
-
-
-@dataclass(frozen=True)
-class RowProfile:
-    """Per-row value patterns of one agent over the sorted padded layout.
-
-    ``row_21`` and ``row_10`` are set only when the agent has a dedicated
-    2-and-1 row and a dedicated 1-and-0 row; a single row mixing 2s with 0s
-    leaves both unset.  At most one row of each mixed kind can exist since
-    the agent's values are non-increasing by position.
-    """
-
-    agent: int
-    row_types: tuple[str, ...]
-    row_21: Optional[int]
-    row_10: Optional[int]
-
-    @property
-    def classified(self) -> bool:
-        """True when the agent needs an edge in the row multigraph."""
-        return self.row_21 is not None and self.row_10 is not None
-
-
 def _boundary_row(count: int, n: int) -> Optional[int]:
     """Row index whose interior contains the value boundary after ``count``
     positions, or None when the boundary falls between rows."""
     return count // n if count % n else None
-
-
-def _profile_from_counts(agent: int, c2: int, c21: int, k: int, n: int) -> RowProfile:
-    """The row profile of an agent whose non-increasing padded values, k
-    rows of n, hold c2 twos and c21 nonzeros."""
-    r2 = _boundary_row(c2, n)
-    r1 = _boundary_row(c21, n)
-    types = []
-    for r in range(k):
-        if r2 is not None and r2 == r1 == r:
-            types.append(ROW_210)
-        elif r == r2:
-            types.append(ROW_21)
-        elif r == r1:
-            types.append(ROW_10)
-        elif (r + 1) * n <= c2:
-            types.append(ROW_2)
-        elif r * n >= c21:
-            types.append(ROW_0)
-        else:
-            types.append(ROW_1)
-    both_distinct = r2 is not None and r1 is not None and r2 != r1
-    return RowProfile(
-        agent=agent,
-        row_types=tuple(types),
-        row_21=r2 if both_distinct else None,
-        row_10=r1 if both_distinct else None,
-    )
 
 
 def color_rows(
@@ -181,9 +122,7 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     k = -(-m // n)
     rows = []
     is_sorted = True
-    profiles = []
-    edges = []
-    edge_agents = []
+    edge_of: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(instance.valuations):
         try:
             raw = bytes(row)
@@ -201,33 +140,29 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
             raise GuaranteeError(
                 f"agent {i}: first-to-last bucket gap {gap} outside [0, 2]"
             )
-        profile = _profile_from_counts(i, c2, c2 + c1, k, n)
-        profiles.append(profile)
         # Rows whose first and last entries agree are constant for that agent,
-        # so reversing them cannot change any of her bucket values.
+        # so reversing them cannot change any of her bucket values.  The
+        # others are the rows holding her 2/1 and her 1/0 boundary.
         mixed = {r for r, (a, b) in enumerate(zip(firsts, lasts)) if a != b}
-        expected_mixed = {
-            r for r, t in enumerate(profile.row_types) if t in _MIXED_TYPES
-        }
-        if mixed != expected_mixed:
-            raise GuaranteeError(f"agent {i}: mixed rows disagree with her profile")
-        if profile.classified:
+        r21, r10 = _boundary_row(c2, n), _boundary_row(c2 + c1, n)
+        if mixed != {r21, r10} - {None}:
+            raise GuaranteeError(f"agent {i}: mixed rows disagree with her counts")
+        if r21 is not None and r10 is not None and r21 != r10:
             if gap != 2:
                 raise GuaranteeError(
                     f"agent {i}: classified with bucket gap {gap}, not 2"
                 )
-            edges.append((profile.row_21, profile.row_10))
-            edge_agents.append(i)
+            edge_of[i] = (r21, r10)
 
+    edges = tuple(edge_of.values())
     red, blue_blue, red_red = color_rows(k, edges)
 
     left = []
     right = []
     anywhere = []
     for i in range(n):
-        profile = profiles[i]
-        if profile.classified:
-            u_red, v_red = red[profile.row_21], red[profile.row_10]
+        if i in edge_of:
+            u_red, v_red = (red[r] for r in edge_of[i])
             if not u_red and not v_red:
                 left.append(i)
             elif u_red and v_red:
@@ -271,8 +206,8 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
                 "rows": k,
                 "dummies": k * n - m,
                 "sorted_applied": not is_sorted,
-                "edges": tuple(edges),
-                "edge_agents": tuple(edge_agents),
+                "edges": edges,
+                "edge_agents": tuple(edge_of),
                 "red_rows": tuple(r for r in range(k) if red[r]),
                 "left": tuple(left),
                 "right": tuple(right),

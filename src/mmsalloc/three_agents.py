@@ -19,35 +19,28 @@ repartitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
-from .oracle import MaximinCertificate, mms_approx, mms_exact, xi_vector
+from .oracle import ShareOracle, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def _partition(
-    values: Sequence[int], k: int, eps: Fraction, oracle_mode: str
-) -> MaximinCertificate:
-    if oracle_mode == "exact":
-        return mms_exact(values, k)
-    return mms_approx(values, k, eps)
-
-
 def apx_3_mms(
     instance: Instance,
     eps: RationalLike,
-    oracle_mode: str = "ptas",
+    oracle_mode: Union[str, ShareOracle] = "ptas",
     trace: Optional[list] = None,
 ) -> Allocation:
     """Allocate a three-agent instance with per-agent guarantee
     (7/8 - eps) times her maximin value ((7/8) times it in exact mode).
 
-    eps must lie in (0, 7/8).  ``trace``, if given, receives one dict
-    naming the branch taken ("b", "c", or "d") and its intermediate data.
+    eps must lie in (0, 7/8); ``oracle_mode`` is a mode or a ShareOracle.
+    ``trace``, if given, receives one dict naming the branch taken ("b",
+    "c", or "d") and its intermediate data.
 
     >>> inst = Instance.from_rows([[7, 1, 1, 1, 1, 1, 1, 1]] * 3)
     >>> alloc = apx_3_mms(inst, Fraction(1, 10), oracle_mode="exact")
@@ -59,11 +52,10 @@ def apx_3_mms(
     eps = Fraction(eps)
     if not 0 < eps < Fraction(7, 8):
         raise InputError(f"eps must be in (0, 7/8), got {eps}")
-    if oracle_mode not in ("exact", "ptas"):
-        raise InputError(f"oracle_mode must be 'exact' or 'ptas', got {oracle_mode!r}")
+    oracle = ShareOracle.of(oracle_mode)
     eps_prime = 8 * eps / 7
     rows = [instance.row(i) for i in instance.agents]
-    certs = xi_vector(instance, 3, eps, oracle_mode)
+    certs = xi_vector(instance, 3, eps, oracle)
     xi = [cert.value for cert in certs]
 
     # Branch b: a single good already worth 7/8 of someone's estimate.
@@ -72,9 +64,7 @@ def apx_3_mms(
             if 8 * rows[i][g] >= 7 * xi[i]:
                 rest = [h for h in instance.goods if h != g]
                 cutter, chooser = [a for a in range(3) if a != i]
-                cert = _partition(
-                    [rows[cutter][h] for h in rest], 2, eps, oracle_mode
-                )
+                cert = oracle.share([rows[cutter][h] for h in rest], 2, eps)
                 halves = [
                     sorted(rest[pos] for pos in part) for part in cert.witness
                 ]
@@ -127,7 +117,7 @@ def apx_3_mms(
     candidates = []
     for j in bad:
         pool = sorted(base + a_sets[j])
-        cert = _partition([rows[1][g] for g in pool], 2, eps_prime, oracle_mode)
+        cert = oracle.share([rows[1][g] for g in pool], 2, eps_prime)
         halves = tuple(
             tuple(sorted(pool[pos] for pos in part)) for part in cert.witness
         )

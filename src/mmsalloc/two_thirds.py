@@ -1,18 +1,19 @@
 """Recursive bundle-matching solver with a rho(n) guarantee.
 
-apx_mms computes every agent's n-way maximin estimate xi_i once, and from
-it her threshold (1 - eps') * rho(n) * xi_i; it also fixes the oracle
-every level partitions with (exact, or ptas at eps').  It then recursively
-satisfies agents, each level taking only its active agents K and the goods
-left: the lowest-indexed active agent partitions those goods into |K|
-bundles as well as she can, a bipartite preference graph records which
-active agents accept which bundles at their thresholds, and a maximum
-matching hands bundles to every agent outside the Hall violator X+.  The
-agents in X+ recurse on the unallocated goods.  The guarantee rests on a
-balance invariant: entering any level, the goods already gone are worth at
-most (n - |K|) * rho(n) * xi_i to each remaining agent, so the
-partitioner's own |K|-maximin value over the residual is still at least
-rho(n) * xi_i and her bundles all clear her threshold.
+apx_mms asks one ShareOracle for every agent's n-way maximin estimate
+xi_i, and from it sets her threshold (1 - eps') * rho(n) * xi_i; every
+level partitions with the same oracle at eps', whose memo answers any
+query already made.  It then recursively satisfies agents, each level
+taking only its active agents K and the goods left: the lowest-indexed
+active agent partitions those goods into |K| bundles as well as she can,
+a bipartite preference graph records which active agents accept which
+bundles at their thresholds, and a maximum matching hands bundles to
+every agent outside the Hall violator X+.  The agents in X+ recurse on the
+unallocated goods.  The guarantee rests on a balance invariant: entering
+any level, the goods already gone are worth at most (n - |K|) * rho(n) *
+xi_i to each remaining agent, so the partitioner's own |K|-maximin value
+over the residual is still at least rho(n) * xi_i and her bundles all
+clear her threshold.
 
 With an exact oracle each agent ends with at least rho(n) times her true
 maximin value; rho(n) = 2*odd(n) / (3*odd(n) - 1) exceeds 2/3 for every
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import MaximinCertificate, mms_approx, mms_exact, xi_vector
+from .oracle import MaximinCertificate, ShareOracle, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
@@ -80,18 +82,16 @@ def rec_mms(
     thresholds: Sequence[Fraction],
     oracle: Callable[[list[int], int], MaximinCertificate],
     trace: Optional[list] = None,
-    partition: Optional[MaximinCertificate] = None,
 ) -> dict[int, frozenset[int]]:
     """Allocate goods among the active agents recursively.
 
     Returns a bundle per active agent; the bundles partition goods.
     ``thresholds[i]`` is agent i's threshold (1 - eps') * rho(n) * xi_i,
     and ``oracle(values, k)`` is the level oracle, both fixed by apx_mms
-    for the whole recursion.  ``partition``, if given, is the
-    partitioner's certificate over goods for len(agents) bundles, already
-    computed with that oracle; it saves repeating that call.  Raises
-    GuaranteeError if the partitioner fails her own threshold on one of
-    her bundles or ends up unmatched, which the balance invariant rules
+    for the whole recursion; there the oracle is its ShareOracle at eps',
+    whose memo answers the first level, the partitioner's own xi query.
+    Raises GuaranteeError if the partitioner fails her own threshold on one
+    of her bundles or ends up unmatched, which the balance invariant rules
     out for inputs reachable from apx_mms.
     """
     if len(agents) == 1:
@@ -99,9 +99,7 @@ def rec_mms(
 
     partitioner = agents[0]
     k = len(agents)
-    cert = partition
-    if cert is None:
-        cert = oracle([instance.row(partitioner)[g] for g in goods], k)
+    cert = oracle([instance.row(partitioner)[g] for g in goods], k)
     bundles = tuple(
         tuple(sorted(goods[pos] for pos in bundle)) for bundle in cert.witness
     )
@@ -162,14 +160,15 @@ def rec_mms(
 def apx_mms(
     instance: Instance,
     eps: RationalLike,
-    oracle_mode: str = "ptas",
+    oracle_mode: Union[str, ShareOracle] = "ptas",
     trace: Optional[list] = None,
 ) -> Allocation:
     """Allocate all goods with per-agent guarantee (2/3 - eps) times her
-    maximin value, or rho(n) times it when oracle_mode is "exact".
+    maximin value, or rho(n) times it when the oracle is exact.
 
-    eps must lie in (0, 1/3) so the advertised factor stays above 1/3.  In
-    ptas mode the internal accuracy is eps' = 3*eps/4, spent once on the xi
+    eps must lie in (0, 1/3) so the advertised factor stays above 1/3.
+    ``oracle_mode`` is a mode or a :class:`ShareOracle` to share.  In ptas
+    mode the internal accuracy is eps' = 3*eps/4, spent once on the xi
     estimates and once on each level's partition.  ``trace``, if given,
     collects a LevelTrace per recursion level.
 
@@ -181,23 +180,15 @@ def apx_mms(
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise InputError(f"eps must be in (0, 1/3), got {eps}")
-    if oracle_mode not in ("exact", "ptas"):
-        raise InputError(f"oracle_mode must be 'exact' or 'ptas', got {oracle_mode!r}")
+    oracle = ShareOracle.of(oracle_mode)
     if instance.n == 1:
         return Allocation.of([tuple(instance.goods)])
-    if oracle_mode == "exact":
-        eps_prime = Fraction(0)
-        oracle = mms_exact
-    else:
-        eps_prime = 3 * eps / 4
-        oracle = lambda values, k: mms_approx(values, k, eps_prime)
-    certs = xi_vector(instance, instance.n, eps_prime, oracle_mode)
+    eps_prime = oracle.loss(3 * eps / 4)
+    certs = xi_vector(instance, instance.n, eps_prime, oracle)
     factor = (1 - eps_prime) * rho(instance.n).value
     thresholds = tuple(factor * cert.value for cert in certs)
-    # The first level's partitioner is agent 0 over all goods with k = n:
-    # exactly the query that gave certs[0].
     result = rec_mms(
         instance, tuple(instance.agents), tuple(instance.goods), thresholds,
-        oracle, trace, certs[0],
+        partial(oracle.share, eps=eps_prime), trace,
     )
     return Allocation.of(result[i] for i in instance.agents)

@@ -155,7 +155,7 @@ def three_agent_suite(count: int = 200, seed: int = 424242) -> list[Instance]:
 
 def record_oracle_queries(monkeypatch, *modules) -> list[tuple]:
     """Record every mms_exact and mms_approx call made through the oracle
-    module or through the names the given solver modules bound."""
+    module or through the names any of the given modules still binds."""
     import mmsalloc.oracle as oracle
 
     queries: list[tuple] = []
@@ -167,5 +167,6 @@ def record_oracle_queries(monkeypatch, *modules) -> list[tuple]:
             return _real(values, k, *rest)
 
         for module in (oracle,) + modules:
-            monkeypatch.setattr(module, name, recorded)
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recorded)
     return queries

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import record_oracle_queries
 
 from mmsalloc.cli import main
 
@@ -572,6 +573,113 @@ class TestGenVerifyExperiment:
         )
         assert code == 2
         assert "input error" in err
+
+
+@pytest.mark.parametrize("algo", ["twothirds", "three78"])
+def test_solve_asks_no_share_twice(monkeypatch, capsys, tmp_path, algo):
+    # The solver and the thresholds share one oracle, so the exact shares
+    # the solver used are not asked for again.
+    queries = record_oracle_queries(monkeypatch)
+    path = write_instance(tmp_path / "inst.json", BRANCH_ROWS["d"])
+    code, _, err = run_cli(
+        capsys,
+        ["solve", "--algo", algo, "--instance", path, "--eps", "1/10",
+         "--oracle", "exact"],
+    )
+    assert code == 0, err
+    assert queries
+    assert len(queries) == len(set(queries))
+
+
+class TestHostileFiles:
+    ALLOCATION = {
+        "bundles": [[2], [1]],
+        "certificates": [
+            {"agent": 1, "value": 2, "threshold": 2},
+            {"agent": 2, "value": 2, "threshold": 2},
+        ],
+    }
+
+    def verify(self, capsys, tmp_path, allocation):
+        inst = write_instance(tmp_path / "inst.json", [[1, 2], [2, 1]])
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            allocation if isinstance(allocation, str) else json.dumps(allocation)
+        )
+        return run_cli(
+            capsys, ["verify", "--instance", inst, "--allocation", str(alloc)]
+        )
+
+    def test_valid_allocation_passes(self, capsys, tmp_path):
+        code, out, _ = self.verify(capsys, tmp_path, self.ALLOCATION)
+        assert code == 0
+        assert out.count(" ok") == 2
+
+    def test_deep_instance_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run_cli(
+            capsys, ["solve", "--algo", "rr", "--instance", str(path)]
+        )
+        assert code == 2
+        assert "nests too deeply" in err
+
+    def test_deep_allocation_exits_two(self, capsys, tmp_path):
+        code, _, err = self.verify(capsys, tmp_path, "[" * 100000)
+        assert code == 2
+        assert "nests too deeply" in err
+
+    def test_overlong_integer_exits_two(self, capsys, tmp_path):
+        # json.loads refuses integers of more than 4300 digits with a
+        # plain ValueError.
+        path = tmp_path / "inst.json"
+        path.write_text(
+            '{"n": 1, "m": 1, "scale": 1, "valuations": [[' + "1" * 5000 + "]]}"
+        )
+        code, _, err = run_cli(
+            capsys, ["solve", "--algo", "rr", "--instance", str(path)]
+        )
+        assert code == 2
+        assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("field", ["n", "m", "scale"])
+    def test_bool_instance_field_exits_two(self, capsys, tmp_path, field):
+        payload = {"n": 1, "m": 1, "scale": 1, "valuations": [[5]]}
+        payload[field] = True
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, ["solve", "--algo", "rr", "--instance", str(path)]
+        )
+        assert code == 2
+        assert "must be integers" in err
+
+    def test_bool_good_exits_two(self, capsys, tmp_path):
+        allocation = dict(self.ALLOCATION, bundles=[[2], [True]])
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "good index True" in err
+
+    def test_certificates_that_are_no_list_exit_two(self, capsys, tmp_path):
+        allocation = dict(self.ALLOCATION, certificates=5)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "certificates must be a list" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold", 2.5), ("threshold", "2"), ("agent", True), ("value", 2.0)],
+    )
+    def test_non_integer_certificate_field_exits_two(
+        self, capsys, tmp_path, field, value
+    ):
+        # A threshold of 2.5 read as 2 would pass a bundle worth 2.
+        rows = [dict(row) for row in self.ALLOCATION["certificates"]]
+        rows[0][field] = value
+        allocation = dict(self.ALLOCATION, certificates=rows)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "malformed certificate row" in err
 
 
 def test_main_leaves_no_parser_garbage(capsys, instance_path):

@@ -1,8 +1,12 @@
 """Instance and allocation data model, verification, and file formats."""
 
+import ast
 import doctest
+import importlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,35 @@ def test_public_names_resolve():
     }
     assert not deleted & set(mmsalloc.__all__)
     assert not [name for name in deleted if hasattr(mmsalloc, name)]
+
+
+def test_bench_names_resolve():
+    # bench/tracer.py wraps package functions by module and name, and
+    # bench/worker.py calls xi_vector with a mode keyword; both must resolve.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TARGETS.items():
+        home = importlib.import_module(f"mmsalloc.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
+    worker = ast.parse((bench / "worker.py").read_text())
+    calls = [
+        {kw.arg: kw.value for kw in node.keywords}
+        for node in ast.walk(worker)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "xi_vector"
+    ]
+    inst = Instance.from_rows([[3, 2, 1], [1, 1, 2]])
+    modes = []
+    for keywords in calls:
+        mode = keywords.pop("mode").value
+        eps = Fraction(1, 10) if keywords.pop("eps", None) else None
+        assert not keywords
+        certs = mmsalloc.xi_vector(inst, 2, eps=eps, mode=mode)
+        assert [cert.mode for cert in certs] == [mode, mode]
+        modes.append(mode)
+    assert sorted(modes) == ["exact", "ptas"]
 
 
 def test_bundle_value_is_exact_sum():

@@ -28,35 +28,47 @@ def test_module_doctests():
 
 
 class TestProfileRows:
-    # profile(agent, count of 2s, count of nonzeros, rows k, columns n);
-    # each case names the padded non-increasing row with those counts.
-    profile = staticmethod(ternary_mod._profile_from_counts)
+    # An agent's mixed rows are the rows holding her two value boundaries,
+    # after her c2 twos and after her c21 nonzeros; she gets an edge in the
+    # row multigraph when they are two distinct rows.  Each case names the
+    # padded non-increasing row, which all n agents share.
+
+    @staticmethod
+    def boundaries(layout, n):
+        c2, c21 = layout.count(2), len(layout) - layout.count(0)
+        pair = (ternary_mod._boundary_row(c2, n), ternary_mod._boundary_row(c21, n))
+        firsts, lasts = layout[0::n], layout[n - 1 :: n]
+        mixed = {r for r, (a, b) in enumerate(zip(firsts, lasts)) if a != b}
+        assert mixed == set(pair) - {None}
+        trace = []
+        exact_mms_012(Instance.from_rows([layout] * n), trace=trace)
+        return pair, trace[0]["edges"]
 
     def test_both_mixed_rows(self):
-        profile = self.profile(0, 3, 5, 3, 2)  # [2, 2, 2, 1, 1, 0], n = 2
-        assert profile.row_types == ("2", "2/1", "1/0")
-        assert profile.row_21 == 1 and profile.row_10 == 2
-        assert profile.classified
+        # Rows 2 | 2 1 | 1 0: row 1 holds the 2/1 boundary, row 2 the 1/0 one.
+        pair, edges = self.boundaries([2, 2, 2, 1, 1, 0], 2)
+        assert pair == (1, 2)
+        assert edges == ((1, 2), (1, 2))
 
     def test_clean_boundaries_are_unclassified(self):
-        profile = self.profile(0, 2, 4, 3, 2)  # [2, 2, 1, 1, 0, 0], n = 2
-        assert profile.row_types == ("2", "1", "0")
-        assert profile.row_21 is None and profile.row_10 is None
-        assert not profile.classified
+        # Rows 2 2 | 1 1 | 0 0: no row is mixed.
+        pair, edges = self.boundaries([2, 2, 1, 1, 0, 0], 2)
+        assert pair == (None, None)
+        assert edges == ()
 
     def test_shared_mixed_row_is_unclassified(self):
         # 2s and 1s both end inside row 0, so it holds all three values
         # and the agent cannot be classified.
-        profile = self.profile(0, 1, 2, 2, 3)  # [2, 1, 0, 0, 0, 0], n = 3
-        assert profile.row_types == ("2/1/0", "0")
-        assert not profile.classified
+        pair, edges = self.boundaries([2, 1, 0, 0, 0, 0], 3)
+        assert pair == (0, 0)
+        assert edges == ()
 
     def test_single_mixed_row_is_unclassified(self):
-        # Only the upper boundary is mixed; the 1/0 split is clean.
-        profile = self.profile(0, 1, 2, 2, 2)  # [2, 1, 0, 0], n = 2
-        assert profile.row_types == ("2/1", "0")
-        assert profile.row_21 is None and profile.row_10 is None
-        assert not profile.classified
+        # Rows 2 1 | 0 0: only the upper boundary is mixed; the 1/0 split
+        # is clean.
+        pair, edges = self.boundaries([2, 1, 0, 0], 2)
+        assert pair == (0, None)
+        assert edges == ()
 
 
 class TestLift:
