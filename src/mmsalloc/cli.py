@@ -27,6 +27,7 @@ from .core import (
     GuaranteeError,
     InputError,
     Instance,
+    allocation_payload,
     allocation_to_json,
     instance_to_json,
     load_allocation,
@@ -43,7 +44,7 @@ from .experiments import (
     run_existence_trials,
 )
 from .half import apx_mms_half
-from .oracle import EXACT_ITEM_CAP, ShareOracle, greedy_floor
+from .oracle import ShareOracle
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
 from .ternary import exact_mms_012
 from .three_agents import apx_3_mms
@@ -73,10 +74,7 @@ def _solve_thresholds(
         return out
     if algo == "rr-modified":
         return [Fraction(0)] * n
-    if instance.m <= EXACT_ITEM_CAP:
-        base = [oracle.exact(instance.row(i), n).value for i in instance.agents]
-    else:
-        base = [greedy_floor(instance.row(i), n) for i in instance.agents]
+    base = [oracle.lower(instance.row(i), n) for i in instance.agents]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds" and n > 1:
@@ -184,11 +182,12 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
         return 1
-    text = allocation_to_json(allocation, report.checks)
     if args.trace:
-        payload = json.loads(text)
+        payload = allocation_payload(allocation, report.checks)
         payload["trace"] = _one_based(trace)
         text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = allocation_to_json(allocation, report.checks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -204,6 +203,9 @@ def cmd_mms(args) -> int:
         raise InputError(
             f"--agent must be between 1 and n={instance.n}, got {args.agent}"
         )
+    top = max(instance.n, instance.m)
+    if args.k > top:
+        raise InputError(f"--k must be at most max(n, m) = {top}, got {args.k}")
     row = instance.row(args.agent - 1)
     eps = None if args.exact else _parse_fraction(args.eps, "--eps")
     cert = ShareOracle("exact" if args.exact else "ptas").share(row, args.k, eps)
@@ -236,24 +238,39 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     allocation, certificates = load_allocation(args.allocation)
-    thresholds = [Fraction(0)] * instance.n
+    rows: dict[int, Certificate] = {}
     for cert in certificates:
         if not 0 <= cert.agent < instance.n:
             raise InputError(f"certificate agent {cert.agent + 1} out of range")
-        thresholds[cert.agent] = cert.threshold
+        if rows.setdefault(cert.agent, cert) is not cert:
+            raise InputError(f"agent {cert.agent + 1} has a second certificate row")
+    missing = [i + 1 for i in instance.agents if i not in rows]
+    if missing:
+        raise InputError(f"agent {missing[0]} has no certificate row")
     print(
         "checking the allocation file's own thresholds; they are not rebuilt "
         "from the instance",
         file=sys.stderr,
     )
-    report = verify_allocation(instance, allocation, thresholds)
+    report = verify_allocation(
+        instance, allocation, [rows[i].threshold for i in instance.agents]
+    )
+    misstated = False
     for check in report.checks:
         status = "ok" if check.ok else "FAIL"
         print(
             f"agent {check.agent + 1}: value {check.value} >= "
             f"{check.threshold} {status}"
         )
-    if not report.ok:
+        stated = rows[check.agent].value
+        if stated != check.value:
+            misstated = True
+            print(
+                f"agent {check.agent + 1}: the file states value {stated}, "
+                f"but the bundle is worth {check.value}",
+                file=sys.stderr,
+            )
+    if misstated or not report.ok:
         print("verification failed", file=sys.stderr)
         return 1
     return 0

@@ -276,17 +276,23 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write(instance_to_json(instance))
 
 
-def allocation_to_json(
+def allocation_payload(
     allocation: Allocation, certificates: Sequence[Certificate] = ()
-) -> str:
-    payload = {
+) -> dict:
+    """The allocation file's JSON object, with 1-based goods and agents."""
+    return {
         "bundles": [sorted(g + 1 for g in bundle) for bundle in allocation.bundles],
         "certificates": [
             {"agent": c.agent + 1, "value": c.value, "threshold": c.threshold_int}
             for c in certificates
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def allocation_to_json(
+    allocation: Allocation, certificates: Sequence[Certificate] = ()
+) -> str:
+    return json.dumps(allocation_payload(allocation, certificates), indent=2) + "\n"
 
 
 def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]]:

@@ -15,10 +15,9 @@ import csv
 import io
 import json
 import random
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 from .core import Instance, InputError, verify_allocation
 from .oracle import EXACT_ITEM_CAP, mms_exact
@@ -76,7 +75,6 @@ class TrialStats:
     successes: int
     failures: int
     min_ratio: Fraction
-    median_ratio: Fraction
 
     def __post_init__(self) -> None:
         if self.successes + self.failures != self.config.trials:
@@ -177,7 +175,6 @@ def run_existence_trials(config: TrialConfig) -> TrialStats:
         successes=successes,
         failures=config.trials - successes,
         min_ratio=min(trial_minima),
-        median_ratio=statistics.median(trial_minima),
     )
 
 
@@ -202,41 +199,34 @@ def _stats_row(stats: TrialStats) -> dict:
 
 
 def emit_report(
-    stats: Union[TrialStats, Sequence[TrialStats]],
-    fmt: str,
-    destination: Union[str, IO[str]],
+    stats: TrialStats, fmt: str, destination: Union[str, IO[str]]
 ) -> None:
-    """Write one row per TrialStats as CSV or JSON.
+    """Write the stats as one CSV row or a JSON list of one object.
 
     The CSV header is fixed to n,m,T,seed,algo,predicate,successes,rate,
-    min_ratio; the JSON form is a list of objects with the same keys.
+    min_ratio; the JSON object has the same keys.
     """
     if fmt not in ("csv", "json"):
         raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")
-    batch = [stats] if isinstance(stats, TrialStats) else list(stats)
-    rows = [_stats_row(s) for s in batch]
     if isinstance(destination, (str, bytes)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_report(rows, fmt, handle)
+            _write_report(stats, fmt, handle)
     else:
-        _write_report(rows, fmt, destination)
+        _write_report(stats, fmt, destination)
 
 
-def _write_report(rows: list, fmt: str, handle: IO[str]) -> None:
+def _write_report(stats: TrialStats, fmt: str, handle: IO[str]) -> None:
+    row = _stats_row(stats)
     if fmt == "csv":
         writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["rate"] = repr(row["rate"])
-            out["min_ratio"] = repr(row["min_ratio"])
-            writer.writerow(out)
+        writer.writerow(row)
     else:
-        json.dump(rows, handle, indent=2)
+        json.dump([row], handle, indent=2)
         handle.write("\n")
 
 
-def report_text(stats: Union[TrialStats, Sequence[TrialStats]], fmt: str) -> str:
+def report_text(stats: TrialStats, fmt: str) -> str:
     """Return the emit_report payload as a string."""
     buffer = io.StringIO()
     emit_report(stats, fmt, buffer)

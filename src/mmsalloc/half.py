@@ -39,29 +39,31 @@ def apx_mms_half(
     rows = [instance.row(i) for i in instance.agents]
     active = list(instance.agents)
     pool = list(instance.goods)
+    # left[i] = v_i(S), kept up to date as goods leave the pool.
+    left = [sum(row) for row in rows]
     bundles: dict[int, list[int]] = {i: [] for i in instance.agents}
     last_exit: Optional[int] = None
     while active and pool:
-        alphas = {
-            i: Fraction(sum(rows[i][g] for g in pool), len(active))
-            for i in active
-        }
         pick = None
         for i in active:
-            for g in pool:
-                if 2 * rows[i][g] >= alphas[i]:
-                    pick = (i, g)
-                    break
-            if pick is not None:
+            # 2*v >= alpha_i = v_i(S)/|N| exactly when v reaches need.
+            row, need = rows[i], -(-left[i] // (2 * len(active)))
+            g = next((g for g in pool if row[g] >= need), None)
+            if g is not None:
+                pick = (i, g)
                 break
         if pick is None:
             break
         i, g = pick
         if trace is not None:
-            trace.append({"agent": i, "good": g, "alpha": alphas[i]})
+            trace.append(
+                {"agent": i, "good": g, "alpha": Fraction(left[i], len(active))}
+            )
         bundles[i].append(g)
         active.remove(i)
         pool.remove(g)
+        for a in active:
+            left[a] -= rows[a][g]
         last_exit = i
     if active:
         for a, extra in _take_turns(rows, tuple(active), pool).items():

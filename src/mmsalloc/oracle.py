@@ -2,9 +2,11 @@
 
 Given one agent's values for a set of goods and a bundle count k, the maximin
 value is the best worst-bundle total achievable by any k-partition.  Both
-oracles start from a proven upper bound U on it: strip the goods worth more
-than the average of what is left, and U is that average over the remaining
-bundles (:func:`_upper_bound`).  Every certificate carries U.
+oracles are one routine (:func:`_maximin`) in two modes.  It starts from a
+proven upper bound U on the value: strip the goods worth more than the
+average of what is left, and U is that average over the remaining bundles
+(:func:`_upper_bound`).  Every certificate carries U.  Both modes raise the
+greedy split by moves and swaps toward a bar, U or (1-eps)*U.
 
 * :func:`mms_exact` searches for the largest achievable floor, deciding each
   candidate with a bundle-by-bundle search over minimal covers.  A cover is
@@ -13,16 +15,14 @@ bundles (:func:`_upper_bound`).  Every certificate carries U.
   remembered across candidates.  The search walks explicit stacks, one of
   bundles and one of covers per bundle, so it never recurses and needs no
   recursion limit.  It tries U first, then climbs from the worst bundle of
-  the greedy split raised by moves and swaps, the start :func:`mms_approx`
-  builds: each cover found lifts the floor to that cover's worst bundle,
-  and the first failed candidate ends the search.  Bisection takes over
-  after O(log gap) climbs, so the number of candidates stays logarithmic.
-  The last cover found is the witness; the search at the answer would find
-  the same one, so it is not run.
-* :func:`mms_approx` builds a witness split (greedy, then moves and swaps
-  that raise its worst bundle) and returns it as soon as its worst bundle
+  the raised split: each cover found lifts the floor to that cover's worst
+  bundle, and the first failed candidate ends the search.  Bisection takes
+  over after O(log gap) climbs, so the number of candidates stays
+  logarithmic.  The last cover found is the witness; the search at the
+  answer would find the same one, so it is not run.
+* :func:`mms_approx` returns the raised split as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
-  otherwise does it run the same search, from the witness, on values rounded
+  otherwise does it run the same search, from that split, on values rounded
   down to a grain chosen so the rounding loss stays under half of eps times
   the optimum.  Either way the certificate value is the true minimum of the
   witness, so it is at least (1-eps) times the exact optimum and never
@@ -41,8 +41,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .core import GuaranteeError, InputError, Instance
 
-#: Exact search refuses instances with more goods than this unless the caller
-#: raises the cap explicitly.  Beyond it, use mms_approx.
+#: Exact search refuses instances with more goods than this.  Beyond it, use
+#: mms_approx.
 EXACT_ITEM_CAP = 22
 
 RationalLike = Union[int, str, Fraction]
@@ -387,58 +387,6 @@ def _checked_witness(
     return witness
 
 
-def mms_exact(
-    values: Sequence[int], k: int, *, max_items: int = EXACT_ITEM_CAP
-) -> MaximinCertificate:
-    """Exact maximin over k bundles, with a witness and ``upper`` = U.
-
-    The search starts from the greedy split raised toward U by moves and
-    swaps (:func:`_raise_worst`): a higher start leaves fewer floors to
-    climb.  The witness is the greedy split when its worst bundle is the
-    share, and otherwise the cover the search finds at the share, whatever
-    the start.
-
-    >>> mms_exact([4, 3, 2, 1], 2).value
-    5
-    """
-    vals = _validated_values(values, k)
-    if len(vals) > max_items:
-        raise InputError(
-            f"{len(vals)} goods exceeds the exact search cap of {max_items}; "
-            "use mms_approx or raise max_items"
-        )
-    items = _desc_items(vals)
-    zeros = [j for j, v in enumerate(vals) if v == 0]
-    total = sum(v for v, _ in items)
-
-    if k == 1:
-        witness = (frozenset(range(len(vals))),)
-        return MaximinCertificate(
-            value=total, k=1, witness=witness, mode="exact", upper=total
-        )
-
-    upper = _upper_bound(items, total, k)
-    loads0, bundles0 = _lpt(items, k)
-    loads = list(loads0)
-    raised = [list(b) for b in bundles0]
-    _raise_worst(vals, loads, raised, upper)
-    value, best = _search_maximin(items, k, min(loads), raised)
-    if value == min(loads0):
-        best = bundles0
-    elif best is raised:
-        # The raised split is never the witness, so the start cannot change
-        # it: fetch the cover the search finds at the share.
-        best = _cover_search(items, k, value, {})
-        if best is None:
-            raise GuaranteeError(f"no split reaches the share {value}")
-
-    best[0].extend(zeros)
-    witness = _checked_witness(vals, best, value)
-    return MaximinCertificate(
-        value=value, k=k, witness=witness, mode="exact", upper=upper,
-    )
-
-
 def _rounded_search(
     vals: Sequence[int], items: list[Item], k: int, frac: Fraction,
     bundles: list[list[int]],
@@ -471,54 +419,74 @@ def _rounded_search(
     return value, bundles
 
 
+def _maximin(
+    values: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
+) -> MaximinCertificate:
+    """The maximin certificate over k bundles, exact in ``exact`` mode and
+    within a factor (1 - eps) in ``ptas`` mode.  An exact witness is the
+    greedy split when that attains the share, and otherwise the cover the
+    search finds at the share, whatever split the search starts from."""
+    vals = _validated_values(values, k)
+    frac = None if mode == "exact" else _as_eps(eps)
+    if frac is None and len(vals) > EXACT_ITEM_CAP:
+        raise InputError(
+            f"{len(vals)} goods exceeds the exact search cap of "
+            f"{EXACT_ITEM_CAP}; use mms_approx"
+        )
+    items = _desc_items(vals)
+    upper = bar = _upper_bound(items, sum(v for v, _ in items), k)
+    if frac is not None:
+        p, q = frac.numerator, frac.denominator
+        bar = -(-(q - p) * upper // q)  # the least value with q*value >= (q-p)*U
+    loads, greedy = _lpt(items, k)
+    floor = min(loads)
+    best = [list(b) for b in greedy]
+    _raise_worst(vals, loads, best, bar)
+    value = min(loads)
+    if frac is None:
+        value, found = _search_maximin(items, k, value, best)
+        if value == floor:
+            best = greedy
+        elif found is not best:
+            best = found
+        else:
+            # The raised split is never the witness, so the start cannot
+            # change it: fetch the cover the search finds at the share.
+            best = _cover_search(items, k, value, {})
+            if best is None:
+                raise GuaranteeError(f"no split reaches the share {value}")
+    elif value < bar:
+        value, best = _rounded_search(vals, items, k, frac, best)
+
+    if value > upper:
+        raise GuaranteeError(f"share {value} exceeds the upper bound {upper}")
+    best[0].extend(j for j, v in enumerate(vals) if v == 0)
+    witness = _checked_witness(vals, best, value)
+    return MaximinCertificate(
+        value=value, k=k, witness=witness, mode=mode, upper=upper, eps=frac
+    )
+
+
+def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
+    """Exact maximin over k bundles, with a witness and ``upper`` = U.
+
+    >>> mms_exact([4, 3, 2, 1], 2).value
+    5
+    """
+    return _maximin(values, k, "exact")
+
+
 def mms_approx(
     values: Sequence[int], k: int, eps: RationalLike
 ) -> MaximinCertificate:
-    """Maximin over k bundles to within a factor (1 - eps), with a witness.
-
-    The certificate: U (:func:`_upper_bound`) is at least the share, so a
-    witness whose worst bundle reaches (1 - eps)*U is within (1 - eps) of
-    it.  The witness is the greedy split, raised by moves and swaps
-    (:func:`_raise_worst`) only when greedy misses that bar.  When the
-    raised split misses it too, the exact search on rounded values
-    (:func:`_rounded_search`) improves it to within (1 - eps) of the
-    optimum.  The certificate value is the witness's true minimum, so it
-    never exceeds the optimum either, and ``upper`` is U.
+    """Maximin over k bundles to within a factor (1 - eps), with a witness
+    and ``upper`` = U.  The certificate value is the witness's true
+    minimum, so it never exceeds the optimum either.
 
     >>> mms_approx([1, 1, 1, 1], 2, Fraction(1, 10)).value
     2
     """
-    vals = _validated_values(values, k)
-    frac = _as_eps(eps)
-    items = _desc_items(vals)
-    zeros = [j for j, v in enumerate(vals) if v == 0]
-    total = sum(v for v, _ in items)
-
-    if k == 1:
-        witness = (frozenset(range(len(vals))),)
-        return MaximinCertificate(
-            value=total, k=1, witness=witness, mode="ptas", upper=total,
-            eps=frac,
-        )
-
-    upper = _upper_bound(items, total, k)
-    p, q = frac.numerator, frac.denominator
-    bar = -(-(q - p) * upper // q)  # the least value with q*value >= (q-p)*U
-    loads, best = _lpt(items, k)
-    _raise_worst(vals, loads, best, bar)
-    value = min(loads)
-    if value < bar:
-        value, best = _rounded_search(vals, items, k, frac, best)
-
-    if value > upper:
-        raise GuaranteeError(
-            f"approximate share {value} exceeds the upper bound {upper}"
-        )
-    best[0].extend(zeros)
-    witness = _checked_witness(vals, best, value)
-    return MaximinCertificate(
-        value=value, k=k, witness=witness, mode="ptas", upper=upper, eps=frac
-    )
+    return _maximin(values, k, "ptas", eps)
 
 
 def greedy_floor(values: Sequence[int], k: int) -> int:
@@ -542,8 +510,10 @@ class ShareOracle:
     """One command's share oracle, ``exact`` or ``ptas``, with a memo so
     that no query is answered twice.  :meth:`share` answers by
     :func:`mms_exact`, or in ptas mode by :func:`mms_approx` at eps, and
-    :meth:`exact` always answers exactly, from the same memo.  Both are
-    called through this module's names, so wrapping those sees every query.
+    :meth:`exact` always answers exactly, from the same memo.  :meth:`lower`
+    is a certified lower bound on the share for any number of goods.  All
+    are called through this module's names, so wrapping those sees every
+    query.
     """
 
     def __init__(self, mode: str) -> None:
@@ -570,6 +540,13 @@ class ShareOracle:
 
     def exact(self, values: Sequence[int], k: int) -> MaximinCertificate:
         return self._ask(mms_exact, values, k)
+
+    def lower(self, values: Sequence[int], k: int) -> int:
+        """The exact share for up to EXACT_ITEM_CAP goods, and the greedy
+        floor beyond, where the exact search is out of reach."""
+        if len(values) <= EXACT_ITEM_CAP:
+            return self.exact(values, k).value
+        return greedy_floor(values, k)
 
     def _ask(self, query, values, k, *eps) -> MaximinCertificate:
         key = (tuple(values), k) + eps

@@ -424,6 +424,32 @@ class TestMms:
         assert len(payload["witness"]) == 20
         assert 0 < 20 * payload["value"] <= sum(row)
 
+    def test_k_above_agents_and_goods_exits_two(self, tmp_path):
+        # A fresh process under a time limit: unbounded, this k built and
+        # printed three million bundles and ran past 20 s.
+        path = write_instance(tmp_path / "inst.json", [[4, 3]])
+        result = subprocess.run(
+            [sys.executable, "-m", "mmsalloc.cli", "mms", "--instance", path,
+             "--agent", "1", "--k", "3000000", "--exact"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert "--k must be at most max(n, m) = 2" in result.stderr
+
+    @pytest.mark.parametrize(
+        "rows, k", [([[4, 3, 2], [1, 1, 1]], 3), ([[4, 3], [1, 1], [2, 2]], 3)]
+    )
+    def test_k_at_the_bound_is_answered(self, capsys, tmp_path, rows, k):
+        path = write_instance(tmp_path / "inst.json", rows)
+        code, out, _ = run_cli(
+            capsys,
+            ["mms", "--instance", path, "--agent", "1", "--k", str(k), "--exact"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["witness"]) == k
+        assert payload["value"] == (2 if len(rows[0]) == k else 0)
+
     def test_agent_out_of_range(self, capsys, instance_path):
         code, _, err = run_cli(
             capsys,
@@ -614,6 +640,34 @@ class TestHostileFiles:
         code, out, _ = self.verify(capsys, tmp_path, self.ALLOCATION)
         assert code == 0
         assert out.count(" ok") == 2
+
+    def test_duplicate_certificate_row_exits_two(self, capsys, tmp_path):
+        # Two rows for agent 1 and none for agent 2 used to pass: the last
+        # row won, and agent 2 was checked against 0.
+        rows = [
+            {"agent": 1, "value": 9, "threshold": 2},
+            {"agent": 1, "value": 9, "threshold": 0},
+        ]
+        allocation = dict(self.ALLOCATION, certificates=rows)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "agent 1 has a second certificate row" in err
+
+    def test_missing_certificate_row_exits_two(self, capsys, tmp_path):
+        rows = self.ALLOCATION["certificates"][:1]
+        allocation = dict(self.ALLOCATION, certificates=rows)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "agent 2 has no certificate row" in err
+
+    def test_misstated_value_fails(self, capsys, tmp_path):
+        rows = [dict(row) for row in self.ALLOCATION["certificates"]]
+        rows[0]["value"] = 9
+        allocation = dict(self.ALLOCATION, certificates=rows)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 1
+        assert "agent 1: the file states value 9, but the bundle is worth 2\n" in err
+        assert "verification failed" in err
 
     def test_deep_instance_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

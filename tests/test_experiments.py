@@ -83,7 +83,6 @@ class TestTrials:
         assert stats == again
         assert stats.successes + stats.failures == 25
         assert 0 <= stats.rate <= 1
-        assert stats.min_ratio <= stats.median_ratio
 
     def test_proportional_counts_match_direct_recount(self):
         config = TrialConfig(n=2, m=6, trials=30, seed=5)
@@ -123,7 +122,6 @@ class TestTrials:
         config = TrialConfig(n=2, m=4, trials=10, seed=3)
         stats = run_existence_trials(config)
         assert isinstance(stats.min_ratio, Fraction)
-        assert isinstance(stats.median_ratio, Fraction)
 
     def test_runs_with_different_seeds_share_no_trial(self):
         # Under the rule seed ^ t, seeds 6 and 7 drew the same 500
@@ -164,14 +162,6 @@ class TestReports:
         row = rows[0]
         assert row["n"] == 2 and row["algo"] == "rr"
         assert row["successes"] == stats.successes
-
-    def test_batch_report(self):
-        stats = [
-            run_existence_trials(TrialConfig(n=2, m=4, trials=5, seed=s))
-            for s in (1, 2)
-        ]
-        text = report_text(stats, "csv")
-        assert len(text.strip().split("\n")) == 3
 
     def test_bad_format_rejected(self):
         stats = run_existence_trials(TrialConfig(n=2, m=4, trials=5, seed=1))
