@@ -19,14 +19,12 @@ from .core import (
     instance_to_json,
     load_allocation,
     load_instance,
-    save_allocation,
     save_instance,
     verify_allocation,
 )
 from .experiments import (
     TrialConfig,
     TrialStats,
-    emit_report,
     gen_uniform_instance,
     report_text,
     run_existence_trials,
@@ -79,7 +77,6 @@ __all__ = [
     "build_preference_graph",
     "bundle_value",
     "compute_x_plus",
-    "emit_report",
     "exact_mms_012",
     "gen_uniform_instance",
     "greedy_floor",
@@ -96,7 +93,6 @@ __all__ = [
     "report_text",
     "rho",
     "run_existence_trials",
-    "save_allocation",
     "save_instance",
     "verify_allocation",
     "xi_vector",

@@ -10,7 +10,8 @@ maximin share, so the check stays sound.  Exit codes: 0 success, 1
 guarantee violation, 2 input error.  Good and agent indices are 1-based in
 all files and printed artifacts.  ``solve --trace`` prints each solver's
 own trace steps through one rule that holds for every solver
-(:func:`_one_based`).
+(:func:`_one_based`).  The library builds each result as text, and
+:func:`_emit` alone writes it, to the ``--out`` file or to stdout.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from .core import (
     instance_to_json,
     load_allocation,
     load_instance,
-    save_instance,
     verify_allocation,
 )
 from .experiments import (
     DEFAULT_SCALE,
     TrialConfig,
-    emit_report,
     gen_uniform_instance,
     report_text,
     run_existence_trials,
@@ -154,6 +153,15 @@ def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[l
     return exact_mms_012(instance, trace=trace)
 
 
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout when no file is named."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _certificate_table(certificates: Sequence[Certificate]) -> str:
     lines = ["agent  value  threshold  ok"]
     for cert in certificates:
@@ -188,12 +196,9 @@ def cmd_solve(args) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = allocation_to_json(allocation, report.checks)
+    _emit(text, args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
         print(_certificate_table(report.checks))
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -217,21 +222,13 @@ def cmd_mms(args) -> int:
         "value": cert.value,
         "witness": _one_based(cert.witness),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_gen(args) -> int:
     instance = gen_uniform_instance(args.n, args.m, args.seed, args.scale)
-    if args.out:
-        save_instance(instance, args.out)
-    else:
-        sys.stdout.write(instance_to_json(instance))
+    _emit(instance_to_json(instance), args.out)
     return 0
 
 
@@ -287,14 +284,12 @@ def cmd_experiment(args) -> int:
         predicate=args.predicate,
     )
     stats = run_existence_trials(config)
+    _emit(report_text(stats, args.format), args.out)
     if args.out:
-        emit_report(stats, args.format, args.out)
         print(
             f"{stats.successes}/{config.trials} trials succeeded "
             f"(rate {float(stats.rate):.4f}), report written to {args.out}"
         )
-    else:
-        sys.stdout.write(report_text(stats, args.format))
     return 0
 
 

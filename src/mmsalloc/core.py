@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -263,12 +263,10 @@ def instance_from_json(text: str) -> Instance:
     return Instance(n=n, m=m, scale=scale, valuations=tuple(tuple(r) for r in rows))
 
 
-def load_instance(source: Union[str, IO[str]]) -> Instance:
-    """Read an instance from a path or an open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return instance_from_json(fh.read())
-    return instance_from_json(source.read())
+def load_instance(path: str) -> Instance:
+    """Read an instance file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return instance_from_json(fh.read())
 
 
 def save_instance(instance: Instance, path: str) -> None:
@@ -326,15 +324,7 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
     return Allocation(tuple(bundles)), tuple(certs)
 
 
-def load_allocation(source: Union[str, IO[str]]) -> tuple[Allocation, tuple[Certificate, ...]]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return allocation_from_json(fh.read())
-    return allocation_from_json(source.read())
-
-
-def save_allocation(
-    allocation: Allocation, path: str, certificates: Sequence[Certificate] = ()
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(allocation_to_json(allocation, certificates))
+def load_allocation(path: str) -> tuple[Allocation, tuple[Certificate, ...]]:
+    """Read an allocation file and its certificate rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return allocation_from_json(fh.read())

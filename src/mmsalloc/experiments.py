@@ -6,18 +6,16 @@ draws.  A trial succeeds when every agent clears the configured
 per-agent threshold, either her proportional share v_i(M)/n or her exact
 maximin share.  Checking goes through core.verify_allocation so success
 has a single definition everywhere.  All ratios are kept as exact
-fractions until they are serialized.
+fractions until :func:`report_text` serializes them as CSV or JSON text;
+this module writes no file and no stream.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Union
 
 from .core import Instance, InputError, verify_allocation
 from .oracle import EXACT_ITEM_CAP, mms_exact
@@ -73,15 +71,11 @@ class TrialStats:
 
     config: TrialConfig
     successes: int
-    failures: int
     min_ratio: Fraction
 
-    def __post_init__(self) -> None:
-        if self.successes + self.failures != self.config.trials:
-            raise InputError(
-                f"{self.successes} successes + {self.failures} failures "
-                f"!= {self.config.trials} trials"
-            )
+    @property
+    def failures(self) -> int:
+        return self.config.trials - self.successes
 
     @property
     def rate(self) -> Fraction:
@@ -163,24 +157,14 @@ def run_existence_trials(config: TrialConfig) -> TrialStats:
         if report.ok:
             successes += 1
         ratios = []
-        for i in instance.agents:
-            total = sum(instance.row(i))
-            if total == 0:
-                continue
-            received = sum(instance.row(i)[g] for g in allocation.bundles[i])
-            ratios.append(Fraction(received * instance.n, total))
+        for check in report.checks:
+            total = sum(instance.row(check.agent))
+            if total:
+                ratios.append(Fraction(check.value * instance.n, total))
         trial_minima.append(min(ratios) if ratios else Fraction(1))
     return TrialStats(
-        config=config,
-        successes=successes,
-        failures=config.trials - successes,
-        min_ratio=min(trial_minima),
+        config=config, successes=successes, min_ratio=min(trial_minima)
     )
-
-
-_CSV_COLUMNS = (
-    "n", "m", "T", "seed", "algo", "predicate", "successes", "rate", "min_ratio",
-)
 
 
 def _stats_row(stats: TrialStats) -> dict:
@@ -198,36 +182,17 @@ def _stats_row(stats: TrialStats) -> dict:
     }
 
 
-def emit_report(
-    stats: TrialStats, fmt: str, destination: Union[str, IO[str]]
-) -> None:
-    """Write the stats as one CSV row or a JSON list of one object.
+def report_text(stats: TrialStats, fmt: str) -> str:
+    """The stats as CSV, a header line and one row, or as a JSON list of one
+    object with the same keys: n,m,T,seed,algo,predicate,successes,rate,
+    min_ratio.
 
-    The CSV header is fixed to n,m,T,seed,algo,predicate,successes,rate,
-    min_ratio; the JSON object has the same keys.
+    No field holds a comma, a quote or a line break, so the CSV needs no
+    quoting.
     """
-    if fmt not in ("csv", "json"):
-        raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if isinstance(destination, (str, bytes)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_report(stats, fmt, handle)
-    else:
-        _write_report(stats, fmt, destination)
-
-
-def _write_report(stats: TrialStats, fmt: str, handle: IO[str]) -> None:
     row = _stats_row(stats)
     if fmt == "csv":
-        writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(row)
-    else:
-        json.dump([row], handle, indent=2)
-        handle.write("\n")
-
-
-def report_text(stats: TrialStats, fmt: str) -> str:
-    """Return the emit_report payload as a string."""
-    buffer = io.StringIO()
-    emit_report(stats, fmt, buffer)
-    return buffer.getvalue()
+        return f"{','.join(row)}\n{','.join(map(str, row.values()))}\n"
+    if fmt == "json":
+        return json.dumps([row], indent=2) + "\n"
+    raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -319,8 +319,8 @@ def _cover_search(
 
 
 def _search_maximin(
-    items: list[Item], k: int, lo: int, lo_witness: list[list[int]]
-) -> tuple[int, list[list[int]]]:
+    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]]
+) -> tuple[int, Optional[list[list[int]]]]:
     """Largest t with a k-cover at floor t, from a known achievable lo.
 
     The upper bound U is probed first, since it is often met.
@@ -444,17 +444,12 @@ def _maximin(
     _raise_worst(vals, loads, best, bar)
     value = min(loads)
     if frac is None:
-        value, found = _search_maximin(items, k, value, best)
-        if value == floor:
-            best = greedy
-        elif found is not best:
-            best = found
-        else:
-            # The raised split is never the witness, so the start cannot
-            # change it: fetch the cover the search finds at the share.
-            best = _cover_search(items, k, value, {})
-            if best is None:
-                raise GuaranteeError(f"no split reaches the share {value}")
+        # The raised value is reachable, so a search from just below it
+        # returns the cover it finds at the share, never the start.
+        value, found = _search_maximin(items, k, value - 1, None)
+        best = greedy if value == floor else found
+        if best is None:
+            raise GuaranteeError(f"no split reaches the share {value}")
     elif value < bar:
         value, best = _rounded_search(vals, items, k, frac, best)
 

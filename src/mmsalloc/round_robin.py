@@ -29,8 +29,9 @@ def _take_turns(
     pool = sorted(goods)
     if pool and not order:
         raise InputError("cannot allocate goods to an empty agent order")
+    # A reverse sort is stable and the pool ascends, so ties keep index order.
     prefs = {
-        a: sorted(pool, key=lambda g: (-rows[a][g], g)) for a in set(order)
+        a: sorted(pool, key=rows[a].__getitem__, reverse=True) for a in set(order)
     }
     ptr = dict.fromkeys(prefs, 0)
     taken: set[int] = set()

@@ -601,6 +601,33 @@ class TestGenVerifyExperiment:
         assert "input error" in err
 
 
+# Each command without --out; INSTANCE stands for an instance file's path.
+_OUT_COMMANDS = {
+    "gen": ["gen", "--n", "3", "--m", "7", "--seed", "5"],
+    "solve": ["solve", "--algo", "half", "--instance", "INSTANCE"],
+    "solve-trace": ["solve", "--algo", "twothirds", "--eps", "1/10",
+                    "--trace", "--instance", "INSTANCE"],
+    "mms": ["mms", "--instance", "INSTANCE", "--agent", "2", "--k", "3",
+            "--exact"],
+    "experiment-csv": ["experiment", "--n", "3", "--m", "6", "--trials", "4",
+                       "--seed", "9", "--predicate", "mms"],
+    "experiment-json": ["experiment", "--n", "3", "--m", "6", "--trials", "4",
+                        "--seed", "9", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, command):
+    path = write_instance(tmp_path / "inst.json", BRANCH_ROWS["d"])
+    argv = [path if a == "INSTANCE" else a for a in _OUT_COMMANDS[command]]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == "" and out
+    target = tmp_path / "out.txt"
+    code, _, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 0 and err == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 @pytest.mark.parametrize("algo", ["twothirds", "three78"])
 def test_solve_asks_no_share_twice(monkeypatch, capsys, tmp_path, algo):
     # The solver and the thresholds share one oracle, so the exact shares

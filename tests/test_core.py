@@ -25,7 +25,6 @@ from mmsalloc import (
     instance_to_json,
     load_allocation,
     load_instance,
-    save_allocation,
     save_instance,
     verify_allocation,
 )
@@ -226,7 +225,7 @@ class TestJsonFormats:
 
         alloc = Allocation.of([[0], [1]])
         apath = tmp_path / "alloc.json"
-        save_allocation(alloc, str(apath))
+        apath.write_text(allocation_to_json(alloc))
         again, certs = load_allocation(str(apath))
         assert again == alloc and certs == ()
 

@@ -399,8 +399,8 @@ def test_raised_start_keeps_values_and_witnesses(values, k):
 
 def test_witness_is_fetched_when_the_raised_split_attains_the_share():
     # When the raised split is already optimal and above the greedy floor,
-    # the search has no cover to return, so mms_exact fetches the one the
-    # greedy start would have ended with.
+    # it is not the witness: the search starts just below it and returns
+    # the cover the greedy start would have ended with.
     rng = random.Random(19)
     fetched = 0
     for _ in range(400):
