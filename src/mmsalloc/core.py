@@ -238,6 +238,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read(path: str, kind: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{kind} file is not UTF-8 text: {exc}") from exc
+
+
 def _decode(text: str, kind: str):
     try:
         return json.loads(text)
@@ -265,8 +273,7 @@ def instance_from_json(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     """Read an instance file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+    return instance_from_json(_read(path, "instance"))
 
 
 def save_instance(instance: Instance, path: str) -> None:
@@ -326,5 +333,4 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
 
 def load_allocation(path: str) -> tuple[Allocation, tuple[Certificate, ...]]:
     """Read an allocation file and its certificate rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return allocation_from_json(fh.read())
+    return allocation_from_json(_read(path, "allocation"))

@@ -14,12 +14,13 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   the other bundles short of their floors, and the pools that failed are
   remembered across candidates.  The search walks explicit stacks, one of
   bundles and one of covers per bundle, so it never recurses and needs no
-  recursion limit.  It tries U first, then climbs from the worst bundle of
-  the raised split: each cover found lifts the floor to that cover's worst
-  bundle, and the first failed candidate ends the search.  Bisection takes
-  over after O(log gap) climbs, so the number of candidates stays
+  recursion limit.  Above the worst bundle of the raised split, it tries U
+  first, then climbs: each cover found lifts the floor to that cover's
+  worst bundle, and the first failed candidate ends the search.  Bisection
+  takes over after O(log gap) climbs, so the number of candidates stays
   logarithmic.  The last cover found is the witness; the search at the
-  answer would find the same one, so it is not run.
+  answer would find the same one, so it is run only when nothing beats the
+  raised split and the greedy split falls short of it.
 * :func:`mms_approx` returns the raised split as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
   otherwise does it run the same search, from that split, on values rounded
@@ -296,10 +297,6 @@ def _cover_search(
     holds the choices of each bundle built so far, and a level whose
     choices run out hands back to the one before it.
     """
-    if t <= 0:
-        bundles = [[j for _, j in pool]]
-        bundles.extend([] for _ in range(k - 1))
-        return bundles
     levels = [_first_bundles(pool, sum(v for v, _ in pool), k, t, fail_memo)]
     bundles: list[list[int]] = []
     while levels:
@@ -423,9 +420,9 @@ def _maximin(
     values: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
 ) -> MaximinCertificate:
     """The maximin certificate over k bundles, exact in ``exact`` mode and
-    within a factor (1 - eps) in ``ptas`` mode.  An exact witness is the
-    greedy split when that attains the share, and otherwise the cover the
-    search finds at the share, whatever split the search starts from."""
+    within a factor (1 - eps) in ``ptas`` mode.  The exact search probes only
+    above the raised split's value.  Its witness is the greedy split when that
+    attains the share, and otherwise the cover found at the share."""
     vals = _validated_values(values, k)
     frac = None if mode == "exact" else _as_eps(eps)
     if frac is None and len(vals) > EXACT_ITEM_CAP:
@@ -444,10 +441,11 @@ def _maximin(
     _raise_worst(vals, loads, best, bar)
     value = min(loads)
     if frac is None:
-        # The raised value is reachable, so a search from just below it
-        # returns the cover it finds at the share, never the start.
-        value, found = _search_maximin(items, k, value - 1, None)
-        best = greedy if value == floor else found
+        value, found = _search_maximin(items, k, value, None)
+        if value == floor:
+            best = greedy
+        else:
+            best = found or _cover_search(items, k, value, {})
         if best is None:
             raise GuaranteeError(f"no split reaches the share {value}")
     elif value < bar:

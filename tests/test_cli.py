@@ -710,6 +710,30 @@ class TestHostileFiles:
         assert code == 2
         assert "nests too deeply" in err
 
+    # Bytes that are no UTF-8: a UTF-16 byte order mark, a NUL and an x.
+    NOT_UTF8 = b"\xff\xfe\x00x"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "rr"],
+        ["mms", "--agent", "1", "--k", "2", "--exact"],
+    ])
+    def test_non_utf8_instance_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "inst.bin"
+        path.write_bytes(self.NOT_UTF8)
+        code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+        assert (code, out) == (2, "")
+        assert "input error: instance file is not UTF-8 text" in err
+
+    def test_non_utf8_allocation_exits_two(self, capsys, tmp_path):
+        inst = write_instance(tmp_path / "inst.json", [[1, 2], [2, 1]])
+        alloc = tmp_path / "alloc.bin"
+        alloc.write_bytes(self.NOT_UTF8)
+        code, out, err = run_cli(
+            capsys, ["verify", "--instance", inst, "--allocation", str(alloc)]
+        )
+        assert (code, out) == (2, "")
+        assert "input error: allocation file is not UTF-8 text" in err
+
     def test_overlong_integer_exits_two(self, capsys, tmp_path):
         # json.loads refuses integers of more than 4300 digits with a
         # plain ValueError.

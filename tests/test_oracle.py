@@ -58,6 +58,24 @@ def test_exact_known_values(values, k, expected):
     assert cert.mode == "exact"
 
 
+def test_no_cover_search_when_greedy_meets_the_upper_bound():
+    # The share lies between greedy's worst bundle and U, so when the two
+    # meet the greedy split is the witness and nothing is searched.
+    met = []
+    for values, k, expected in KNOWN_SHARES:
+        items = oracle._desc_items(values)
+        loads, _ = oracle._lpt(items, k)
+        if min(loads) < oracle._upper_bound(items, sum(values), k):
+            continue
+        with patch.object(
+            oracle, "_cover_search", wraps=oracle._cover_search
+        ) as cover_search:
+            assert mms_exact(values, k).value == expected
+        assert cover_search.call_count == 0, (values, k)
+        met.append((values, k))
+    assert ([5, 4, 3, 2, 1], 2) in met and ([9, 8, 7, 6, 5, 4], 3) in met
+
+
 def assert_witness_certifies(values, k, cert):
     assert len(cert.witness) == k
     seen = sorted(g for bundle in cert.witness for g in bundle)
@@ -399,8 +417,9 @@ def test_raised_start_keeps_values_and_witnesses(values, k):
 
 def test_witness_is_fetched_when_the_raised_split_attains_the_share():
     # When the raised split is already optimal and above the greedy floor,
-    # it is not the witness: the search starts just below it and returns
-    # the cover the greedy start would have ended with.
+    # it is not the witness: the search finds nothing above it, and one
+    # cover search at the share fetches the cover the greedy start would
+    # have ended with.
     rng = random.Random(19)
     fetched = 0
     for _ in range(400):

@@ -1,7 +1,9 @@
-"""Start-up cost: no command imports numpy.
+"""Fresh interpreters: no command imports numpy, and every command runs
+the same under ``python -O`` and with warnings turned into errors.
 
 Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
-because this test session may have imported numpy itself.
+because this test session may have imported numpy itself and runs in one
+mode only.
 """
 
 import json
@@ -26,20 +28,21 @@ with open(sys.argv[2], "w") as fh:
 """
 
 
-def run_fresh(tmp_path, commands):
-    """Run each argv list through ``cli.main`` in one new interpreter and
-    return the exit codes, each command's stdout and whether numpy got
-    imported."""
+def run_fresh(tmp_path, commands, flags=()):
+    """Run each argv list through ``cli.main`` in one new interpreter,
+    started with the interpreter options flags, and return the exit codes,
+    each command's stdout and whether numpy got imported."""
     report = tmp_path / "report.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands), str(report)],
+        [sys.executable, *flags, "-c", CHILD, json.dumps(commands), str(report)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr, result.stderr
     got = json.loads(report.read_text())
     return got["codes"], got["outs"], got["numpy"]
 
@@ -82,3 +85,41 @@ def test_ternary_solver_leaves_numpy_unloaded_and_keeps_its_output(tmp_path):
             {"agent": 3, "value": 2, "threshold": 2},
         ],
     }
+
+
+def test_optimised_and_strict_interpreters_match_the_plain_one(tmp_path):
+    # The guarantee checks raise instead of asserting, so -O keeps them;
+    # -X dev with -W error turns any warning, a resource one included, into
+    # an error.  The paths are relative, so each mode works in its own
+    # directory and the outputs can be compared as they are.
+    solve = ["solve", "--instance", "inst.json", "--algo"]
+    commands = [
+        ["gen", "--n", "3", "--m", "9", "--seed", "4"],
+        ["gen", "--n", "3", "--m", "9", "--seed", "4", "--out", "inst.json"],
+        ["gen", "--n", "3", "--m", "7", "--seed", "4", "--scale", "2",
+         "--out", "tern.json"],
+        solve + ["rr", "--out", "alloc.json"],
+        solve + ["rr-modified", "--seed", "3"],
+        solve + ["half"],
+        solve + ["twothirds", "--eps", "1/10", "--trace"],
+        solve + ["twothirds", "--eps", "1/10", "--oracle", "exact"],
+        solve + ["three78", "--eps", "1/10"],
+        ["solve", "--instance", "tern.json", "--algo", "ternary"],
+        ["mms", "--instance", "inst.json", "--agent", "2", "--k", "3", "--exact"],
+        ["mms", "--instance", "inst.json", "--agent", "1", "--k", "2",
+         "--eps", "1/10"],
+        ["verify", "--instance", "inst.json", "--allocation", "alloc.json"],
+        ["experiment", "--n", "3", "--m", "6", "--trials", "4", "--seed", "5"],
+        ["experiment", "--n", "2", "--m", "5", "--trials", "3", "--seed", "1",
+         "--predicate", "mms", "--format", "json"],
+        solve + ["twothirds"],
+    ]
+    runs = {}
+    for mode, flags in (("plain", ()), ("optimised", ("-O",)),
+                        ("strict", ("-X", "dev", "-W", "error"))):
+        (tmp_path / mode).mkdir()
+        codes, outs, _ = run_fresh(tmp_path / mode, commands, flags)
+        runs[mode] = codes, outs
+    assert runs["plain"][0] == [0] * (len(commands) - 1) + [2]
+    assert runs["optimised"] == runs["plain"]
+    assert runs["strict"] == runs["plain"]
