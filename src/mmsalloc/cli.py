@@ -55,9 +55,14 @@ _EPS_ALGOS = ("twothirds", "three78")
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{flag} must be a rational like 1/10, got {text!r}") from exc
+    try:
+        str(value)
+    except ValueError:  # a numerator or denominator past the int digit limit
+        raise InputError(f"{flag} has too many digits to print, got {text!r}") from None
+    return value
 
 
 def _solve_thresholds(
@@ -93,7 +98,7 @@ _NOT_INDICES = frozenset({"rows", "dummies", "kept_value", "discarded_value"})
 def _one_based(value):
     """A solver's trace, or any part of it, as JSON: every index 1-based,
     Fractions as text, frozensets as sorted lists and other sequences as
-    lists.  A step is a dict or a dataclass (read through ``vars``); its
+    lists.  A step is a dict or a record (read through ``vars``); its
     fields named in _NOT_INDICES are copied as they are."""
     if isinstance(value, (bool, str)):
         return value
@@ -133,11 +138,17 @@ def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[l
         order = None
         if args.order is not None:
             try:
-                order = [int(x) - 1 for x in args.order.split(",") if x != ""]
+                order = [int(x) for x in args.order.split(",") if x != ""]
             except ValueError as exc:
                 raise InputError(
                     f"--order must be comma-separated integers, got {args.order!r}"
                 ) from exc
+            if sorted(order) != list(range(1, instance.n + 1)):
+                raise InputError(
+                    f"--order must be a permutation of 1..{instance.n}, "
+                    f"got {args.order!r}"
+                )
+            order = [agent - 1 for agent in order]
         return greedy_round_robin(instance, order=order)
     if algo == "rr-modified":
         return modified_greedy_round_robin(
@@ -192,7 +203,13 @@ def cmd_solve(args) -> int:
         return 1
     if args.trace:
         payload = allocation_payload(allocation, report.checks)
-        payload["trace"] = _one_based(trace)
+        try:
+            payload["trace"] = _one_based(trace)
+        except ValueError:  # a Fraction past the int digit limit
+            raise InputError(
+                "the trace holds a number with too many digits to print; "
+                "use a coarser --eps"
+            ) from None
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = allocation_to_json(allocation, report.checks)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -33,7 +32,107 @@ class GuaranteeError(RuntimeError):
     """A solver's self-checked guarantee failed to hold (CLI exit code 1)."""
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls an immutable record of the fields its body annotates.
+
+    It behaves as a frozen dataclass does, without generating code: the
+    constructor takes each field by position or keyword, falling back to
+    the value the class body assigns it; assigning or deleting a field
+    raises AttributeError; records are equal when they are of one class and
+    their fields are equal, and hash as the tuple of their fields; the repr
+    reads ``Name(field=value, ...)``.  Fields live in the instance
+    ``__dict__``, in order.  A ``__post_init__`` the class defines is looked
+    up and called after every construction.  Every CLI command builds these
+    classes at start-up, where a frozen dataclass costs about a millisecond
+    each to generate and ``dataclasses`` imports ``inspect``.
+
+    >>> @record
+    ... class Pair:
+    ...     left: int
+    ...     right: int = 0
+    >>> Pair(1), Pair(1) == Pair(left=1, right=0)
+    (Pair(left=1, right=0), True)
+    """
+    names = tuple(vars(cls).get("__annotations__", {}))
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    count = len(names)
+    post_init = "__post_init__" in vars(cls)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) == count and not kwargs:
+            fields = zip(names, args)
+        elif not args and tuple(kwargs) == names:
+            fields = kwargs.items()
+        else:
+            fields = _bind(cls, defaults, args, kwargs).items()
+        for name, value in fields:
+            # One by one, so the instance keeps its compact attribute storage.
+            object.__setattr__(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    cls.__match_args__ = names
+    cls.__init__ = __init__
+    cls.__repr__ = _record_repr
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _bind(cls, defaults: dict, args: tuple, kwargs: dict) -> dict:
+    """A record's fields, in order, from constructor arguments that are not
+    simply every field by position or every field by keyword in order."""
+    names, name = cls.__match_args__, cls.__qualname__
+    if len(args) > len(names):
+        raise TypeError(
+            f"{name}() takes {len(names)} positional arguments "
+            f"but {len(args)} were given"
+        )
+    given = dict(zip(names, args))
+    for key, value in kwargs.items():
+        if key not in names:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in given:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        given[key] = value
+    missing = [key for key in names if key not in given and key not in defaults]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+    return {key: given[key] if key in given else defaults[key] for key in names}
+
+
+def _record_values(self) -> tuple:
+    return tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+    )
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@record
 class Instance:
     """An additive valuation profile: ``valuations[i][j]`` is agent i's value
     for good j, an integer on the grid ``1/scale``.
@@ -91,7 +190,7 @@ class Instance:
         return self.valuations[agent]
 
 
-@dataclass(frozen=True)
+@record
 class Allocation:
     """An ordered tuple of bundles, one per agent; ``bundles[i]`` holds agent
     i's goods as a frozenset of good indices."""
@@ -147,7 +246,7 @@ def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """One agent's guarantee row: her bundle value and the threshold the
     solver promises it meets; ``ok`` says whether it does."""
@@ -165,7 +264,7 @@ class Certificate:
         return math.ceil(self.threshold)
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     checks: tuple[Certificate, ...]
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, InputError, verify_allocation
+from .core import Instance, InputError, record, verify_allocation
 from .oracle import EXACT_ITEM_CAP, mms_exact
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
 
@@ -32,7 +31,7 @@ MIN_SCALE = 10**4
 _ALGO_SEED_SALT = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
+@record
 class TrialConfig:
     """Parameters of one Monte Carlo run."""
 
@@ -65,7 +64,7 @@ class TrialConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class TrialStats:
     """Aggregated outcome of run_existence_trials."""
 

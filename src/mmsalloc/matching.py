@@ -14,16 +14,15 @@ ascending index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .core import GuaranteeError, InputError
+from .core import GuaranteeError, InputError, record
 
 Threshold = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class PreferenceGraph:
     """Bipartite graph with ``n_left`` agents, ``n_right`` bundles, and
     ``adj[i]`` the ascending bundle indices agent i accepts."""
@@ -131,7 +130,7 @@ def maximum_matching(graph: PreferenceGraph) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class XPlusDecomposition:
     """The Hall-violator side of a maximum matching.
 

@@ -35,12 +35,11 @@ All arithmetic is on integers and Fractions; no floats touch any decision.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import GuaranteeError, InputError, Instance
+from .core import GuaranteeError, InputError, Instance, record
 
 #: Exact search refuses instances with more goods than this.  Beyond it, use
 #: mms_approx.
@@ -51,7 +50,7 @@ RationalLike = Union[int, str, Fraction]
 Item = tuple[int, int]  # (value, position), kept sorted by value desc
 
 
-@dataclass(frozen=True)
+@record
 class MaximinCertificate:
     """A maximin query answer: the value, the bundle count, and a witness
     k-partition (bundles of positions into the queried value sequence) whose

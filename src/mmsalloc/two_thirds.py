@@ -22,19 +22,18 @@ n >= 2.  In ptas mode with parameter eps the guarantee is (2/3 - eps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Allocation, GuaranteeError, InputError, Instance
+from .core import Allocation, GuaranteeError, InputError, Instance, record
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
 from .oracle import MaximinCertificate, ShareOracle, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class RhoN:
     """The residual guarantee factor for n agents: with odd(n) the largest
     odd integer <= n, the factor is 2*odd(n) / (3*odd(n) - 1)."""
@@ -59,7 +58,7 @@ def rho(n: int) -> RhoN:
     return RhoN(n=n, value=Fraction(2 * odd, 3 * odd - 1))
 
 
-@dataclass(frozen=True)
+@record
 class LevelTrace:
     """What one recursion level did, for inspection and trace output."""
 

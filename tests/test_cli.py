@@ -153,13 +153,23 @@ class TestSolve:
             (["--algo", "rr", "--seed", "4"], "--seed is only accepted"),
             (["--algo", "twothirds", "--eps", "0"], "eps"),
             (["--algo", "twothirds", "--eps", "abc"], "--eps must be a rational"),
+            (["--algo", "twothirds", "--eps", "1e5000"],
+             "--eps has too many digits to print, got '1e5000'"),
+            (["--algo", "twothirds", "--eps", "1e-5000", "--trace"],
+             "--eps has too many digits to print, got '1e-5000'"),
+            (["--algo", "rr", "--order", "0,1"],
+             "--order must be a permutation of 1..2, got '0,1'"),
+            (["--algo", "rr", "--order", "1,1"],
+             "--order must be a permutation of 1..2, got '1,1'"),
+            (["--algo", "rr", "--order", "1,2,3"],
+             "--order must be a permutation of 1..2, got '1,2,3'"),
         ],
     )
     def test_flag_misuse_exits_two(self, capsys, instance_path, argv, fragment):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, ["solve", *argv, "--instance", instance_path]
         )
-        assert code == 2
+        assert code == 2 and out == ""
         assert fragment in err
 
     def test_wrong_agent_count_for_three78(self, capsys, tmp_path):
@@ -190,6 +200,36 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(out)["bundles"] == [[2, 4], [1, 3]]
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["--algo", "three78", "--eps", "1e5000"],
+             "--eps has too many digits to print, got '1e5000'"),
+            (["--algo", "three78", "--eps", "1e-5000", "--trace"],
+             "--eps has too many digits to print, got '1e-5000'"),
+            # 1e-4299 prints, but the thresholds the trace shows carry 3/4 of it.
+            (["--algo", "twothirds", "--eps", "1e-4299", "--trace"],
+             "the trace holds a number with too many digits to print"),
+        ],
+    )
+    def test_eps_too_long_to_print_exits_two(self, capsys, tmp_path, argv, fragment):
+        path = write_instance(tmp_path / "three.json", BRANCH_ROWS["d"])
+        code, out, err = run_cli(capsys, ["solve", *argv, "--instance", path])
+        assert code == 2 and out == ""
+        assert fragment in err
+
+    def test_eps_in_exponent_form_is_the_same_rational(self, capsys, tmp_path):
+        path = write_instance(tmp_path / "three.json", BRANCH_ROWS["d"])
+        outs = [
+            run_cli(
+                capsys,
+                ["solve", "--algo", "three78", "--instance", path, "--eps", eps,
+                 "--trace"],
+            )
+            for eps in ("1/10", "1e-1", "0.1")
+        ]
+        assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
 
 
 # The complete --trace output of one solve per solver, recorded before the
@@ -457,6 +497,16 @@ class TestMms:
         )
         assert code == 2
         assert "--agent" in err
+
+    @pytest.mark.parametrize("eps", ["1e5000", "1e-5000"])
+    def test_eps_past_the_digit_limit_exits_two(self, capsys, instance_path, eps):
+        code, out, err = run_cli(
+            capsys,
+            ["mms", "--instance", instance_path, "--agent", "1", "--k", "2",
+             "--eps", eps],
+        )
+        assert code == 2 and out == ""
+        assert f"--eps has too many digits to print, got {eps!r}" in err
 
     def test_exact_and_eps_conflict(self, instance_path, capsys):
         with pytest.raises(SystemExit) as info:

@@ -232,3 +232,99 @@ class TestJsonFormats:
     def test_allocation_json_goods_are_one_based(self):
         text = allocation_to_json(Allocation.of([[0]]))
         assert json.loads(text)["bundles"] == [[1]]
+
+
+@core.record
+class Span:
+    """A record with a default, for the record tests below."""
+
+    start: int
+    stop: int
+    label: str = "span"
+
+
+class TestRecord:
+    def test_positional_keyword_and_default_construction(self):
+        assert Span(1, 2, "x") == Span(stop=2, label="x", start=1)
+        assert Span(1, 2) == Span(1, stop=2) == Span(1, 2, "span")
+        assert vars(Span(label="x", stop=2, start=1)) == {
+            "start": 1, "stop": 2, "label": "x",
+        }
+        assert Span.__match_args__ == ("start", "stop", "label")
+
+    @pytest.mark.parametrize(
+        "args,kwargs,fragment",
+        [
+            ((1,), {}, "missing required arguments: stop"),
+            ((), {"label": "x"}, "missing required arguments: start, stop"),
+            ((1, 2, "x", 4), {}, "takes 3 positional arguments but 4 were given"),
+            ((1, 2), {"width": 3}, "unexpected keyword argument 'width'"),
+            ((1, 2), {"start": 1}, "multiple values for argument 'start'"),
+        ],
+    )
+    def test_bad_arguments_raise_type_error(self, args, kwargs, fragment):
+        with pytest.raises(TypeError, match=fragment):
+            Span(*args, **kwargs)
+
+    def test_fields_are_frozen(self):
+        span = Span(1, 2)
+        with pytest.raises(AttributeError):
+            span.start = 5
+        with pytest.raises(AttributeError):
+            span.extra = 5
+        with pytest.raises(AttributeError):
+            del span.stop
+        assert span == Span(1, 2) and not hasattr(span, "extra")
+
+    def test_equality_and_hash(self):
+        assert Span(1, 2) == Span(1, 2) and hash(Span(1, 2)) == hash(Span(1, 2))
+        assert hash(Span(1, 2)) == hash((1, 2, "span"))
+        assert Span(1, 2) != Span(1, 3)
+        assert len({Span(1, 2), Span(1, 2), Span(2, 1)}) == 2
+
+        @core.record
+        class Other:
+            start: int
+            stop: int
+            label: str = "span"
+
+        assert Span(1, 2) != Other(1, 2)
+        assert Span(1, 2) != (1, 2, "span")
+
+    def test_repr_is_pinned(self):
+        from mmsalloc.oracle import mms_exact
+
+        assert repr(Instance.from_rows([[4, 3], [1, 1]])) == (
+            "Instance(n=2, m=2, scale=1, valuations=((4, 3), (1, 1)))"
+        )
+        assert repr(mms_exact([4, 3, 2, 1], 2)) == (
+            "MaximinCertificate(value=5, k=2, witness=(frozenset({0, 3}), "
+            "frozenset({1, 2})), mode='exact', upper=5, eps=None)"
+        )
+
+    def test_pickle_and_copy_round_trips(self):
+        import copy
+        import pickle
+
+        inst = Instance.from_rows([[4, 3], [1, 1]])
+        cert = Certificate(agent=1, value=3, threshold=Fraction(5, 2))
+        for obj in (inst, cert, Span(1, 2)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                again = pickle.loads(pickle.dumps(obj, protocol))
+                assert again == obj and type(again) is type(obj)
+                assert list(vars(again)) == list(vars(obj))
+            assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+
+    def test_post_init_is_looked_up_at_each_construction(self, monkeypatch):
+        calls = []
+        original = Instance.__post_init__
+
+        def counted(self):
+            calls.append(self.n)
+            original(self)
+
+        monkeypatch.setattr(Instance, "__post_init__", counted)
+        Instance.from_rows([[1, 2]])
+        with pytest.raises(InputError):
+            Instance(n=2, m=1, scale=1, valuations=((1,),))
+        assert calls == [1, 2]

@@ -1,5 +1,6 @@
-"""Fresh interpreters: no command imports numpy, and every command runs
-the same under ``python -O`` and with warnings turned into errors.
+"""Fresh interpreters: no command imports numpy, ``dataclasses`` or
+``inspect``, and every command runs the same under ``python -O`` and with
+warnings turned into errors.
 
 Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
 because this test session may have imported numpy itself and runs in one
@@ -16,7 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from mmsalloc import cli
+on_import = sorted(set(sys.modules) - before)
 codes, outs = [], []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -24,14 +27,17 @@ for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
     outs.append(out.getvalue())
 with open(sys.argv[2], "w") as fh:
-    json.dump({"codes": codes, "outs": outs, "numpy": "numpy" in sys.modules}, fh)
+    json.dump({"codes": codes, "outs": outs, "on_import": on_import,
+               "on_run": sorted(set(sys.modules) - before)}, fh)
 """
 
 
 def run_fresh(tmp_path, commands, flags=()):
     """Run each argv list through ``cli.main`` in one new interpreter,
     started with the interpreter options flags, and return the exit codes,
-    each command's stdout and whether numpy got imported."""
+    each command's stdout and the modules the package loaded: a dict of
+    the names new after ``import mmsalloc.cli`` ("on_import") and after
+    the last command ("on_run")."""
     report = tmp_path / "report.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -44,14 +50,16 @@ def run_fresh(tmp_path, commands, flags=()):
     assert result.returncode == 0, result.stderr
     assert "Warning" not in result.stderr, result.stderr
     got = json.loads(report.read_text())
-    return got["codes"], got["outs"], got["numpy"]
+    return got["codes"], got["outs"], {
+        "on_import": set(got["on_import"]), "on_run": set(got["on_run"])
+    }
 
 
-def test_common_commands_leave_numpy_unloaded(tmp_path):
+def common_commands(tmp_path):
     inst = str(tmp_path / "inst.json")
     alloc = str(tmp_path / "alloc.json")
     solve = ["solve", "--instance", inst, "--algo"]
-    codes, _, numpy_loaded = run_fresh(tmp_path, [
+    return [
         ["gen", "--n", "3", "--m", "8", "--seed", "11", "--out", inst],
         ["mms", "--instance", inst, "--agent", "2", "--k", "3", "--exact"],
         solve + ["rr", "--out", alloc],
@@ -61,9 +69,22 @@ def test_common_commands_leave_numpy_unloaded(tmp_path):
         solve + ["three78", "--eps", "1/10"],
         ["verify", "--instance", inst, "--allocation", alloc],
         ["experiment", "--n", "3", "--m", "6", "--trials", "4", "--seed", "5"],
-    ])
+    ]
+
+
+def test_common_commands_leave_numpy_unloaded(tmp_path):
+    codes, _, loaded = run_fresh(tmp_path, common_commands(tmp_path))
     assert codes == [0] * 9
-    assert not numpy_loaded
+    assert "numpy" not in loaded["on_run"]
+
+
+def test_records_leave_dataclasses_and_inspect_unloaded(tmp_path):
+    # Each of these takes milliseconds to import, at every command's start.
+    commands = common_commands(tmp_path)
+    codes, _, loaded = run_fresh(tmp_path, commands)
+    assert codes == [0] * len(commands)
+    for when in ("on_import", "on_run"):
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded[when]), when
 
 
 def test_ternary_solver_leaves_numpy_unloaded_and_keeps_its_output(tmp_path):
@@ -72,11 +93,11 @@ def test_ternary_solver_leaves_numpy_unloaded_and_keeps_its_output(tmp_path):
         "n": 3, "m": 6, "scale": 1,
         "valuations": [[2, 1, 0, 2, 1, 1], [1, 1, 1, 2, 2, 0], [2, 2, 2, 1, 0, 0]],
     }))
-    codes, outs, numpy_loaded = run_fresh(
+    codes, outs, loaded = run_fresh(
         tmp_path, [["solve", "--algo", "ternary", "--instance", str(inst)]]
     )
     assert codes == [0]
-    assert not numpy_loaded
+    assert "numpy" not in loaded["on_run"]
     assert json.loads(outs[0]) == {
         "bundles": [[2, 5], [3, 4], [1, 6]],
         "certificates": [
