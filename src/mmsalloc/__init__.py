@@ -49,7 +49,7 @@ from .oracle import (
 from .round_robin import greedy_round_robin, modified_greedy_round_robin
 from .ternary import exact_mms_012
 from .three_agents import apx_3_mms
-from .two_thirds import RhoN, apx_mms, rec_mms, rho
+from .two_thirds import apx_mms, rec_mms, rho
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "MaximinCertificate",
     "PartitionError",
     "PreferenceGraph",
-    "RhoN",
     "ShareOracle",
     "TrialConfig",
     "TrialStats",

@@ -82,7 +82,7 @@ def _solve_thresholds(
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds" and n > 1:
-        factor = Fraction(2, 3) - eps if oracle.loss(eps) else rho(n).value
+        factor = Fraction(2, 3) - eps if oracle.loss(eps) else rho(n)
         return [factor * b for b in base]
     if algo == "three78":
         return [(Fraction(7, 8) - oracle.loss(eps)) * b for b in base]
@@ -98,8 +98,8 @@ _NOT_INDICES = frozenset({"rows", "dummies", "kept_value", "discarded_value"})
 def _one_based(value):
     """A solver's trace, or any part of it, as JSON: every index 1-based,
     Fractions as text, frozensets as sorted lists and other sequences as
-    lists.  A step is a dict or a record (read through ``vars``); its
-    fields named in _NOT_INDICES are copied as they are."""
+    lists.  A step is a dict; its keys named in _NOT_INDICES are copied as
+    they are."""
     if isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
@@ -110,10 +110,9 @@ def _one_based(value):
         return sorted(map(_one_based, value))
     if isinstance(value, (list, tuple)):
         return [_one_based(item) for item in value]
-    fields = value if isinstance(value, dict) else vars(value)
     return {
         key: item if key in _NOT_INDICES else _one_based(item)
-        for key, item in fields.items()
+        for key, item in value.items()
     }
 
 

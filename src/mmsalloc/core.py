@@ -367,7 +367,14 @@ def instance_from_json(text: str) -> Instance:
         raise InputError("instance n, m, scale must be integers")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("instance valuations must be a list of lists")
-    return Instance(n=n, m=m, scale=scale, valuations=tuple(tuple(r) for r in rows))
+    rows = tuple(tuple(r) for r in rows)
+    instance = Instance(n=n, m=m, scale=scale, valuations=rows)
+    for i, row in enumerate(rows):
+        try:
+            str(sum(row))
+        except ValueError:  # past the int digit limit, so no bundle value prints
+            raise InputError(f"valuation row {i} totals too many digits") from None
+    return instance
 
 
 def load_instance(path: str) -> Instance:

@@ -195,7 +195,9 @@ def _raise_worst(
 # branches, the covers kept come in the same order and the first one that
 # succeeds, hence the answer and the witness, is unchanged.  A good worth t
 # or more is a bundle of its own; no probe exceeds the upper bound U, so the
-# goods left after such bundles are always worth the rest's floors.
+# goods left after such bundles are always worth the rest's floors.  The
+# pool is sorted, so such goods lead it, and once a cover is built every
+# later head is below t: they are split off once, before the first level.
 #
 # Nothing here recurses.  The search keeps one generator of first-bundle
 # choices per open level on an explicit stack (_first_bundles), and each
@@ -257,17 +259,13 @@ def _first_bundles(
     """The choices of a first bundle when splitting pool, whose values sum
     to total, into k bundles each worth at least t > 0, in search order:
     each as (bundle, the pool left, its worth).  With k = 1 the one choice
-    is the whole pool.  A pool whose covers all fail is recorded in
-    fail_memo, which maps (bundle count, values) to the least floor that
-    pool failed at."""
+    is the whole pool; otherwise the pool's head is worth less than t.  A
+    pool whose covers all fail is recorded in fail_memo, which maps (bundle
+    count, values) to the least floor that pool failed at."""
     if total < k * t or len(pool) < k:
         return
     if k == 1:
         yield [j for _, j in pool], [], 0
-        return
-    head = pool[0][0]
-    if head >= t:
-        yield [pool[0][1]], pool[1:], total - head
         return
     vals = [v for v, _ in pool]
     key = (k, tuple(vals))
@@ -290,20 +288,26 @@ def _cover_search(
 ) -> Optional[list[list[int]]]:
     """Split pool into k bundles each totalling at least t, or None.
 
-    Items the cover search leaves over are appended to the final bundle,
-    where they can only help.  fail_memo maps (bundle count, values) to the
-    least floor that pool failed at.  The search is depth first: levels
-    holds the choices of each bundle built so far, and a level whose
-    choices run out hands back to the one before it.
+    The leading goods worth t or more, at most k - 1 of them, are bundles
+    of their own.  Items the cover search leaves over are appended to the
+    final bundle, where they can only help.  fail_memo maps (bundle count,
+    values) to the least floor that pool failed at.  The search is depth
+    first: levels holds the choices of each bundle built so far, and a
+    level whose choices run out hands back to the one before it.
     """
-    levels = [_first_bundles(pool, sum(v for v, _ in pool), k, t, fail_memo)]
-    bundles: list[list[int]] = []
+    lead = 0
+    while lead < min(len(pool), k - 1) and pool[lead][0] >= t:
+        lead += 1
+    bundles = [[j] for _, j in pool[:lead]]
+    pool = pool[lead:]
+    total = sum(v for v, _ in pool)
+    levels = [_first_bundles(pool, total, k - lead, t, fail_memo)]
     while levels:
         got = next(levels[-1], None)
         if got is None:
             levels.pop()
             continue
-        del bundles[len(levels) - 1:]
+        del bundles[lead + len(levels) - 1:]
         bundle, pool, total = got
         bundles.append(bundle)
         if len(bundles) == k:

@@ -26,52 +26,28 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Allocation, GuaranteeError, InputError, Instance, record
+from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
 from .oracle import MaximinCertificate, ShareOracle, xi_vector
 
 RationalLike = Union[int, str, Fraction]
 
 
-@record
-class RhoN:
-    """The residual guarantee factor for n agents: with odd(n) the largest
-    odd integer <= n, the factor is 2*odd(n) / (3*odd(n) - 1)."""
+def rho(n: int) -> Fraction:
+    """Guarantee factor for n >= 2 agents, always above 2/3: with odd(n) the
+    largest odd integer <= n, it is 2*odd(n) / (3*odd(n) - 1).
 
-    n: int
-    value: Fraction
-
-
-def rho(n: int) -> RhoN:
-    """Guarantee factor for n >= 2 agents; always above 2/3.
-
-    >>> rho(3).value
+    >>> rho(3)
     Fraction(3, 4)
-    >>> rho(2).value
+    >>> rho(2)
     Fraction(1, 1)
-    >>> rho(5).value
+    >>> rho(5)
     Fraction(5, 7)
     """
     if n < 2:
         raise InputError(f"the guarantee factor needs n >= 2, got n={n}")
     odd = n if n % 2 == 1 else n - 1
-    return RhoN(n=n, value=Fraction(2 * odd, 3 * odd - 1))
-
-
-@record
-class LevelTrace:
-    """What one recursion level did, for inspection and trace output."""
-
-    agents: tuple[int, ...]
-    goods: tuple[int, ...]
-    partitioner: int
-    partition: tuple[tuple[int, ...], ...]
-    thresholds: tuple[Fraction, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    matching: tuple[tuple[int, int], ...]
-    x_plus: tuple[int, ...]
-    gamma: tuple[int, ...]
-    restricted_matching: tuple[tuple[int, int], ...]
+    return Fraction(2 * odd, 3 * odd - 1)
 
 
 def rec_mms(
@@ -118,22 +94,20 @@ def rec_mms(
             f"agent {partitioner} ended up in the deferred set of her own level"
         )
     if trace is not None:
-        trace.append(
-            LevelTrace(
-                agents=agents,
-                goods=goods,
-                partitioner=partitioner,
-                partition=bundles,
-                thresholds=level_thresholds,
-                adjacency=graph.adj,
-                matching=matching,
-                x_plus=tuple(agents[u] for u in decomposition.x_plus),
-                gamma=decomposition.gamma,
-                restricted_matching=tuple(
-                    (agents[u], v) for u, v in decomposition.restricted_matching
-                ),
-            )
-        )
+        trace.append({
+            "agents": agents,
+            "goods": goods,
+            "partitioner": partitioner,
+            "partition": bundles,
+            "thresholds": level_thresholds,
+            "adjacency": graph.adj,
+            "matching": matching,
+            "x_plus": tuple(agents[u] for u in decomposition.x_plus),
+            "gamma": decomposition.gamma,
+            "restricted_matching": tuple(
+                (agents[u], v) for u, v in decomposition.restricted_matching
+            ),
+        })
 
     result: dict[int, frozenset[int]] = {}
     taken = set()
@@ -169,7 +143,8 @@ def apx_mms(
     ``oracle_mode`` is a mode or a :class:`ShareOracle` to share.  In ptas
     mode the internal accuracy is eps' = 3*eps/4, spent once on the xi
     estimates and once on each level's partition.  ``trace``, if given,
-    collects a LevelTrace per recursion level.
+    collects a dict per recursion level: its agents, goods, partition,
+    thresholds, preference graph, matchings and X+.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
@@ -184,7 +159,7 @@ def apx_mms(
         return Allocation.of([tuple(instance.goods)])
     eps_prime = oracle.loss(3 * eps / 4)
     certs = xi_vector(instance, instance.n, eps_prime, oracle)
-    factor = (1 - eps_prime) * rho(instance.n).value
+    factor = (1 - eps_prime) * rho(instance.n)
     thresholds = tuple(factor * cert.value for cert in certs)
     result = rec_mms(
         instance, tuple(instance.agents), tuple(instance.goods), thresholds,

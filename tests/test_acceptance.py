@@ -114,7 +114,7 @@ def test_criterion_05_recursive_matching_guarantee_and_balance():
     eps = Fraction(1, 20)
     for inst in SUITE:
         shares = [mms_exact(inst.row(i), inst.n).value for i in inst.agents]
-        factor = rho(inst.n).value
+        factor = rho(inst.n)
         for mode, bound in (
             ("exact", [factor * s for s in shares]),
             ("ptas", [(Fraction(2, 3) - eps) * s for s in shares]),
@@ -124,10 +124,10 @@ def test_criterion_05_recursive_matching_guarantee_and_balance():
             for i in inst.agents:
                 assert bundle_value(inst, i, alloc.bundles[i]) >= bound[i]
             for level in trace:
-                gone = set(inst.goods) - set(level.goods)
-                for i in level.agents:
+                gone = set(inst.goods) - set(level["goods"])
+                for i in level["agents"]:
                     spent = bundle_value(inst, i, gone)
-                    assert spent <= (inst.n - len(level.agents)) * factor * shares[i]
+                    assert spent <= (inst.n - len(level["agents"])) * factor * shares[i]
     report(
         "criterion 5: recursive matching meets rho(n) exactly and 2/3 - eps "
         f"with the scheme, with the balance inequality at every level, on "

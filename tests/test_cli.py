@@ -1,15 +1,25 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
+import contextlib
 import gc
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import record_oracle_queries
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mmsalloc import Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012
 from mmsalloc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BRANCH_ROWS = {
     "b": [[7, 1, 1, 1, 1, 1, 1, 1]] * 3,
@@ -42,6 +52,19 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(args, timeout=None):
+    """``python -m mmsalloc.cli`` with args in a fresh interpreter, which
+    finds the package in this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "mmsalloc.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestSolve:
@@ -393,6 +416,34 @@ def test_trace_json_is_pinned(capsys, tmp_path, case):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def _three78(inst, trace):
+    return apx_3_mms(inst, Fraction(1, 10), oracle_mode="exact", trace=trace)
+
+
+# The library call behind each TRACE_CASES solve.
+TRACING_SOLVERS = {
+    "half": lambda inst, trace: apx_mms_half(inst, trace=trace),
+    "twothirds": lambda inst, trace: apx_mms(inst, Fraction(1, 10), trace=trace),
+    "three78-b": _three78,
+    "three78-c": _three78,
+    "three78-d": _three78,
+    "ternary": lambda inst, trace: exact_mms_012(inst, trace=trace),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_every_trace_step_is_a_dict_keyed_as_its_json(case):
+    # One trace form for every solver: _one_based reads each step as a
+    # dict, and the --trace JSON keeps its keys in order.
+    _, rows, expected = TRACE_CASES[case]
+    trace = []
+    TRACING_SOLVERS[case](Instance.from_rows(rows), trace)
+    assert [type(step) for step in trace] == [dict] * len(expected["trace"])
+    assert [list(step) for step in trace] == [
+        list(step) for step in expected["trace"]
+    ]
+
+
 class TestMms:
     def test_exact_certificate(self, capsys, instance_path):
         code, out, _ = run_cli(
@@ -454,10 +505,10 @@ class TestMms:
         rng = random.Random(60)
         row = [rng.randint(0, 10**6) for _ in range(60)]
         path = write_instance(tmp_path / "inst.json", [row], scale=10**6)
-        result = subprocess.run(
-            [sys.executable, "-m", "mmsalloc.cli", "mms", "--instance", path,
-             "--agent", "1", "--k", "20", "--eps", "1/10"],
-            capture_output=True, text=True, timeout=60,
+        result = run_module(
+            ["mms", "--instance", path, "--agent", "1", "--k", "20",
+             "--eps", "1/10"],
+            timeout=60,
         )
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)
@@ -468,10 +519,10 @@ class TestMms:
         # A fresh process under a time limit: unbounded, this k built and
         # printed three million bundles and ran past 20 s.
         path = write_instance(tmp_path / "inst.json", [[4, 3]])
-        result = subprocess.run(
-            [sys.executable, "-m", "mmsalloc.cli", "mms", "--instance", path,
-             "--agent", "1", "--k", "3000000", "--exact"],
-            capture_output=True, text=True, timeout=30,
+        result = run_module(
+            ["mms", "--instance", path, "--agent", "1", "--k", "3000000",
+             "--exact"],
+            timeout=30,
         )
         assert result.returncode == 2
         assert "--k must be at most max(n, m) = 2" in result.stderr
@@ -797,6 +848,19 @@ class TestHostileFiles:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--algo", "rr"], ["mms", "--agent", "1", "--k", "1", "--exact"]],
+    )
+    def test_row_total_past_the_digit_limit_exits_two(self, capsys, tmp_path, argv):
+        # Each value has 4300 digits, the most json.loads reads, so the file
+        # loads; the row's total has 4301, and a bundle worth it cannot print.
+        big = int("9" * 4300)
+        path = write_instance(tmp_path / "inst.json", [[big, big]])
+        code, out, err = run_cli(capsys, [*argv, "--instance", path])
+        assert (code, out) == (2, "")
+        assert "input error: valuation row 0 totals too many digits" in err
+
     @pytest.mark.parametrize("field", ["n", "m", "scale"])
     def test_bool_instance_field_exits_two(self, capsys, tmp_path, field):
         payload = {"n": 1, "m": 1, "scale": 1, "valuations": [[5]]}
@@ -863,19 +927,79 @@ def test_unknown_subcommand_exits_two():
 
 def test_console_script_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "mmsalloc.cli", "gen", "--n", "2", "--m", "4",
-         "--seed", "6", "--out", str(inst)],
-        capture_output=True,
-        text=True,
+    result = run_module(
+        ["gen", "--n", "2", "--m", "4", "--seed", "6", "--out", str(inst)]
     )
     assert result.returncode == 0, result.stderr
-    result = subprocess.run(
-        [sys.executable, "-m", "mmsalloc.cli", "solve", "--algo", "rr",
-         "--instance", str(inst)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module(["solve", "--algo", "rr", "--instance", str(inst)])
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert len(payload["bundles"]) == 2
+
+
+# Value ranges for the fuzzed files: small, uniform, three-valued, and
+# 4300 digits, the longest integer json.loads reads.
+_FUZZ_VALUES = (
+    st.integers(0, 10),
+    st.integers(0, 10**6),
+    st.integers(0, 2),
+    st.sampled_from([10**4299, 10**4300 - 1]),
+)
+_HOSTILE_VALUES = st.sampled_from([-1, True, 1.5, "3", None, [1]])
+_FUZZ_FAULTS = [None, None, None, None, "value", "n", "m", "scale", "shape"]
+_FUZZ_COMMANDS = [
+    ["solve", "--algo", "rr"],
+    ["solve", "--algo", "rr-modified"],
+    ["solve", "--algo", "half"],
+    ["solve", "--algo", "twothirds", "--eps", "1/10"],
+    ["solve", "--algo", "three78", "--eps", "1/10"],
+    ["solve", "--algo", "ternary"],
+    ["mms", "--exact"],
+    ["mms", "--eps", "1/10"],
+]
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A command line and the text of the instance file it reads.  The file
+    is valid, or has one fault: in a value, in n or m, in the scale, or in
+    not being a JSON object.  mms asks for an agent and a k that are in
+    range three times in four."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 10))
+    values = draw(st.sampled_from(_FUZZ_VALUES))
+    rows = [[draw(values) for _ in range(m)] for _ in range(n)]
+    payload = {"n": n, "m": m, "scale": 1, "valuations": rows}
+    fault = draw(st.sampled_from(_FUZZ_FAULTS))
+    if fault == "value" and m:
+        row = rows[draw(st.integers(0, n - 1))]
+        row[draw(st.integers(0, m - 1))] = draw(_HOSTILE_VALUES)
+    elif fault in ("n", "m"):
+        payload[fault] += draw(st.sampled_from([-1, 1, -payload[fault] - 1]))
+    elif fault == "scale":
+        payload["scale"] = draw(st.sampled_from([0, -1, True, 1.5, "1", None]))
+    elif fault == "shape":
+        payload = draw(st.sampled_from([[], 3, "instance", None, [payload]]))
+    argv = list(draw(st.sampled_from(_FUZZ_COMMANDS)))
+    if argv[0] == "solve" and draw(st.booleans()):
+        argv.append("--trace")
+    if argv[0] == "mms":
+        for flag, top in (("--agent", n), ("--k", max(n, m))):
+            inside = st.integers(1, top)
+            outside = st.sampled_from([0, top + 1])
+            argv += [flag, str(draw(st.one_of(inside, inside, inside, outside)))]
+    return argv, json.dumps(payload)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run=fuzzed_runs())
+def test_fuzzed_files_and_commands_exit_zero_one_or_two(tmp_path, run):
+    argv, text = run
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--instance", str(path)])
+    assert code in (0, 1, 2), (argv, text[:200])

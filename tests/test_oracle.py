@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -717,9 +718,27 @@ def default_recursion_limit():
 
 
 def test_cover_search_needs_no_recursion_limit(default_recursion_limit):
-    # 3000 bundles of one good each: a search 3000 levels deep.
+    # 3000 bundles of one good each, and 1100 bundles of two goods each: a
+    # search 1100 levels deep.
     got = oracle._cover_search(oracle._desc_items([1] * 3000), 3000, 1, {})
     assert got == [[j] for j in range(3000)]
+    got = oracle._cover_search(oracle._desc_items([1] * 2200), 1100, 2, {})
+    assert got == [[2 * j, 2 * j + 1] for j in range(1100)]
+
+
+def test_goods_worth_the_floor_cost_one_pool_copy():
+    # 3000 bundles of one good each.  Goods worth the floor are split off
+    # once, before the first level; a level per good would keep a slice of
+    # the pool per level, a peak that grows as the square of the count.
+    items = oracle._desc_items([1] * 3000)
+    tracemalloc.start()
+    try:
+        got = oracle._cover_search(items, 3000, 1, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [[j] for j in range(3000)]
+    assert peak < 2 * 2**20
 
 
 def test_oracles_leave_the_recursion_limit_alone(default_recursion_limit):

@@ -30,18 +30,19 @@ def test_module_doctests():
 
 
 def test_rho_known_values():
-    assert rho(2).value == Fraction(1)
-    assert rho(3).value == Fraction(3, 4)
-    assert rho(4).value == Fraction(3, 4)
-    assert rho(5).value == Fraction(5, 7)
-    assert rho(6).value == Fraction(5, 7)
-    assert rho(7).value == Fraction(7, 10)
-    assert rho(101).value == Fraction(202, 302)
+    assert rho(2) == Fraction(1)
+    assert rho(3) == Fraction(3, 4)
+    assert rho(4) == Fraction(3, 4)
+    assert rho(5) == Fraction(5, 7)
+    assert rho(6) == Fraction(5, 7)
+    assert rho(7) == Fraction(7, 10)
+    assert rho(101) == Fraction(202, 302)
+    assert all(type(rho(n)) is Fraction for n in range(2, 8))
 
 
 def test_rho_stays_above_two_thirds():
     for n in range(2, 60):
-        assert rho(n).value > Fraction(2, 3)
+        assert rho(n) > Fraction(2, 3)
 
 
 def test_rho_requires_two_agents():
@@ -81,7 +82,7 @@ def test_exact_mode_guarantee_on_random_instances():
     for inst in random_suite(count=60, seed=9219):
         alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
         alloc.require_partition(inst.m)
-        factor = rho(inst.n).value if inst.n >= 2 else Fraction(1)
+        factor = rho(inst.n) if inst.n >= 2 else Fraction(1)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
             got = bundle_value(inst, i, alloc.bundles[i])
@@ -105,13 +106,13 @@ def test_balance_inequality_holds_at_every_level():
     for inst in random_suite(count=40, seed=11395):
         trace = []
         apx_mms(inst, Fraction(1, 10), oracle_mode="exact", trace=trace)
-        factor = rho(inst.n).value
+        factor = rho(inst.n)
         shares = [mms_exact(inst.row(i), inst.n).value for i in inst.agents]
         for level in trace:
-            gone = set(inst.goods) - set(level.goods)
-            for i in level.agents:
+            gone = set(inst.goods) - set(level["goods"])
+            for i in level["agents"]:
                 spent = bundle_value(inst, i, gone)
-                assert spent <= (inst.n - len(level.agents)) * factor * shares[i]
+                assert spent <= (inst.n - len(level["agents"])) * factor * shares[i]
 
 
 def test_trace_structure():
@@ -121,12 +122,12 @@ def test_trace_structure():
     alloc.require_partition(inst.m)
     assert trace, "at least one level must be traced"
     top = trace[0]
-    assert top.agents == (0, 1, 2)
-    assert top.partitioner == 0
-    assert len(top.partition) == 3
-    assert len(top.thresholds) == 3
+    assert top["agents"] == (0, 1, 2)
+    assert top["partitioner"] == 0
+    assert len(top["partition"]) == 3
+    assert len(top["thresholds"]) == 3
     # The partitioner accepts every bundle of her own partition.
-    assert top.adjacency[0] == (0, 1, 2)
+    assert top["adjacency"][0] == (0, 1, 2)
 
 
 def test_deterministic():
@@ -149,4 +150,4 @@ def test_first_level_reuses_the_partitioner_share(monkeypatch, mode):
 @given(instance=instances(st.integers(2, 4)))
 def test_exact_mode_factor_against_exhaustive_shares(instance):
     alloc = apx_mms(instance, Fraction(1, 10), oracle_mode="exact")
-    assert_shares_met(instance, alloc, rho(instance.n).value)
+    assert_shares_met(instance, alloc, rho(instance.n))
