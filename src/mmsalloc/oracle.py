@@ -14,20 +14,21 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   the other bundles short of their floors, and the pools that failed are
   remembered across candidates.  The search walks explicit stacks, one of
   bundles and one of covers per bundle, so it never recurses and needs no
-  recursion limit.  Above the worst bundle of the raised split, it tries U
-  first, then climbs: each cover found lifts the floor to that cover's
-  worst bundle, and the first failed candidate ends the search.  Bisection
-  takes over after O(log gap) climbs, so the number of candidates stays
-  logarithmic.  The last cover found is the witness; the search at the
-  answer would find the same one, so it is run only when nothing beats the
-  raised split and the greedy split falls short of it.
+  recursion limit.  It climbs from the raised split's worst bundle: each
+  cover found lifts the floor to that cover's worst bundle, and the first
+  failed candidate ends the search.  U is not tried first, as the exact
+  share rarely meets it.  Bisection takes over after O(log gap) climbs.
+  The last cover found is the witness, the one the search at the answer
+  finds; when the raised split beats the greedy one, the climb starts one
+  below it, so its first candidate finds that cover.
 * :func:`mms_approx` returns the raised split as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
   otherwise does it run the same search, from that split, on values rounded
   down to a grain chosen so the rounding loss stays under half of eps times
-  the optimum.  Either way the certificate value is the true minimum of the
-  witness, so it is at least (1-eps) times the exact optimum and never
-  above it.
+  the optimum.  That search alone tries its rounded U first, since coarse
+  rounding usually meets it.  Either way the certificate value is the true
+  minimum of the witness, so it is at least (1-eps) times the exact optimum
+  and never above it.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -88,9 +89,9 @@ def _as_eps(eps: RationalLike) -> Fraction:
 
 
 def _desc_items(vals: Sequence[int]) -> list[Item]:
-    return sorted(
-        ((v, j) for j, v in enumerate(vals) if v > 0), key=lambda t: (-t[0], t[1])
-    )
+    # A reverse sort is stable, so equal values keep their positions' order.
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    return [(vals[j], j) for j in order if vals[j] > 0]
 
 
 def _lpt(items: list[Item], k: int) -> tuple[list[int], list[list[int]]]:
@@ -319,18 +320,19 @@ def _cover_search(
 
 
 def _search_maximin(
-    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]]
+    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]],
+    memo: dict,
 ) -> tuple[int, Optional[list[list[int]]]]:
     """Largest t with a k-cover at floor t, from a known achievable lo.
 
-    The upper bound U is probed first, since it is often met.
-    Otherwise the search climbs: it probes lo + 1, and each cover found
-    lifts lo to that cover's own worst bundle, until a probe fails.  After
-    (hi - lo).bit_length() climbs it bisects what is left, so the probe
-    count stays O(log(hi - lo)).  All probes share one fail memo.  The
-    witness is the last cover found (lo_witness when nothing beats lo); it
-    is the cover the search finds at the answer itself (see below), so it
-    does not depend on the probes made before it.
+    The search climbs from lo up to the upper bound U: it probes lo + 1,
+    and each cover found lifts lo to that cover's own worst bundle, until
+    a probe fails or lo reaches U.  So a climb that ends below U ends on
+    its one failed probe.  After (U - lo).bit_length() climbs it bisects
+    what is left, so the probe count stays O(log(U - lo)).  All probes
+    share the fail memo.  The witness is the last cover found (lo_witness
+    when nothing beats lo); it is the cover the search finds at the answer
+    itself (see below), so it does not depend on the probes made before it.
     """
     # A climb's cover, found at floor t with worst bundle w, is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
@@ -346,13 +348,6 @@ def _search_maximin(
     #   the earlier cover's remainder fails at w, and level by level the
     #   search at w makes the same choices as the one at t.
     hi = _upper_bound(items, sum(v for v, _ in items), k)
-    if lo >= hi:
-        return lo, lo_witness
-    memo: dict = {}
-    got = _cover_search(items, k, hi, memo)
-    if got is not None:
-        return hi, got
-    hi -= 1
     value_of = {j: v for v, j in items}
     witness = lo_witness
     climbs = (hi - lo).bit_length()
@@ -363,7 +358,7 @@ def _search_maximin(
             hi = lo
             break
         witness = got
-        lo = min(hi, min(sum(value_of[j] for j in b) for b in got))
+        lo = min(sum(value_of[j] for j in b) for b in got)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         got = _cover_search(items, k, mid, memo)
@@ -400,6 +395,7 @@ def _rounded_search(
     m*u <= eps/2 times the optimum to rounding, hence the exact search on
     rounded values yields a split whose true minimum is at least (1 - eps)
     times the optimum.  Goods worth less than u go to its worst bundle.
+    It tries the rounded U first, as coarse rounding usually meets it.
     """
     p, q = frac.numerator, frac.denominator
     value = min(sum(vals[j] for j in b) for b in bundles)
@@ -408,7 +404,11 @@ def _rounded_search(
     dust = [j for v, j in items if v < grain]
     start = [[j for j in b if vals[j] >= grain] for b in bundles]
     lo = min(sum(vals[j] // grain for j in b) for b in start)
-    _, found = _search_maximin(rounded, k, lo, start)
+    hi = _upper_bound(rounded, sum(v for v, _ in rounded), k)
+    memo: dict = {}
+    found = _cover_search(rounded, k, hi, memo) if lo < hi else None
+    if found is None:
+        _, found = _search_maximin(rounded, k, lo, start, memo)
     sums = [sum(vals[j] for j in b) for b in found]
     if dust:
         dump = sums.index(min(sums))
@@ -423,9 +423,10 @@ def _maximin(
     values: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
 ) -> MaximinCertificate:
     """The maximin certificate over k bundles, exact in ``exact`` mode and
-    within a factor (1 - eps) in ``ptas`` mode.  The exact search probes only
-    above the raised split's value.  Its witness is the greedy split when that
-    attains the share, and otherwise the cover found at the share."""
+    within a factor (1 - eps) in ``ptas`` mode.  The exact search climbs from
+    one below the raised split's value when that beats greedy, else from it.
+    Its witness is the greedy split when that attains the share, and
+    otherwise the cover found at the share."""
     vals = _validated_values(values, k)
     frac = None if mode == "exact" else _as_eps(eps)
     if frac is None and len(vals) > EXACT_ITEM_CAP:
@@ -444,13 +445,10 @@ def _maximin(
     _raise_worst(vals, loads, best, bar)
     value = min(loads)
     if frac is None:
-        value, found = _search_maximin(items, k, value, None)
-        if value == floor:
-            best = greedy
-        else:
-            best = found or _cover_search(items, k, value, {})
+        start, witness = (value - 1, None) if value > floor else (value, greedy)
+        value, best = _search_maximin(items, k, start, witness, {})
         if best is None:
-            raise GuaranteeError(f"no split reaches the share {value}")
+            raise GuaranteeError(f"no cover found at the raised value {value + 1}")
     elif value < bar:
         value, best = _rounded_search(vals, items, k, frac, best)
 

@@ -586,6 +586,26 @@ class TestGenVerifyExperiment:
         assert code == 0
         assert out.count(" ok") == 3
 
+    @pytest.mark.xfail(
+        strict=True, raises=subprocess.TimeoutExpired,
+        reason="ROADMAP item 1: the approximate oracle is exponential, and "
+        "its first query here, 40 goods in 20 bundles, runs past 20 s",
+    )
+    def test_twothirds_ends_on_twenty_agents_and_forty_goods(
+        self, capsys, tmp_path
+    ):
+        # A fresh process under a time limit, so the hang fails this test
+        # instead of the suite.  The fix of ROADMAP item 1 makes it pass,
+        # and the strict marker then asks for the marker to go.
+        path = str(tmp_path / "inst.json")
+        argv = ["gen", "--n", "20", "--m", "40", "--seed", "1", "--out", path]
+        assert run_cli(capsys, argv)[0] == 0
+        result = run_module(
+            ["solve", "--algo", "twothirds", "--instance", path, "--eps", "1/10"],
+            timeout=5,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_verify_rejects_overstated_certificate(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         alloc = tmp_path / "alloc.json"

@@ -191,6 +191,25 @@ def _lpt_by_scan(items, k):
     return loads, bundles
 
 
+def _desc_items_by_key(vals):
+    """The items sorted on (-value, position): the reference for the
+    reverse sort in oracle._desc_items."""
+    return sorted(
+        ((v, j) for j, v in enumerate(vals) if v > 0), key=lambda t: (-t[0], t[1])
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from((0, 1, 1, 2, 5, 5)), st.integers(0, 10**6)),
+        max_size=40,
+    )
+)
+def test_desc_items_keep_equal_values_in_position_order(values):
+    assert oracle._desc_items(values) == _desc_items_by_key(values)
+
+
 def test_lpt_heap_matches_linear_scan():
     rng = random.Random(41)
     for k in range(1, 41):
@@ -209,10 +228,10 @@ def test_lpt_heap_matches_linear_scan():
 # ---------------------------------------------------------------------------
 
 
-def _bisection_search(items, k, lo, lo_witness):
+def _bisection_search(items, k, lo, lo_witness, memo=None):
     """Plain bisection between lo and the averaging bound: the reference the
-    bound-first, climbing oracle._search_maximin must agree with exactly,
-    value and witness."""
+    climbing oracle._search_maximin must agree with exactly, value and
+    witness."""
     hi = sum(v for v, _ in items) // k
     witness = lo_witness
     while lo < hi:
@@ -227,37 +246,38 @@ def _bisection_search(items, k, lo, lo_witness):
 
 
 def _with_probe_counts(query, *args):
-    """query(*args), with [gap, full-pool probes] for each search it made.
+    """query(*args), with the gap of each maximin search it made and its
+    count of full-pool probes.
 
-    The gap is the averaging bound minus the starting floor.  A full-pool
-    probe is a call of the cover search on the whole item list; the cover
-    search only recurses on smaller pools.
+    The gap is the averaging bound minus the search's starting floor.  A
+    full-pool probe is a call of the cover search, which is only ever
+    called on the whole item list; the rounded search's probe at its U,
+    made before its maximin search, counts too.
     """
-    searches = []
+    gaps, probes = [], 0
     search, cover_search = oracle._search_maximin, oracle._cover_search
 
-    def counted_search(items, k, lo, lo_witness):
-        searches.append([sum(v for v, _ in items) // k - lo, 0, len(items)])
-        return search(items, k, lo, lo_witness)
+    def counted_search(items, k, lo, lo_witness, memo):
+        gaps.append(sum(v for v, _ in items) // k - lo)
+        return search(items, k, lo, lo_witness, memo)
 
     def counted_cover_search(pool, k, t, fail_memo):
-        if len(pool) == searches[-1][2]:
-            searches[-1][1] += 1
+        nonlocal probes
+        probes += 1
         return cover_search(pool, k, t, fail_memo)
 
     with patch.object(oracle, "_search_maximin", counted_search), \
             patch.object(oracle, "_cover_search", counted_cover_search):
         cert = query(*args)
-    return cert, [(gap, probes) for gap, probes, _ in searches]
+    return cert, gaps, probes
 
 
 def _assert_same_as_bisection(query, *args):
-    cert, searches = _with_probe_counts(query, *args)
+    cert, gaps, probes = _with_probe_counts(query, *args)
     with patch.object(oracle, "_search_maximin", _bisection_search):
         assert query(*args) == cert
-    for gap, probes in searches:
-        assert probes <= 2 * gap.bit_length() + 2
-    return cert, searches
+    assert probes <= 2 * max(gaps, default=0).bit_length() + 2
+    return cert, gaps, probes
 
 
 # Values 0..60, mixed with a few repeated ones so zeros and runs of equal
@@ -270,7 +290,7 @@ _values = st.lists(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=_values, k=st.integers(1, 4))
 def test_exact_search_matches_bisection_and_exhaustive(values, k):
-    cert, _ = _assert_same_as_bisection(mms_exact, values, k)
+    cert, _, _ = _assert_same_as_bisection(mms_exact, values, k)
     assert cert.value == exhaustive_mms(values, k)
 
 
@@ -292,11 +312,12 @@ def _rounded_search_from_greedy(values, k, eps):
 
 @pytest.mark.parametrize("values,k", list(_approx_rows()))
 def test_approx_search_matches_bisection(values, k):
-    (value, _), searches = _assert_same_as_bisection(
+    (value, _), gaps, probes = _assert_same_as_bisection(
         _rounded_search_from_greedy, values, k, Fraction(1, 10)
     )
-    # The rounded share meets the averaging bound: one probe settles it.
-    assert [probes for _, probes in searches] == [1]
+    # The rounded share meets the averaging bound: the one probe at the
+    # rounded U settles it, and no climb starts.
+    assert (gaps, probes) == ([], 1)
     assert value <= sum(values) // k
 
 
@@ -321,10 +342,10 @@ _HEAVY = [(row, k) for m, k in ((8, 4), (12, 6), (16, 8)) for row in _heavy_rows
 
 @pytest.mark.parametrize("values,k", _HEAVY)
 def test_approx_search_from_the_witness_matches_bisection(values, k):
-    cert, searches = _assert_same_as_bisection(
+    cert, gaps, _ = _assert_same_as_bisection(
         mms_approx, values, k, Fraction(1, 10)
     )
-    assert len(searches) == 1
+    assert len(gaps) == 1
     assert 9 * mms_exact(values, k).value <= 10 * cert.value <= 10 * cert.upper
 
 
@@ -342,19 +363,21 @@ def _probes_with_slowest_climb(opt, n=2000):
 
     items = [(1, j) for j in range(n)]
     with patch.object(oracle, "_cover_search", cover_search):
-        value, witness = oracle._search_maximin(items, 2, 0, [[], list(range(n))])
+        value, witness = oracle._search_maximin(
+            items, 2, 0, [[], list(range(n))], {}
+        )
     assert value == opt and witness == [list(range(opt)), list(range(opt, n))]
     return probes
 
 
 def test_climb_stops_at_the_first_failed_probe():
-    assert _probes_with_slowest_climb(5) == [1000, 1, 2, 3, 4, 5, 6]
+    assert _probes_with_slowest_climb(5) == [1, 2, 3, 4, 5, 6]
 
 
 def test_climbs_are_capped_then_bisection_finishes():
     probes = _probes_with_slowest_climb(900)
-    # Ten climbs (the bit length of the gap 999), then bisection.
-    assert probes[:11] == [1000] + list(range(1, 11))
+    # Ten climbs (the bit length of the gap 1000), then bisection.
+    assert probes[:10] == list(range(1, 11))
     assert len(probes) <= 2 * (1000).bit_length() + 2
 
 
@@ -379,7 +402,9 @@ def test_witness_is_the_cover_found_at_the_answer():
             return got
 
         with patch.object(oracle, "_cover_search", recorded):
-            value, witness = oracle._search_maximin(items, k, min(loads), bundles)
+            value, witness = oracle._search_maximin(
+                items, k, min(loads), bundles, {}
+            )
         if found and value not in found:
             below += 1
             assert witness == search(items, k, value, {})
@@ -401,7 +426,7 @@ def _mms_exact_from_greedy(values, k):
     if k == 1:
         return total, (frozenset(range(len(values))),), total
     loads, bundles = oracle._lpt(items, k)
-    value, best = oracle._search_maximin(items, k, min(loads), bundles)
+    value, best = oracle._search_maximin(items, k, min(loads), bundles, {})
     best[0].extend(j for j, v in enumerate(values) if v == 0)
     return value, tuple(map(frozenset, best)), oracle._upper_bound(items, total, k)
 
@@ -416,13 +441,13 @@ def test_raised_start_keeps_values_and_witnesses(values, k):
     assert (cert.value, cert.witness, cert.upper) == _mms_exact_from_greedy(values, k)
 
 
-def test_witness_is_fetched_when_the_raised_split_attains_the_share():
+def test_first_climb_finds_the_witness_when_the_raised_split_attains_it():
     # When the raised split is already optimal and above the greedy floor,
-    # it is not the witness: the search finds nothing above it, and one
-    # cover search at the share fetches the cover the greedy start would
-    # have ended with.
+    # it is not the witness.  The climb starts one below it, so its first
+    # probe, at the share, finds the cover the greedy start would have
+    # ended with; no further search fetches it.
     rng = random.Random(19)
-    fetched = 0
+    attained = 0
     for _ in range(400):
         values = [rng.randint(0, 1000) for _ in range(rng.randint(6, 11))]
         k = rng.randint(2, 4)
@@ -434,10 +459,33 @@ def test_witness_is_fetched_when_the_raised_split_attains_the_share():
         )
         cert = mms_exact(values, k)
         if floor < cert.value == min(loads):
-            fetched += 1
+            attained += 1
         assert (cert.value, cert.witness, cert.upper) == \
             _mms_exact_from_greedy(values, k)
-    assert fetched >= 100
+    assert attained >= 100
+
+
+def test_exact_share_costs_one_failed_probe():
+    # Uniform rows rarely meet U, so a probe at U would fail on nearly
+    # every row.  Without it each share is proved by one failed probe, and
+    # the raised split's cover comes from the first climb, not from a
+    # search of its own.
+    rng = random.Random(18)
+    search = oracle._cover_search
+    calls = failed = 0
+
+    def counted(pool, k, t, fail_memo):
+        nonlocal calls, failed
+        got = search(pool, k, t, fail_memo)
+        calls += 1
+        failed += got is None
+        return got
+
+    with patch.object(oracle, "_cover_search", counted):
+        for _ in range(500):
+            mms_exact([rng.randint(0, 10**6) for _ in range(12)], 3)
+    assert failed == 500
+    assert calls <= 2006
 
 
 # ---------------------------------------------------------------------------
@@ -789,12 +837,12 @@ def test_approx_finishes_with_three_goods_per_bundle(m, k):
 # ---------------------------------------------------------------------------
 
 
-def _overstated(items, k, lo, lo_witness):
+def _overstated(items, k, lo, lo_witness, memo):
     value, witness = _bisection_search(items, k, lo, lo_witness)
     return value + 1, witness
 
 
-def _every_item_in_every_bundle(items, k, lo, lo_witness):
+def _every_item_in_every_bundle(items, k, lo, lo_witness, memo):
     return lo, [[j for _, j in items] for _ in range(k)]
 
 
@@ -802,6 +850,14 @@ def test_exact_witness_check_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_search_maximin", _overstated)
     with pytest.raises(GuaranteeError):
         mms_exact([5, 4, 3, 2, 1], 2)
+
+
+def test_exact_search_missing_the_raised_split_raises(monkeypatch):
+    # The raised split of this row reaches 6, above greedy's 5, so the
+    # climb's first probe, at 6, must find a cover.
+    monkeypatch.setattr(oracle, "_cover_search", lambda pool, k, t, memo: None)
+    with pytest.raises(GuaranteeError, match="raised value 6"):
+        mms_exact([3, 3, 2, 2, 2], 2)
 
 
 def test_approx_upper_bound_check_raises(monkeypatch):
