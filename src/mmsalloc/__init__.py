@@ -11,7 +11,6 @@ from .core import (
     InputError,
     Instance,
     PartitionError,
-    VerificationReport,
     allocation_from_json,
     allocation_to_json,
     bundle_value,
@@ -66,7 +65,6 @@ __all__ = [
     "ShareOracle",
     "TrialConfig",
     "TrialStats",
-    "VerificationReport",
     "XPlusDecomposition",
     "allocation_from_json",
     "allocation_to_json",

@@ -191,17 +191,18 @@ def cmd_solve(args) -> int:
     oracle = ShareOracle(args.oracle or "ptas")
     allocation = _run_solver(args, instance, oracle, trace)
     thresholds = _solve_thresholds(instance, args.algo, args.eps, oracle)
-    report = verify_allocation(instance, allocation, thresholds)
-    if not report.ok:
-        for check in report.failures():
-            print(
-                f"guarantee violation: agent {check.agent + 1} got {check.value}, "
-                f"needs {check.threshold}",
-                file=sys.stderr,
-            )
+    rows = verify_allocation(instance, allocation, thresholds)
+    failed = [row for row in rows if not row.ok]
+    for row in failed:
+        print(
+            f"guarantee violation: agent {row.agent + 1} got {row.value}, "
+            f"needs {row.threshold}",
+            file=sys.stderr,
+        )
+    if failed:
         return 1
     if args.trace:
-        payload = allocation_payload(allocation, report.checks)
+        payload = allocation_payload(allocation, rows)
         try:
             payload["trace"] = _one_based(trace)
         except ValueError:  # a Fraction past the int digit limit
@@ -211,10 +212,10 @@ def cmd_solve(args) -> int:
             ) from None
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = allocation_to_json(allocation, report.checks)
+        text = allocation_to_json(allocation, rows)
     _emit(text, args.out)
     if args.out:
-        print(_certificate_table(report.checks))
+        print(_certificate_table(rows))
     return 0
 
 
@@ -265,11 +266,11 @@ def cmd_verify(args) -> int:
         "from the instance",
         file=sys.stderr,
     )
-    report = verify_allocation(
+    checks = verify_allocation(
         instance, allocation, [rows[i].threshold for i in instance.agents]
     )
     misstated = False
-    for check in report.checks:
+    for check in checks:
         status = "ok" if check.ok else "FAIL"
         print(
             f"agent {check.agent + 1}: value {check.value} >= "
@@ -283,7 +284,7 @@ def cmd_verify(args) -> int:
                 f"but the bundle is worth {check.value}",
                 file=sys.stderr,
             )
-    if misstated or not report.ok:
+    if misstated or not all(check.ok for check in checks):
         print("verification failed", file=sys.stderr)
         return 1
     return 0

@@ -264,24 +264,13 @@ class Certificate:
         return math.ceil(self.threshold)
 
 
-@record
-class VerificationReport:
-    checks: tuple[Certificate, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[Certificate, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
 def verify_allocation(
     instance: Instance,
     allocation: Allocation,
     thresholds: Sequence[Number],
-) -> VerificationReport:
-    """Check that every agent's bundle meets a per-agent value threshold.
+) -> tuple[Certificate, ...]:
+    """Check every agent's bundle against a per-agent value threshold, and
+    return one certificate row per agent, in agent order.
 
     Structural problems (wrong bundle count, overlap, missing goods) raise
     :class:`PartitionError` before any value comparison.  Thresholds may be
@@ -289,10 +278,10 @@ def verify_allocation(
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> alloc = Allocation.of([{0, 2}, {1, 3}])
-    >>> verify_allocation(inst, alloc, [5, 2]).ok
+    >>> all(row.ok for row in verify_allocation(inst, alloc, [5, 2]))
     True
-    >>> report = verify_allocation(inst, alloc, [7, 2])
-    >>> [c.agent for c in report.failures()]
+    >>> rows = verify_allocation(inst, alloc, [7, 2])
+    >>> [row.agent for row in rows if not row.ok]
     [0]
     """
     if len(allocation.bundles) != instance.n:
@@ -304,12 +293,10 @@ def verify_allocation(
         raise InputError(
             f"got {len(thresholds)} thresholds for n={instance.n} agents"
         )
-    checks = []
-    for i in instance.agents:
-        value = bundle_value(instance, i, allocation.bundles[i])
-        threshold = Fraction(thresholds[i])
-        checks.append(Certificate(agent=i, value=value, threshold=threshold))
-    return VerificationReport(checks=tuple(checks))
+    return tuple(
+        Certificate(i, bundle_value(instance, i, allocation.bundles[i]), Fraction(t))
+        for i, t in zip(instance.agents, thresholds)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class TrialStats:
     min_ratio: Fraction
 
     @property
-    def failures(self) -> int:
-        return self.config.trials - self.successes
-
-    @property
     def rate(self) -> Fraction:
         return Fraction(self.successes, self.config.trials)
 
@@ -152,11 +148,11 @@ def run_existence_trials(config: TrialConfig) -> TrialStats:
                 instance, seed=seed ^ _ALGO_SEED_SALT
             )
         thresholds = _trial_thresholds(instance, config.predicate)
-        report = verify_allocation(instance, allocation, thresholds)
-        if report.ok:
+        rows = verify_allocation(instance, allocation, thresholds)
+        if all(row.ok for row in rows):
             successes += 1
         ratios = []
-        for check in report.checks:
+        for check in rows:
             total = sum(instance.row(check.agent))
             if total:
                 ratios.append(Fraction(check.value * instance.n, total))

@@ -165,12 +165,6 @@ def compute_x_plus(
         match_left[u] = v
         match_right[v] = u
 
-    for u in range(graph.n_left):
-        if match_left[u] == -1 and _augment(
-            graph, u, list(match_right), set()
-        ):
-            raise InputError("matching is not maximum: an augmenting path exists")
-
     reached = _alternating_reach(graph, match_left, match_right)
     x_plus = tuple(u for u in range(graph.n_left) if reached[u])
     gamma = tuple(sorted({v for u in x_plus for v in graph.adj[u]}))
@@ -205,7 +199,8 @@ def _alternating_reach(
     graph: PreferenceGraph, match_left: list[int], match_right: list[int]
 ) -> list[bool]:
     """Which left vertices the unmatched ones reach along alternating paths
-    (free edge right, matched edge left)."""
+    (free edge right, matched edge left).  Raises InputError if one reaches
+    an unmatched right vertex, since the path to it augments the matching."""
     reached = [False] * graph.n_left
     queue = [u for u in range(graph.n_left) if match_left[u] == -1]
     for u in queue:
@@ -214,8 +209,9 @@ def _alternating_reach(
         u = queue.pop(0)
         for v in graph.adj[u]:
             w = match_right[v]
-            # v cannot be unmatched here, or the path would augment.
-            if w != -1 and not reached[w]:
+            if w == -1:
+                raise InputError("matching is not maximum: an augmenting path exists")
+            if not reached[w]:
                 reached[w] = True
                 queue.append(w)
     return reached

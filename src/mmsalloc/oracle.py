@@ -209,7 +209,7 @@ def _raise_worst(
 
 
 def _cover_walk(
-    vals: list[int], t: int, cap: int
+    vals: Sequence[int], t: int, cap: int
 ) -> Iterator[tuple[int, list[int]]]:
     """(worth, chosen) for each minimal cover of t drawn from the descending
     values vals that contains vals[0], worth at most cap, in depth-first
@@ -268,8 +268,9 @@ def _first_bundles(
     if k == 1:
         yield [j for _, j in pool], [], 0
         return
-    vals = [v for v, _ in pool]
-    key = (k, tuple(vals))
+    # Via a list, so the key the fail memo keeps is allocated at its exact size.
+    vals = tuple([v for v, _ in pool])
+    key = (k, vals)
     if fail_memo.get(key, t + 1) <= t:
         return
     first = pool[0][1]
@@ -325,16 +326,17 @@ def _search_maximin(
 ) -> tuple[int, Optional[list[list[int]]]]:
     """Largest t with a k-cover at floor t, from a known achievable lo.
 
-    The search climbs from lo up to the upper bound U: it probes lo + 1,
-    and each cover found lifts lo to that cover's own worst bundle, until
-    a probe fails or lo reaches U.  So a climb that ends below U ends on
-    its one failed probe.  After (U - lo).bit_length() climbs it bisects
-    what is left, so the probe count stays O(log(U - lo)).  All probes
-    share the fail memo.  The witness is the last cover found (lo_witness
-    when nothing beats lo); it is the cover the search finds at the answer
+    The search climbs from lo up to the upper bound U: it probes lo + 1
+    until a probe fails or lo reaches U.  So a climb that ends below U ends
+    on its one failed probe.  After (U - lo).bit_length() climbs it
+    bisects what is left, so the probe count stays O(log(U - lo)).  Every
+    cover found, climbing or bisecting, lifts lo to that cover's own worst
+    bundle, and every failed probe t lowers U to t - 1.  All probes share
+    the fail memo.  The witness is the last cover found (lo_witness when
+    nothing beats lo); it is the cover the search finds at the answer
     itself (see below), so it does not depend on the probes made before it.
     """
-    # A climb's cover, found at floor t with worst bundle w, is the cover the
+    # A cover found at floor t with worst bundle w is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
     # - Its first bundle reaches t only with its last member and is worth at
     #   least w, so the walk at w builds it as well, and the other bundles,
@@ -351,21 +353,15 @@ def _search_maximin(
     value_of = {j: v for v, j in items}
     witness = lo_witness
     climbs = (hi - lo).bit_length()
-    while lo < hi and climbs:
-        climbs -= 1
-        got = _cover_search(items, k, lo + 1, memo)
-        if got is None:
-            hi = lo
-            break
-        witness = got
-        lo = min(sum(value_of[j] for j in b) for b in got)
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        got = _cover_search(items, k, mid, memo)
+        t = lo + 1 if climbs > 0 else (lo + hi + 1) // 2
+        climbs -= 1
+        got = _cover_search(items, k, t, memo)
         if got is None:
-            hi = mid - 1
+            hi = t - 1
         else:
-            witness, lo = got, mid
+            witness = got
+            lo = min(sum(value_of[j] for j in b) for b in got)
     return lo, witness
 
 

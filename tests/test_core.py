@@ -35,6 +35,13 @@ def test_module_doctests():
     assert result.failed == 0
 
 
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 class TestInstance:
     def test_from_rows_shape(self):
         inst = Instance.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -96,7 +103,7 @@ def test_public_names_resolve():
         assert hasattr(mmsalloc, name), name
     deleted = {
         "AgentCheck", "RecursionState", "lift_allocation", "profile_rows",
-        "sort_reduce", "proportional_upper_bound",
+        "sort_reduce", "proportional_upper_bound", "VerificationReport",
     }
     assert not deleted & set(mmsalloc.__all__)
     assert not [name for name in deleted if hasattr(mmsalloc, name)]
@@ -143,29 +150,29 @@ class TestVerifyAllocation:
         self.alloc = Allocation.of([[0, 3], [1, 2]])
 
     def test_passing_report(self):
-        report = verify_allocation(self.inst, self.alloc, [5, 2])
-        assert report.ok
-        assert report.failures() == ()
-        assert [c.value for c in report.checks] == [5, 2]
+        rows = verify_allocation(self.inst, self.alloc, [5, 2])
+        assert all(row.ok for row in rows)
+        assert [row for row in rows if not row.ok] == []
+        assert [c.value for c in rows] == [5, 2]
 
     def test_failing_report(self):
-        report = verify_allocation(self.inst, self.alloc, [6, 2])
-        assert not report.ok
-        assert [c.agent for c in report.failures()] == [0]
+        rows = verify_allocation(self.inst, self.alloc, [6, 2])
+        assert not all(row.ok for row in rows)
+        assert [c.agent for c in rows if not c.ok] == [0]
         # The checks are the certificate rows solve prints.
-        assert report.checks == (
+        assert rows == (
             Certificate(agent=0, value=5, threshold=Fraction(6)),
             Certificate(agent=1, value=2, threshold=Fraction(2)),
         )
-        assert [c.ok for c in report.checks] == [False, True]
+        assert [c.ok for c in rows] == [False, True]
 
     def test_fraction_thresholds_compared_exactly(self):
-        report = verify_allocation(self.inst, self.alloc, [Fraction(5), Fraction(2)])
-        assert report.ok
-        report = verify_allocation(
+        rows = verify_allocation(self.inst, self.alloc, [Fraction(5), Fraction(2)])
+        assert all(row.ok for row in rows)
+        rows = verify_allocation(
             self.inst, self.alloc, [Fraction(5_000_001, 1_000_000), 2]
         )
-        assert not report.ok
+        assert not all(row.ok for row in rows)
 
     def test_structural_error_beats_value_check(self):
         broken = Allocation.of([[0], [1, 2]])

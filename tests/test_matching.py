@@ -163,6 +163,16 @@ class TestComputeXPlus:
         with pytest.raises(InputError):
             compute_x_plus(graph, ((0, 0),))
 
+    def test_maximality_needs_no_augmenting_search(self, monkeypatch):
+        # The alternating reach that builds X+ finds the augmenting path.
+        def augment(graph, u, match_right, visited):
+            raise AssertionError("compute_x_plus ran an augmenting search")
+
+        monkeypatch.setattr(matching_mod, "_augment", augment)
+        graph = PreferenceGraph(2, 2, ((0, 1), (0, 1)))
+        with pytest.raises(InputError, match="not maximum"):
+            compute_x_plus(graph, ((0, 0),))
+
     def test_random_graph_invariants(self):
         rng = random.Random(73)
         for _ in range(150):
@@ -188,14 +198,13 @@ class TestComputeXPlus:
 class TestGuaranteeChecks:
     """Each check of compute_x_plus, forced to fail."""
 
-    @staticmethod
-    def no_augmenting_path(graph, u, match_right, visited):
-        return False
-
     def test_non_maximum_matching_is_no_hall_violator(self, monkeypatch):
-        # The empty matching passes as maximum; X+ = {0} then has the one
-        # neighbor 0, which is not fewer.
-        monkeypatch.setattr(matching_mod, "_augment", self.no_augmenting_path)
+        # A reach that stops at the free agents lets the empty matching pass
+        # as maximum; X+ = {0} then has the one neighbor 0, which is not fewer.
+        monkeypatch.setattr(
+            matching_mod, "_alternating_reach",
+            lambda graph, match_left, match_right: [v == -1 for v in match_left],
+        )
         with pytest.raises(GuaranteeError, match="no Hall violator"):
             compute_x_plus(PreferenceGraph(1, 1, ((0,),)), ())
 
@@ -223,7 +232,12 @@ class TestGuaranteeChecks:
         path.write_text(json.dumps(
             {"n": 3, "m": 6, "scale": 1, "valuations": [[3, 3, 2, 2, 1, 1]] * 3}
         ))
-        monkeypatch.setattr(matching_mod, "_augment", self.no_augmenting_path)
+        # A reach that takes in every agent puts them all in X+, which then
+        # has no fewer neighbors than agents.
+        monkeypatch.setattr(
+            matching_mod, "_alternating_reach",
+            lambda graph, match_left, match_right: [True] * graph.n_left,
+        )
         argv = ["solve", "--algo", "twothirds", "--eps", "1/10",
                 "--oracle", "exact", "--instance", str(path)]
         assert main(argv) == 1

@@ -488,6 +488,26 @@ def test_exact_share_costs_one_failed_probe():
     assert calls <= 2006
 
 
+def test_bisection_lifts_its_floor_to_the_worst_bundle_found():
+    # Past the capped climbs, a cover found at a bisection probe lifts the
+    # floor to its own worst bundle, not to the probe, so later probes
+    # start higher.  Probing from the probed floor took 15 cover searches.
+    search = oracle._cover_search
+    calls = 0
+
+    def counted(pool, k, t, fail_memo):
+        nonlocal calls
+        calls += 1
+        return search(pool, k, t, fail_memo)
+
+    values = [1809, 1896, 1066, 1035, 1012, 3473, 1132, 1115, 1499, 23793,
+              6104, 1367, 4170, 1076]
+    with patch.object(oracle, "_cover_search", counted):
+        cert = mms_exact(values, 4)
+    assert cert.value == 8912
+    assert calls <= 12
+
+
 # ---------------------------------------------------------------------------
 # The capped cover search against the uncapped enumeration.
 # ---------------------------------------------------------------------------
