@@ -16,8 +16,8 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   bundles and one of covers per bundle, so it never recurses and needs no
   recursion limit.  It climbs from the raised split's worst bundle: each
   cover found lifts the floor to that cover's worst bundle, and the first
-  failed candidate ends the search.  U is not tried first, as the exact
-  share rarely meets it.  Bisection takes over after O(log gap) climbs.
+  failed candidate ends the search.  U is not tried first, as the share
+  rarely meets it.  Bisection takes over after O(log gap) climbs.
   The last cover found is the witness, the one the search at the answer
   finds; when the raised split beats the greedy one, the climb starts one
   below it, so its first candidate finds that cover.
@@ -25,10 +25,9 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
   otherwise does it run the same search, from that split, on values rounded
   down to a grain chosen so the rounding loss stays under half of eps times
-  the optimum.  That search alone tries its rounded U first, since coarse
-  rounding usually meets it.  Either way the certificate value is the true
-  minimum of the witness, so it is at least (1-eps) times the exact optimum
-  and never above it.
+  the optimum.  Either way the certificate value is the true minimum of
+  the witness, so it is at least (1-eps) times the exact optimum and never
+  above it.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -321,8 +320,7 @@ def _cover_search(
 
 
 def _search_maximin(
-    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]],
-    memo: dict,
+    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]]
 ) -> tuple[int, Optional[list[list[int]]]]:
     """Largest t with a k-cover at floor t, from a known achievable lo.
 
@@ -332,9 +330,9 @@ def _search_maximin(
     bisects what is left, so the probe count stays O(log(U - lo)).  Every
     cover found, climbing or bisecting, lifts lo to that cover's own worst
     bundle, and every failed probe t lowers U to t - 1.  All probes share
-    the fail memo.  The witness is the last cover found (lo_witness when
-    nothing beats lo); it is the cover the search finds at the answer
-    itself (see below), so it does not depend on the probes made before it.
+    the fail memo the search makes itself.  The witness is the last cover
+    found (lo_witness when nothing beats lo); it is the cover the search
+    finds at the answer itself (see below), whatever the probes before it.
     """
     # A cover found at floor t with worst bundle w is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
@@ -351,6 +349,7 @@ def _search_maximin(
     #   search at w makes the same choices as the one at t.
     hi = _upper_bound(items, sum(v for v, _ in items), k)
     value_of = {j: v for v, j in items}
+    memo: dict = {}
     witness = lo_witness
     climbs = (hi - lo).bit_length()
     while lo < hi:
@@ -391,7 +390,6 @@ def _rounded_search(
     m*u <= eps/2 times the optimum to rounding, hence the exact search on
     rounded values yields a split whose true minimum is at least (1 - eps)
     times the optimum.  Goods worth less than u go to its worst bundle.
-    It tries the rounded U first, as coarse rounding usually meets it.
     """
     p, q = frac.numerator, frac.denominator
     value = min(sum(vals[j] for j in b) for b in bundles)
@@ -400,11 +398,7 @@ def _rounded_search(
     dust = [j for v, j in items if v < grain]
     start = [[j for j in b if vals[j] >= grain] for b in bundles]
     lo = min(sum(vals[j] // grain for j in b) for b in start)
-    hi = _upper_bound(rounded, sum(v for v, _ in rounded), k)
-    memo: dict = {}
-    found = _cover_search(rounded, k, hi, memo) if lo < hi else None
-    if found is None:
-        _, found = _search_maximin(rounded, k, lo, start, memo)
+    _, found = _search_maximin(rounded, k, lo, start)
     sums = [sum(vals[j] for j in b) for b in found]
     if dust:
         dump = sums.index(min(sums))
@@ -442,7 +436,7 @@ def _maximin(
     value = min(loads)
     if frac is None:
         start, witness = (value - 1, None) if value > floor else (value, greedy)
-        value, best = _search_maximin(items, k, start, witness, {})
+        value, best = _search_maximin(items, k, start, witness)
         if best is None:
             raise GuaranteeError(f"no cover found at the raised value {value + 1}")
     elif value < bar:

@@ -121,11 +121,9 @@ def apx_3_mms(
         halves = tuple(
             tuple(sorted(pool[pos] for pos in part)) for part in cert.witness
         )
-        candidates.append((cert.value, j, halves))
-    kept = max(candidates, key=lambda c: (c[0], -bad.index(c[1])))
-    discarded = candidates[1 - candidates.index(kept)]
-    _, kept_bad, halves = kept
-    untouched = [j for j in bad if j != kept_bad][0]
+        candidates.append((cert.value, halves))
+    x = max(range(2), key=lambda x: (candidates[x][0], -x))
+    halves = candidates[x][1]
     pick = max(
         range(2), key=lambda j: (sum(rows[2][g] for g in halves[j]), -j)
     )
@@ -135,11 +133,11 @@ def apx_3_mms(
                 "branch": "d",
                 "a_sets": a_sets,
                 "base": good_j,
-                "kept_with": kept_bad,
-                "kept_value": kept[0],
-                "discarded_value": discarded[0],
+                "kept_with": bad[x],
+                "kept_value": candidates[x][0],
+                "discarded_value": candidates[1 - x][0],
                 "halves": halves,
             }
         )
-    bundles = {0: a_sets[untouched], 2: halves[pick], 1: halves[1 - pick]}
+    bundles = {0: a_sets[bad[1 - x]], 2: halves[pick], 1: halves[1 - pick]}
     return Allocation.of(bundles[a] for a in range(3))

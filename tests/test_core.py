@@ -12,6 +12,7 @@ import pytest
 
 import mmsalloc
 import mmsalloc.core as core
+import mmsalloc.oracle as oracle
 from mmsalloc import (
     Allocation,
     Certificate,
@@ -136,6 +137,37 @@ def test_bench_names_resolve():
         assert [cert.mode for cert in certs] == [mode, mode]
         modes.append(mode)
     assert sorted(modes) == ["exact", "ptas"]
+
+
+def _bench_tracer_targets():
+    """TARGETS of bench/tracer.py, read as a literal, without running it."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "TARGETS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py assigns no TARGETS")
+
+
+def test_package_surface_the_benchmark_calls(tmp_path):
+    # The benchmark's traced runs wrap each TARGETS function and
+    # Instance.__post_init__; its worker builds and saves the input files and
+    # asks xi_vector in both modes.  A name deleted from the package breaks
+    # only the traced benchmark, so it is checked here.
+    for module, names in _bench_tracer_targets().items():
+        home = importlib.import_module(f"mmsalloc.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
+    assert callable(getattr(core.Instance, "__post_init__", None))
+    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
+    path = tmp_path / "inst.json"
+    core.save_instance(inst, str(path))
+    assert load_instance(str(path)) == inst
+    exact = oracle.xi_vector(inst, 2, mode="exact")
+    ptas = oracle.xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas")
+    for certs, mode in ((exact, "exact"), (ptas, "ptas")):
+        assert [cert.mode for cert in certs] == [mode] * inst.n
 
 
 def test_bundle_value_is_exact_sum():

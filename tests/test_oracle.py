@@ -228,7 +228,7 @@ def test_lpt_heap_matches_linear_scan():
 # ---------------------------------------------------------------------------
 
 
-def _bisection_search(items, k, lo, lo_witness, memo=None):
+def _bisection_search(items, k, lo, lo_witness):
     """Plain bisection between lo and the averaging bound: the reference the
     climbing oracle._search_maximin must agree with exactly, value and
     witness."""
@@ -250,16 +250,15 @@ def _with_probe_counts(query, *args):
     count of full-pool probes.
 
     The gap is the averaging bound minus the search's starting floor.  A
-    full-pool probe is a call of the cover search, which is only ever
-    called on the whole item list; the rounded search's probe at its U,
-    made before its maximin search, counts too.
+    full-pool probe is a call of the cover search, which only the maximin
+    search makes, and only on its whole item list.
     """
     gaps, probes = [], 0
     search, cover_search = oracle._search_maximin, oracle._cover_search
 
-    def counted_search(items, k, lo, lo_witness, memo):
+    def counted_search(items, k, lo, lo_witness):
         gaps.append(sum(v for v, _ in items) // k - lo)
-        return search(items, k, lo, lo_witness, memo)
+        return search(items, k, lo, lo_witness)
 
     def counted_cover_search(pool, k, t, fail_memo):
         nonlocal probes
@@ -310,14 +309,19 @@ def _rounded_search_from_greedy(values, k, eps):
     return oracle._rounded_search(values, items, k, eps, bundles)
 
 
+# (search gaps, probes) of each row above, by (m, k).
+_APPROX_PROBES = {(40, 4): ([2], 2), (60, 5): ([4], 4), (90, 5): ([1], 1),
+                  (105, 10): ([6], 5)}
+
+
 @pytest.mark.parametrize("values,k", list(_approx_rows()))
 def test_approx_search_matches_bisection(values, k):
     (value, _), gaps, probes = _assert_same_as_bisection(
         _rounded_search_from_greedy, values, k, Fraction(1, 10)
     )
-    # The rounded share meets the averaging bound: the one probe at the
-    # rounded U settles it, and no climb starts.
-    assert (gaps, probes) == ([], 1)
+    # The rounded share meets the rounded U, so every probe of the one
+    # climb finds a cover, and the climb ends at U with no failed probe.
+    assert (gaps, probes) == _APPROX_PROBES[len(values), k]
     assert value <= sum(values) // k
 
 
@@ -349,6 +353,20 @@ def test_approx_search_from_the_witness_matches_bisection(values, k):
     assert 9 * mms_exact(values, k).value <= 10 * cert.value <= 10 * cert.upper
 
 
+def test_rounded_search_probes_only_in_its_climb():
+    # The rounded search hands its rounded split to the maximin search and
+    # probes nothing of its own.  The rounded U lies above the rounded share
+    # on every one of these rows, so a probe there first would fail and
+    # cost each row one more cover search.
+    counts = []
+    for values, k in _HEAVY:
+        _, _, probes = _assert_same_as_bisection(
+            mms_approx, values, k, Fraction(1, 10)
+        )
+        counts.append(probes)
+    assert counts == [1, 1, 4, 10, 8, 1, 6, 1, 1]
+
+
 def _probes_with_slowest_climb(opt, n=2000):
     """The floors _search_maximin probes on n unit items and k = 2, when
     covers exist up to opt only and each cover found has its worst bundle
@@ -364,7 +382,7 @@ def _probes_with_slowest_climb(opt, n=2000):
     items = [(1, j) for j in range(n)]
     with patch.object(oracle, "_cover_search", cover_search):
         value, witness = oracle._search_maximin(
-            items, 2, 0, [[], list(range(n))], {}
+            items, 2, 0, [[], list(range(n))]
         )
     assert value == opt and witness == [list(range(opt)), list(range(opt, n))]
     return probes
@@ -403,7 +421,7 @@ def test_witness_is_the_cover_found_at_the_answer():
 
         with patch.object(oracle, "_cover_search", recorded):
             value, witness = oracle._search_maximin(
-                items, k, min(loads), bundles, {}
+                items, k, min(loads), bundles
             )
         if found and value not in found:
             below += 1
@@ -426,7 +444,7 @@ def _mms_exact_from_greedy(values, k):
     if k == 1:
         return total, (frozenset(range(len(values))),), total
     loads, bundles = oracle._lpt(items, k)
-    value, best = oracle._search_maximin(items, k, min(loads), bundles, {})
+    value, best = oracle._search_maximin(items, k, min(loads), bundles)
     best[0].extend(j for j, v in enumerate(values) if v == 0)
     return value, tuple(map(frozenset, best)), oracle._upper_bound(items, total, k)
 
@@ -857,12 +875,12 @@ def test_approx_finishes_with_three_goods_per_bundle(m, k):
 # ---------------------------------------------------------------------------
 
 
-def _overstated(items, k, lo, lo_witness, memo):
+def _overstated(items, k, lo, lo_witness):
     value, witness = _bisection_search(items, k, lo, lo_witness)
     return value + 1, witness
 
 
-def _every_item_in_every_bundle(items, k, lo, lo_witness, memo):
+def _every_item_in_every_bundle(items, k, lo, lo_witness):
     return lo, [[j for _, j in items] for _ in range(k)]
 
 
