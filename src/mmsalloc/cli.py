@@ -36,7 +36,9 @@ from .core import (
     verify_allocation,
 )
 from .experiments import (
+    ALGORITHMS as TRIAL_ALGORITHMS,
     DEFAULT_SCALE,
+    PREDICATES,
     TrialConfig,
     gen_uniform_instance,
     report_text,
@@ -87,7 +89,6 @@ def _solve_thresholds(
     if algo == "three78":
         return [(Fraction(7, 8) - oracle.loss(eps)) * b for b in base]
     # ternary, and twothirds with one agent, who takes every good
-    assert algo in ("ternary", "twothirds")
     return [Fraction(b) for b in base]
 
 
@@ -159,7 +160,6 @@ def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[l
         return apx_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
     if algo == "three78":
         return apx_3_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
-    assert algo == "ternary"
     return exact_mms_012(instance, trace=trace)
 
 
@@ -310,7 +310,11 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    call.  A parser is full of reference cycles, so one built per call would
+    leave them to the cyclic garbage collector."""
     parser = argparse.ArgumentParser(
         prog="mmsalloc",
         description="Approximate maximin-share allocation of indivisible goods.",
@@ -363,10 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", required=True, type=int)
     p_exp.add_argument("--seed", required=True, type=int)
     p_exp.add_argument("--scale", default=DEFAULT_SCALE, type=int)
-    p_exp.add_argument("--algo", default="rr", choices=("rr", "rr-modified"))
-    p_exp.add_argument(
-        "--predicate", default="proportional", choices=("proportional", "mms")
-    )
+    p_exp.add_argument("--algo", default="rr", choices=TRIAL_ALGORITHMS)
+    p_exp.add_argument("--predicate", default="proportional", choices=PREDICATES)
     p_exp.add_argument("--format", default="csv", choices=("csv", "json"))
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=cmd_experiment)
@@ -374,16 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process.  A parser is full of
-    reference cycles, so one built per call would leave them to the cyclic
-    garbage collector."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuaranteeError as exc:

@@ -14,12 +14,9 @@ ascending index order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .core import GuaranteeError, InputError, record
-
-Threshold = Union[int, Fraction]
+from .core import GuaranteeError, InputError, Number, record
 
 
 @record
@@ -55,7 +52,7 @@ class PreferenceGraph:
 def build_preference_graph(
     rows: Sequence[Sequence[int]],
     bundles: Sequence[Iterable[int]],
-    thresholds: Sequence[Threshold],
+    thresholds: Sequence[Number],
 ) -> PreferenceGraph:
     """Edge (i, j) whenever agent i values bundle j at least thresholds[i].
 

@@ -9,18 +9,14 @@ average of what is left, and U is that average over the remaining bundles
 greedy split by moves and swaps toward a bar, U or (1-eps)*U.
 
 * :func:`mms_exact` searches for the largest achievable floor, deciding each
-  candidate with a bundle-by-bundle search over minimal covers.  A cover is
-  never worth more than total - (k-1)*t, since anything above that leaves
-  the other bundles short of their floors, and the pools that failed are
-  remembered across candidates.  The search walks explicit stacks, one of
-  bundles and one of covers per bundle, so it never recurses and needs no
-  recursion limit.  It climbs from the raised split's worst bundle: each
-  cover found lifts the floor to that cover's worst bundle, and the first
-  failed candidate ends the search.  U is not tried first, as the share
-  rarely meets it.  Bisection takes over after O(log gap) climbs.
-  The last cover found is the witness, the one the search at the answer
-  finds; when the raised split beats the greedy one, the climb starts one
-  below it, so its first candidate finds that cover.
+  candidate with a bundle-by-bundle search over minimal covers, whose
+  rules the decision core below states.  It climbs from the raised split's
+  worst bundle: each cover found lifts the floor to that cover's worst
+  bundle, and the first failed candidate ends the search.  U is not tried
+  first, as the share rarely meets it.  Bisection takes over after
+  O(log gap) climbs.  The last cover found is the witness, the one the
+  search at the answer finds; when the raised split beats the greedy one,
+  the climb starts one below it, so its first candidate finds that cover.
 * :func:`mms_approx` returns the raised split as soon as its worst bundle
   reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
   otherwise does it run the same search, from that split, on values rounded
@@ -178,32 +174,36 @@ def _raise_worst(
 # ---------------------------------------------------------------------------
 # Decision core: can the pool be split into k bundles each worth >= t?
 #
-# Bundles are built one at a time.  The first bundle is the one containing
-# the largest remaining item, and only minimal covers are tried: supersets of
-# a cover waste items the later bundles may need, so if any partition at
-# floor t exists, one with a minimal first cover does too.  Equal values are
-# interchangeable, which gives two further cuts: when the search declines an
-# item it declines all equal-valued followers at once, and pools that already
-# failed are remembered by their value multiset, with the least floor they
-# failed at.  A pool that fails at t fails at every higher floor, so one memo
-# serves every probe of a search, and it only ever cuts failing branches.
+# Bundles are built one at a time.  Each is the one containing the largest
+# remaining item, and only minimal covers are tried: supersets of a cover
+# waste items the later bundles may need, so if any partition at floor t
+# exists, one with a minimal first cover does too.  The last bundle takes
+# whatever is left, where it can only help.
 #
-# Covers are also bounded above by cap = total - (k-1)*t.  A cover worth more
-# leaves a remainder worth less than (k-1)*t, which cannot give the other
-# k-1 bundles t each, so the search under it would fail at once.  Skipping
-# such covers is therefore sound, and as the skip only drops failing
-# branches, the covers kept come in the same order and the first one that
-# succeeds, hence the answer and the witness, is unchanged.  A good worth t
-# or more is a bundle of its own; no probe exceeds the upper bound U, so the
-# goods left after such bundles are always worth the rest's floors.  The
-# pool is sorted, so such goods lead it, and once a cover is built every
-# later head is below t: they are split off once, before the first level.
+# The lead goods.  A good worth t or more is a bundle of its own; no probe
+# exceeds the upper bound U, so the goods left after such bundles are always
+# worth the rest's floors.  The pool is sorted, so such goods lead it, and
+# once a cover is built every later head is below t: they are split off
+# once, before the first level, at most k - 1 of them.
 #
-# Nothing here recurses.  The search keeps one generator of first-bundle
-# choices per open level on an explicit stack (_first_bundles), and each
-# level's cover walk keeps its own stack of skip points (_cover_walk), so
-# the depth of a search is bounded by k and the size of the pool, not by
-# the interpreter's recursion limit, and no call leaves a reference cycle.
+# The cap.  A cover is worth at most cap = total - (k-1)*t.  A cover worth
+# more leaves a remainder worth less than (k-1)*t, which cannot give the
+# other k-1 bundles t each, so the search under it would fail at once.  As
+# the cap only drops failing branches, the covers kept come in the same
+# order and the first one that succeeds, hence the answer and the witness,
+# is unchanged.
+#
+# The memo.  Equal values are interchangeable: when the walk declines an
+# item it declines all equal-valued followers at once, and a pool whose
+# covers all failed is remembered in the fail memo, which maps (bundle
+# count, values) to the least floor that pool failed at.  A pool that fails
+# at t fails at every higher floor, so one memo serves every probe of a
+# search, and it only ever cuts failing branches.
+#
+# No recursion.  The search keeps its open levels in a list, each with one
+# cover walk, and each walk keeps its own stack of skip points, so the depth
+# of a search is bounded by k and the size of the pool, not by the
+# interpreter's recursion limit, and no call leaves a reference cycle.
 # ---------------------------------------------------------------------------
 
 
@@ -253,48 +253,20 @@ def _cover_walk(
             yield acc, chosen
 
 
-def _first_bundles(
-    pool: list[Item], total: int, k: int, t: int, fail_memo: dict
-) -> Iterator[tuple[list[int], list[Item], int]]:
-    """The choices of a first bundle when splitting pool, whose values sum
-    to total, into k bundles each worth at least t > 0, in search order:
-    each as (bundle, the pool left, its worth).  With k = 1 the one choice
-    is the whole pool; otherwise the pool's head is worth less than t.  A
-    pool whose covers all fail is recorded in fail_memo, which maps (bundle
-    count, values) to the least floor that pool failed at."""
-    if total < k * t or len(pool) < k:
-        return
-    if k == 1:
-        yield [j for _, j in pool], [], 0
-        return
-    # Via a list, so the key the fail memo keeps is allocated at its exact size.
-    vals = tuple([v for v, _ in pool])
-    key = (k, vals)
-    if fail_memo.get(key, t + 1) <= t:
-        return
-    first = pool[0][1]
-    for worth, chosen in _cover_walk(vals, t, total - (k - 1) * t):
-        left: list[Item] = []
-        start = 1
-        for c in chosen:
-            left += pool[start:c]
-            start = c + 1
-        left += pool[start:]
-        yield [first] + [pool[c][1] for c in chosen], left, total - worth
-    fail_memo[key] = t
-
-
 def _cover_search(
     pool: list[Item], k: int, t: int, fail_memo: dict
 ) -> Optional[list[list[int]]]:
-    """Split pool into k bundles each totalling at least t, or None.
+    """Split pool into k bundles each totalling at least t > 0, or None.
 
-    The leading goods worth t or more, at most k - 1 of them, are bundles
-    of their own.  Items the cover search leaves over are appended to the
-    final bundle, where they can only help.  fail_memo maps (bundle count,
-    values) to the least floor that pool failed at.  The search is depth
-    first: levels holds the choices of each bundle built so far, and a
-    level whose choices run out hands back to the one before it.
+    After the lead goods, the search is one loop over open levels, each
+    holding its pool, that pool's total, its memo key and its cover walk.
+    A pool is searched only when it is worth need*t for the need bundles
+    left; with one bundle left, it is that bundle.  With more, each of its
+    goods is worth less than t, so it holds more goods than bundles, and it
+    opens a level unless fail_memo holds it at t or below.  The deepest
+    level's next cover is the next bundle and what it leaves is the next
+    level's pool; a level whose walk runs out goes into fail_memo and is
+    dropped.
     """
     lead = 0
     while lead < min(len(pool), k - 1) and pool[lead][0] >= t:
@@ -302,21 +274,38 @@ def _cover_search(
     bundles = [[j] for _, j in pool[:lead]]
     pool = pool[lead:]
     total = sum(v for v, _ in pool)
-    levels = [_first_bundles(pool, total, k - lead, t, fail_memo)]
-    while levels:
-        got = next(levels[-1], None)
-        if got is None:
+    levels: list[tuple] = []
+    while True:
+        need = k - len(bundles)
+        if total >= need * t:
+            if need == 1:
+                bundles.append([j for _, j in pool])
+                return bundles
+            # Via a list, so the memo's key is allocated at its exact size.
+            vals = tuple([v for v, _ in pool])
+            key = (need, vals)
+            if fail_memo.get(key, t + 1) > t:
+                walk = _cover_walk(vals, t, total - (need - 1) * t)
+                levels.append((pool, total, key, walk))
+        while levels:
+            pool, total, key, walk = levels[-1]
+            got = next(walk, None)
+            if got is not None:
+                break
+            fail_memo[key] = t
             levels.pop()
-            continue
+        else:
+            return None
+        worth, chosen = got
         del bundles[lead + len(levels) - 1:]
-        bundle, pool, total = got
-        bundles.append(bundle)
-        if len(bundles) == k:
-            return bundles
-        levels.append(
-            _first_bundles(pool, total, k - len(bundles), t, fail_memo)
-        )
-    return None
+        bundles.append([pool[0][1]] + [pool[c][1] for c in chosen])
+        left: list[Item] = []
+        start = 1
+        for c in chosen:
+            left += pool[start:c]
+            start = c + 1
+        left += pool[start:]
+        pool, total = left, total - worth
 
 
 def _search_maximin(

@@ -22,9 +22,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
-from .oracle import ShareOracle, xi_vector
-
-RationalLike = Union[int, str, Fraction]
+from .oracle import RationalLike, ShareOracle, xi_vector
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 

@@ -28,9 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import MaximinCertificate, ShareOracle, xi_vector
-
-RationalLike = Union[int, str, Fraction]
+from .oracle import MaximinCertificate, RationalLike, ShareOracle, xi_vector
 
 
 def rho(n: int) -> Fraction:

@@ -110,9 +110,24 @@ def test_public_names_resolve():
     assert not [name for name in deleted if hasattr(mmsalloc, name)]
 
 
-def test_bench_names_resolve():
-    # bench/tracer.py wraps package functions by module and name, and
-    # bench/worker.py calls xi_vector with a mode keyword; both must resolve.
+def test_package_source_has_no_assert_statements():
+    # Checks raise, so that they hold under python -O as well.
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
+
+
+def test_package_surface_the_benchmark_calls(tmp_path):
+    # The benchmark's traced runs wrap each function bench/tracer.py names in
+    # TARGETS, and Instance.__post_init__; its worker builds and saves the
+    # input files and calls xi_vector with the keywords of bench/worker.py,
+    # in both modes.  A name deleted from the package breaks only the traced
+    # benchmark, so it is checked here.
     bench = Path(__file__).resolve().parents[1] / "bench"
     spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -121,53 +136,26 @@ def test_bench_names_resolve():
         home = importlib.import_module(f"mmsalloc.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"{module}.{name}"
+    assert callable(getattr(core.Instance, "__post_init__", None))
+    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
+    path = tmp_path / "inst.json"
+    core.save_instance(inst, str(path))
+    assert load_instance(str(path)) == inst
     worker = ast.parse((bench / "worker.py").read_text())
     calls = [
         {kw.arg: kw.value for kw in node.keywords}
         for node in ast.walk(worker)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "xi_vector"
     ]
-    inst = Instance.from_rows([[3, 2, 1], [1, 1, 2]])
     modes = []
     for keywords in calls:
         mode = keywords.pop("mode").value
         eps = Fraction(1, 10) if keywords.pop("eps", None) else None
         assert not keywords
-        certs = mmsalloc.xi_vector(inst, 2, eps=eps, mode=mode)
-        assert [cert.mode for cert in certs] == [mode, mode]
+        certs = oracle.xi_vector(inst, 2, eps=eps, mode=mode)
+        assert [cert.mode for cert in certs] == [mode] * inst.n
         modes.append(mode)
     assert sorted(modes) == ["exact", "ptas"]
-
-
-def _bench_tracer_targets():
-    """TARGETS of bench/tracer.py, read as a literal, without running it."""
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    for node in ast.parse(tracer.read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == "TARGETS" for target in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py assigns no TARGETS")
-
-
-def test_package_surface_the_benchmark_calls(tmp_path):
-    # The benchmark's traced runs wrap each TARGETS function and
-    # Instance.__post_init__; its worker builds and saves the input files and
-    # asks xi_vector in both modes.  A name deleted from the package breaks
-    # only the traced benchmark, so it is checked here.
-    for module, names in _bench_tracer_targets().items():
-        home = importlib.import_module(f"mmsalloc.{module}")
-        for name in names:
-            assert callable(getattr(home, name, None)), f"{module}.{name}"
-    assert callable(getattr(core.Instance, "__post_init__", None))
-    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
-    path = tmp_path / "inst.json"
-    core.save_instance(inst, str(path))
-    assert load_instance(str(path)) == inst
-    exact = oracle.xi_vector(inst, 2, mode="exact")
-    ptas = oracle.xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas")
-    for certs, mode in ((exact, "exact"), (ptas, "ptas")):
-        assert [cert.mode for cert in certs] == [mode] * inst.n
 
 
 def test_bundle_value_is_exact_sum():

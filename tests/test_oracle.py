@@ -667,19 +667,26 @@ def test_minimal_covers_are_the_uncapped_ones_up_to_cap():
             assert got == expected
 
 
-def _recorded_cover_calls(query, *args):
-    """query(*args), with (pool, total, k, t) for every level of the cover
-    search."""
-    calls = []
-    first_bundles = oracle._first_bundles
+def _recorded_cover_search(query, *args):
+    """query(*args), with (pool, k, t) for every probe of the cover search,
+    and (probe, vals, t, cap, worth) for every cover its walks yield, which
+    is every cover the search takes as a bundle."""
+    probes, covers = [], []
+    search, walk = oracle._cover_search, oracle._cover_walk
 
-    def recorded(pool, total, k, t, fail_memo):
-        calls.append((pool, total, k, t))
-        return first_bundles(pool, total, k, t, fail_memo)
+    def recorded_search(pool, k, t, fail_memo):
+        probes.append((pool, k, t))
+        return search(pool, k, t, fail_memo)
 
-    with patch.object(oracle, "_first_bundles", recorded):
+    def recorded_walk(vals, t, cap):
+        for worth, chosen in walk(vals, t, cap):
+            covers.append((probes[-1], vals, t, cap, worth))
+            yield worth, chosen
+
+    with patch.object(oracle, "_cover_search", recorded_search), \
+            patch.object(oracle, "_cover_walk", recorded_walk):
         query(*args)
-    return calls
+    return probes, covers
 
 
 @pytest.mark.parametrize("query,args", [
@@ -691,13 +698,43 @@ def _recorded_cover_calls(query, *args):
     (mms_exact, ([90, 5, 5, 4, 4, 4], 3)),
 ])
 def test_no_cover_leaves_the_other_bundles_short(query, args):
-    calls = _recorded_cover_calls(query, *args)
-    assert calls
-    for pool, total, k, t in calls:
-        assert total == sum(v for v, _ in pool)
-        # Probes never exceed the averaging bound, and a cover's remainder
-        # is always worth at least (k-1)*t, so no call fails this check.
-        assert total >= k * t
+    probes, covers = _recorded_cover_search(query, *args)
+    assert probes and covers
+    for pool, k, t in probes:
+        # No probe exceeds the upper bound U of the pool it searches.
+        assert t <= _upper_by_definition([v for v, _ in pool], k)
+    for (_, k, probe_t), vals, t, cap, worth in covers:
+        assert t == probe_t
+        # The cap keeps t for each of the bundles still to build after the
+        # cover, so its remainder is worth them all.
+        after, rest = divmod(sum(vals) - cap, t)
+        assert rest == 0 and 1 <= after < k
+        assert vals[0] < t <= worth <= cap
+        assert sum(vals) - worth >= after * t
+
+
+def test_fail_memo_saves_the_search_its_repeated_pools():
+    # Rows of two goods per bundle, on which a pool that failed comes back
+    # again and again: the search makes 75,837 cover-walk yields on them
+    # with the memo, and 7,609,299 without it.  The count stops the search
+    # at twice the first figure, so a broken memo fails here at once.
+    rng = random.Random("memo 22/11")
+    rows = [[rng.randint(0, 10**6) for _ in range(22)] for _ in range(8)]
+    bound, yields = 150_000, 0
+    walk = oracle._cover_walk
+
+    def counted(vals, t, cap):
+        nonlocal yields
+        for cover in walk(vals, t, cap):
+            yields += 1
+            if yields > bound:
+                raise AssertionError(f"more than {bound} cover-walk yields")
+            yield cover
+
+    with patch.object(oracle, "_cover_walk", counted):
+        for row in rows:
+            mms_exact(row, 11)
+    assert 0 < yields <= bound
 
 
 # ---------------------------------------------------------------------------
