@@ -122,12 +122,11 @@ def test_package_source_has_no_assert_statements():
     assert not found
 
 
-def test_package_surface_the_benchmark_calls(tmp_path):
+def test_bench_names_resolve():
     # The benchmark's traced runs wrap each function bench/tracer.py names in
-    # TARGETS, and Instance.__post_init__; its worker builds and saves the
-    # input files and calls xi_vector with the keywords of bench/worker.py,
-    # in both modes.  A name deleted from the package breaks only the traced
-    # benchmark, so it is checked here.
+    # TARGETS, and its worker calls xi_vector with the keywords of
+    # bench/worker.py, in both modes.  A name deleted from the package breaks
+    # only the traced benchmark, so it is checked here.
     bench = Path(__file__).resolve().parents[1] / "bench"
     spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -136,17 +135,13 @@ def test_package_surface_the_benchmark_calls(tmp_path):
         home = importlib.import_module(f"mmsalloc.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"{module}.{name}"
-    assert callable(getattr(core.Instance, "__post_init__", None))
-    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
-    path = tmp_path / "inst.json"
-    core.save_instance(inst, str(path))
-    assert load_instance(str(path)) == inst
     worker = ast.parse((bench / "worker.py").read_text())
     calls = [
         {kw.arg: kw.value for kw in node.keywords}
         for node in ast.walk(worker)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "xi_vector"
     ]
+    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
     modes = []
     for keywords in calls:
         mode = keywords.pop("mode").value
@@ -156,6 +151,16 @@ def test_package_surface_the_benchmark_calls(tmp_path):
         assert [cert.mode for cert in certs] == [mode] * inst.n
         modes.append(mode)
     assert sorted(modes) == ["exact", "ptas"]
+
+
+def test_package_surface_the_benchmark_calls(tmp_path):
+    # The traced runs also wrap Instance.__post_init__, and the worker builds
+    # and saves the input files it solves.
+    assert callable(getattr(core.Instance, "__post_init__", None))
+    inst = core.Instance.from_rows([[5, 4, 3, 2, 1], [2, 2, 2, 2, 2]], 5)
+    path = tmp_path / "inst.json"
+    core.save_instance(inst, str(path))
+    assert load_instance(str(path)) == inst
 
 
 def test_bundle_value_is_exact_sum():
