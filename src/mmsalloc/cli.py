@@ -3,9 +3,11 @@
 Every solve self-verifies its advertised guarantee before printing: the
 allocation is checked against per-agent thresholds built from the
 instance, and a violation exits with status 1 instead of emitting the
-result.  The solver and the thresholds ask one :class:`ShareOracle`, so no
-share is computed twice.  When the exact oracle is out of reach (too many
-goods) the thresholds fall back to a fast certified lower bound on each
+result.  The solver and the thresholds ask one :class:`ShareOracle`, so the
+command asks no share twice, and exact shares stay in the memo under
+:func:`mms_exact` for later commands of the same process (each run of this
+program starts with it empty).  When the exact oracle is out of reach (too
+many goods) the thresholds fall back to a fast certified lower bound on each
 maximin share, so the check stays sound.  Exit codes: 0 success, 1
 guarantee violation, 2 input error.  Good and agent indices are 1-based in
 all files and printed artifacts.  ``solve --trace`` prints each solver's

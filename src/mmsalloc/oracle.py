@@ -25,11 +25,19 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   the witness, so it is at least (1-eps) times the exact optimum and never
   above it.
 
+Exact answers are kept in one memo per process, under :func:`mms_exact`:
+the last 512 distinct queries, keyed on the validated values and k, at most
+about 2.8 MB (5.5 KB an entry at the worst case, 22 goods and k = 22).  A
+share asked again, by the same command or a later one in the process, is
+not searched again.  Errors are never kept.  Approximate answers live only
+in a :class:`ShareOracle`'s own memo, for as long as that oracle lives.
+
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from fractions import Fraction
 from itertools import accumulate
@@ -443,10 +451,22 @@ def _maximin(
 def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
     """Exact maximin over k bundles, with a witness and ``upper`` = U.
 
+    Validated first, then answered from the process-wide memo when among
+    its last 512 distinct queries (see the module docstring).
+
     >>> mms_exact([4, 3, 2, 1], 2).value
     5
     """
-    return _maximin(values, k, "exact")
+    return _exact_memo(tuple(_validated_values(values, k)), k)
+
+
+# Answers are pure functions of (values, k) and certificates are immutable,
+# so a kept answer is the one a new search would give.  typed: a k of
+# another type, such as True or 2.0, is not answered from the entry for the
+# equal int, whose certificate carries that int.
+@functools.lru_cache(maxsize=512, typed=True)
+def _exact_memo(vals: tuple[int, ...], k: int) -> MaximinCertificate:
+    return _maximin(vals, k, "exact")
 
 
 def mms_approx(
@@ -480,10 +500,13 @@ def greedy_floor(values: Sequence[int], k: int) -> int:
 
 
 class ShareOracle:
-    """One command's share oracle, ``exact`` or ``ptas``, with a memo so
-    that no query is answered twice.  :meth:`share` answers by
-    :func:`mms_exact`, or in ptas mode by :func:`mms_approx` at eps, and
-    :meth:`exact` always answers exactly, from the same memo.  :meth:`lower`
+    """A share oracle, ``exact`` or ``ptas``, with its own memo of every
+    answer it gives, for as long as the oracle lives, so that it asks no
+    query twice.  :meth:`share` answers by :func:`mms_exact`, or in ptas
+    mode by :func:`mms_approx` at eps, and :meth:`exact` always answers
+    exactly, from the same memo.  Approximate answers are kept only here;
+    exact ones also stay in the process-wide memo under :func:`mms_exact`,
+    so a new oracle's first exact query may need no search.  :meth:`lower`
     is a certified lower bound on the share for any number of goods.  All
     are called through this module's names, so wrapping those sees every
     query.
@@ -537,6 +560,7 @@ def xi_vector(
 ) -> tuple[MaximinCertificate, ...]:
     """Per-agent maximin certificates over all goods and k bundles from
     ``mode``, a :class:`ShareOracle` or the mode of a fresh one, whose memo
-    gives agents with identical rows one oracle call."""
+    gives agents with identical rows one oracle call.  Exact rows asked by
+    an earlier call in the process come from :func:`mms_exact`'s memo."""
     oracle = ShareOracle.of(mode)
     return tuple(oracle.share(instance.row(i), k, eps) for i in instance.agents)

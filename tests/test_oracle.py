@@ -175,8 +175,103 @@ def test_xi_vector_ptas_within_band():
 
 def test_xi_vector_reuses_identical_rows():
     rows = [[4, 3, 2, 1]] * 3
-    certs = xi_vector(Instance.from_rows(rows), 3, mode="exact")
+    with patch.object(oracle, "mms_exact", wraps=oracle.mms_exact) as asked:
+        certs = xi_vector(Instance.from_rows(rows), 3, mode="exact")
+    assert asked.call_count == 1
     assert certs[0].value == certs[1].value == certs[2].value
+
+
+# ---------------------------------------------------------------------------
+# The process-wide memo under mms_exact.
+# ---------------------------------------------------------------------------
+
+
+def test_a_later_command_reuses_the_shares_an_earlier_one_asked(
+    tmp_path, capsys
+):
+    # Each agent's exact share decides the thresholds of solve --algo half,
+    # and on these rows greedy misses U, so the first solve searches.  A
+    # second solve in the same process finds every share in the memo.
+    rows = [[4, 18, 2, 8, 3, 15, 14, 15], [20, 12, 6, 3, 15, 0, 12, 13],
+            [19, 0, 14, 8, 7, 18, 3, 10]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(
+        {"n": 3, "m": 8, "scale": 1, "valuations": rows}
+    ))
+    argv = ["solve", "--instance", str(path), "--algo", "half"]
+    runs = []
+    for _ in range(2):
+        with patch.object(
+            oracle, "_cover_search", wraps=oracle._cover_search
+        ) as searched:
+            assert main(argv) == 0
+        runs.append((searched.call_count, capsys.readouterr()))
+    (first, out), (second, again) = runs
+    assert first > 0 and second == 0
+    assert again == out
+
+
+def test_exact_memo_keys_on_the_validated_row():
+    with patch.object(oracle, "_maximin", wraps=oracle._maximin) as searched:
+        cert = mms_exact([7, 5, 4, 3, 3], 2)
+        assert mms_exact((7, 5, 4, 3, 3), 2) is cert
+        assert searched.call_count == 1
+        # A k equal to a cached int but of another type is its own query.
+        assert mms_exact([7, 5, 4, 3, 3], 1).k == 1
+        assert mms_exact([7, 5, 4, 3, 3], True).k is True
+    assert searched.call_count == 3
+
+
+def test_exact_memo_never_answers_an_invalid_query():
+    mms_exact([1, 2, 3], 2)
+    for values, k in (([True, 2, 3], 2), ([[1], 2, 3], 2), ([-1, 2, 3], 2),
+                      ([1, 2, 3], 0)):
+        with pytest.raises(InputError):
+            mms_exact(values, k)
+
+
+def test_exact_memo_keeps_no_error(monkeypatch):
+    mms_exact([1, 2, 3], 2)
+    size = oracle._exact_memo.cache_info().currsize
+    with pytest.raises(InputError):
+        mms_exact([1] * (EXACT_ITEM_CAP + 1), 2)
+    assert oracle._exact_memo.cache_info().currsize == size
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_search_maximin", _overstated)
+        with pytest.raises(GuaranteeError):
+            mms_exact([5, 4, 3, 2, 1], 2)
+    assert oracle._exact_memo.cache_info().currsize == size
+    assert mms_exact([5, 4, 3, 2, 1], 2).value == 7
+
+
+def test_exact_memo_drops_its_oldest_query_past_its_bound():
+    size = oracle._exact_memo.cache_info().maxsize
+    for v in range(size + 1):
+        mms_exact([v], 1)
+    assert oracle._exact_memo.cache_info().currsize == size
+    with patch.object(oracle, "_maximin", wraps=oracle._maximin) as searched:
+        mms_exact([size], 1)
+        assert searched.call_count == 0
+        mms_exact([0], 1)
+        assert searched.call_count == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(queries=st.lists(
+    st.tuples(
+        st.one_of(
+            st.lists(st.integers(0, 60), max_size=12),
+            st.lists(st.integers(0, 10**6), max_size=12),
+        ),
+        st.integers(1, 4),
+    ),
+    min_size=1, max_size=5,
+))
+def test_exact_memo_answers_as_a_fresh_search(queries):
+    # Each query is asked twice with the others in between; the memo stays
+    # warm from one example to the next.
+    for values, k in queries + queries:
+        assert mms_exact(values, k) == oracle._maximin(values, k, "exact")
 
 
 def _lpt_by_scan(items, k):
@@ -265,6 +360,8 @@ def _with_probe_counts(query, *args):
         probes += 1
         return cover_search(pool, k, t, fail_memo)
 
+    # An empty memo under mms_exact, so the query searches here.
+    oracle._exact_memo.cache_clear()
     with patch.object(oracle, "_search_maximin", counted_search), \
             patch.object(oracle, "_cover_search", counted_cover_search):
         cert = query(*args)
@@ -273,6 +370,7 @@ def _with_probe_counts(query, *args):
 
 def _assert_same_as_bisection(query, *args):
     cert, gaps, probes = _with_probe_counts(query, *args)
+    oracle._exact_memo.cache_clear()
     with patch.object(oracle, "_search_maximin", _bisection_search):
         assert query(*args) == cert
     assert probes <= 2 * max(gaps, default=0).bit_length() + 2
