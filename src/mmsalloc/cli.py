@@ -1,18 +1,18 @@
 """Command line interface: gen, solve, mms, verify, and experiment.
 
 Every solve self-verifies its advertised guarantee before printing: the
-allocation is checked against per-agent thresholds built from the
-instance, and a violation exits with status 1 instead of emitting the
-result.  The solver and the thresholds ask one :class:`ShareOracle`, so the
-command asks no share twice, and exact shares stay in the memo under
-:func:`mms_exact` for later commands of the same process (each run of this
-program starts with it empty).  When the exact oracle is out of reach (too
-many goods) the thresholds fall back to a fast certified lower bound on each
-maximin share, so the check stays sound.  Exit codes: 0 success, 1
-guarantee violation, 2 input error.  Good and agent indices are 1-based in
-all files and printed artifacts.  ``solve --trace`` prints each solver's
-own trace steps through one rule that holds for every solver
-(:func:`_one_based`).  The library builds each result as text, and
+allocation is checked against per-agent thresholds built from the instance,
+and a violation exits with status 1 instead of emitting the result.  Exact
+shares: one process memo, under :func:`mms_exact`, so the thresholds search
+no share the solver asked, nor does a later command of the same process
+(each run of this program starts with the memo empty).  Approximate shares:
+the oracle of the one solve; the thresholds ask none.  When the exact oracle
+is out of reach (too many goods) the thresholds fall back to a fast
+certified lower bound on each maximin share, so the check stays sound.  Exit
+codes: 0 success, 1 guarantee violation, 2 input error.  Good and agent
+indices are 1-based in all files and printed artifacts.  ``solve --trace``
+prints each solver's own trace steps through one rule that holds for every
+solver (:func:`_one_based`).  The library builds each result as text, and
 :func:`_emit` alone writes it, to the ``--out`` file or to stdout.
 """
 
@@ -70,7 +70,7 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 
 
 def _solve_thresholds(
-    instance: Instance, algo: str, eps: Optional[Fraction], oracle: ShareOracle
+    instance: Instance, algo: str, eps: Optional[Fraction], mode: str
 ) -> list[Fraction]:
     n = instance.n
     if algo == "rr":
@@ -82,6 +82,7 @@ def _solve_thresholds(
         return out
     if algo == "rr-modified":
         return [Fraction(0)] * n
+    oracle = ShareOracle(mode)
     base = [oracle.lower(instance.row(i), n) for i in instance.agents]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
@@ -134,7 +135,7 @@ def _check_solve_flags(args) -> None:
         raise InputError("--seed is only accepted for --algo rr-modified")
 
 
-def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[list]):
+def _run_solver(args, instance: Instance, mode: str, trace: Optional[list]):
     algo = args.algo
     if algo == "rr":
         order = None
@@ -159,9 +160,9 @@ def _run_solver(args, instance: Instance, oracle: ShareOracle, trace: Optional[l
     if algo == "half":
         return apx_mms_half(instance, trace=trace)
     if algo == "twothirds":
-        return apx_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
+        return apx_mms(instance, args.eps, oracle_mode=mode, trace=trace)
     if algo == "three78":
-        return apx_3_mms(instance, args.eps, oracle_mode=oracle, trace=trace)
+        return apx_3_mms(instance, args.eps, oracle_mode=mode, trace=trace)
     return exact_mms_012(instance, trace=trace)
 
 
@@ -190,9 +191,9 @@ def cmd_solve(args) -> int:
         args.eps = _parse_fraction(args.eps, "--eps")
     instance = load_instance(args.instance)
     trace: Optional[list] = [] if args.trace else None
-    oracle = ShareOracle(args.oracle or "ptas")
-    allocation = _run_solver(args, instance, oracle, trace)
-    thresholds = _solve_thresholds(instance, args.algo, args.eps, oracle)
+    mode = args.oracle or "ptas"
+    allocation = _run_solver(args, instance, mode, trace)
+    thresholds = _solve_thresholds(instance, args.algo, args.eps, mode)
     rows = verify_allocation(instance, allocation, thresholds)
     failed = [row for row in rows if not row.ok]
     for row in failed:

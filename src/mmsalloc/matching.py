@@ -202,8 +202,7 @@ def _alternating_reach(
     queue = [u for u in range(graph.n_left) if match_left[u] == -1]
     for u in queue:
         reached[u] = True
-    while queue:
-        u = queue.pop(0)
+    for u in queue:  # the list grows as it is walked, first in first out
         for v in graph.adj[u]:
             w = match_right[v]
             if w == -1:

@@ -25,12 +25,13 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   the witness, so it is at least (1-eps) times the exact optimum and never
   above it.
 
-Exact answers are kept in one memo per process, under :func:`mms_exact`:
-the last 512 distinct queries, keyed on the validated values and k, at most
-about 2.8 MB (5.5 KB an entry at the worst case, 22 goods and k = 22).  A
-share asked again, by the same command or a later one in the process, is
-not searched again.  Errors are never kept.  Approximate answers live only
-in a :class:`ShareOracle`'s own memo, for as long as that oracle lives.
+Exact shares: one process memo, under :func:`mms_exact`, of the last 512
+distinct queries, keyed on the validated values and k, at most about 2.8 MB
+(5.5 KB an entry at the worst case, 22 goods and k = 22).  A share asked
+again, by the same command or a later one in the process, is not searched
+again.  Errors are never kept.  Approximate shares: the memo of the
+:class:`ShareOracle` of one solve or one :func:`xi_vector` call, gone with
+that oracle.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -500,16 +501,13 @@ def greedy_floor(values: Sequence[int], k: int) -> int:
 
 
 class ShareOracle:
-    """A share oracle, ``exact`` or ``ptas``, with its own memo of every
-    answer it gives, for as long as the oracle lives, so that it asks no
-    query twice.  :meth:`share` answers by :func:`mms_exact`, or in ptas
-    mode by :func:`mms_approx` at eps, and :meth:`exact` always answers
-    exactly, from the same memo.  Approximate answers are kept only here;
-    exact ones also stay in the process-wide memo under :func:`mms_exact`,
-    so a new oracle's first exact query may need no search.  :meth:`lower`
-    is a certified lower bound on the share for any number of goods.  All
-    are called through this module's names, so wrapping those sees every
-    query.
+    """A share oracle, ``exact`` or ``ptas``.  :meth:`share` answers by
+    :func:`mms_exact`, or in ptas mode by :func:`mms_approx` at eps, and
+    :meth:`lower` is a certified lower bound on the share for any number of
+    goods.  Exact shares: one process memo, under :func:`mms_exact`;
+    approximate shares: this oracle's own memo, which lives for one solve
+    or one :func:`xi_vector` call.  All are called through this module's
+    names, so wrapping those sees every query.
     """
 
     def __init__(self, mode: str) -> None:
@@ -517,11 +515,6 @@ class ShareOracle:
             raise InputError(f"oracle mode must be 'exact' or 'ptas', got {mode!r}")
         self.mode = mode
         self._memo: dict[tuple, MaximinCertificate] = {}
-
-    @classmethod
-    def of(cls, oracle: Union[str, "ShareOracle"]) -> "ShareOracle":
-        """The oracle itself, or a fresh one in the named mode."""
-        return oracle if isinstance(oracle, cls) else cls(oracle)
 
     def loss(self, eps: RationalLike) -> Fraction:
         """The accuracy :meth:`share` gives up when asked at eps."""
@@ -531,36 +524,31 @@ class ShareOracle:
         self, values: Sequence[int], k: int, eps: Optional[RationalLike] = None
     ) -> MaximinCertificate:
         if self.mode == "exact":
-            return self.exact(values, k)
-        return self._ask(mms_approx, values, k, eps)
-
-    def exact(self, values: Sequence[int], k: int) -> MaximinCertificate:
-        return self._ask(mms_exact, values, k)
+            return mms_exact(values, k)
+        key = (tuple(values), k, eps)
+        cert = self._memo.get(key)
+        if cert is None:
+            cert = self._memo[key] = mms_approx(values, k, eps)
+        return cert
 
     def lower(self, values: Sequence[int], k: int) -> int:
         """The exact share for up to EXACT_ITEM_CAP goods, and the greedy
         floor beyond, where the exact search is out of reach."""
         if len(values) <= EXACT_ITEM_CAP:
-            return self.exact(values, k).value
+            return mms_exact(values, k).value
         return greedy_floor(values, k)
-
-    def _ask(self, query, values, k, *eps) -> MaximinCertificate:
-        key = (tuple(values), k) + eps
-        cert = self._memo.get(key)
-        if cert is None:
-            cert = self._memo[key] = query(values, k, *eps)
-        return cert
 
 
 def xi_vector(
     instance: Instance,
     k: int,
     eps: Optional[RationalLike] = None,
-    mode: Union[str, ShareOracle] = "ptas",
+    mode: str = "ptas",
 ) -> tuple[MaximinCertificate, ...]:
-    """Per-agent maximin certificates over all goods and k bundles from
-    ``mode``, a :class:`ShareOracle` or the mode of a fresh one, whose memo
-    gives agents with identical rows one oracle call.  Exact rows asked by
-    an earlier call in the process come from :func:`mms_exact`'s memo."""
-    oracle = ShareOracle.of(mode)
+    """Per-agent maximin certificates over all goods and k bundles, from a
+    fresh :class:`ShareOracle` in ``mode``.  Exact shares come from the
+    process memo under :func:`mms_exact`; approximate ones from that
+    oracle's memo, so agents with identical rows cost one search, and a
+    later call searches again."""
+    oracle = ShareOracle(mode)
     return tuple(oracle.share(instance.row(i), k, eps) for i in instance.agents)

@@ -19,7 +19,7 @@ repartitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .oracle import RationalLike, ShareOracle, xi_vector
@@ -30,13 +30,16 @@ _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 def apx_3_mms(
     instance: Instance,
     eps: RationalLike,
-    oracle_mode: Union[str, ShareOracle] = "ptas",
+    oracle_mode: str = "ptas",
     trace: Optional[list] = None,
 ) -> Allocation:
     """Allocate a three-agent instance with per-agent guarantee
     (7/8 - eps) times her maximin value ((7/8) times it in exact mode).
 
-    eps must lie in (0, 7/8); ``oracle_mode`` is a mode or a ShareOracle.
+    eps must lie in (0, 7/8); ``oracle_mode`` is ``"exact"`` or ``"ptas"``.
+    Exact shares live in one process memo; approximate ones in the oracle
+    of one solve or one xi_vector call, and the two-way splits never repeat
+    an estimate's query.
     ``trace``, if given, receives one dict naming the branch taken ("b",
     "c", or "d") and its intermediate data.
 
@@ -50,10 +53,10 @@ def apx_3_mms(
     eps = Fraction(eps)
     if not 0 < eps < Fraction(7, 8):
         raise InputError(f"eps must be in (0, 7/8), got {eps}")
-    oracle = ShareOracle.of(oracle_mode)
+    certs = xi_vector(instance, 3, eps, oracle_mode)
+    oracle = ShareOracle(oracle_mode)
     eps_prime = 8 * eps / 7
     rows = [instance.row(i) for i in instance.agents]
-    certs = xi_vector(instance, 3, eps, oracle)
     xi = [cert.value for cert in certs]
 
     # Branch b: a single good already worth 7/8 of someone's estimate.

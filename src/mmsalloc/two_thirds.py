@@ -1,19 +1,19 @@
 """Recursive bundle-matching solver with a rho(n) guarantee.
 
-apx_mms asks one ShareOracle for every agent's n-way maximin estimate
-xi_i, and from it sets her threshold (1 - eps') * rho(n) * xi_i; every
-level partitions with the same oracle at eps', whose memo answers any
-query already made.  It then recursively satisfies agents, each level
-taking only its active agents K and the goods left: the lowest-indexed
-active agent partitions those goods into |K| bundles as well as she can,
-a bipartite preference graph records which active agents accept which
-bundles at their thresholds, and a maximum matching hands bundles to
-every agent outside the Hall violator X+.  The agents in X+ recurse on the
-unallocated goods.  The guarantee rests on a balance invariant: entering
-any level, the goods already gone are worth at most (n - |K|) * rho(n) *
-xi_i to each remaining agent, so the partitioner's own |K|-maximin value
-over the residual is still at least rho(n) * xi_i and her bundles all
-clear her threshold.
+apx_mms asks one ShareOracle for every agent's n-way maximin estimate xi_i,
+and from it sets her threshold (1 - eps') * rho(n) * xi_i; every level
+partitions with the same oracle at eps'.  Exact shares: one process memo;
+approximate shares: that oracle's, for the one solve.  It then recursively
+satisfies agents, each level taking only its active agents K and the goods
+left: the lowest-indexed active agent partitions those goods into |K|
+bundles as well as she can, a bipartite preference graph records which
+active agents accept which bundles at their thresholds, and a maximum
+matching hands bundles to every agent outside the Hall violator X+.  The
+agents in X+ recurse on the unallocated goods.  The guarantee rests on a
+balance invariant: entering any level, the goods already gone are worth at
+most (n - |K|) * rho(n) * xi_i to each remaining agent, so the partitioner's
+own |K|-maximin value over the residual is still at least rho(n) * xi_i and
+her bundles all clear her threshold.
 
 With an exact oracle each agent ends with at least rho(n) times her true
 maximin value; rho(n) = 2*odd(n) / (3*odd(n) - 1) exceeds 2/3 for every
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import MaximinCertificate, RationalLike, ShareOracle, xi_vector
+from .oracle import MaximinCertificate, RationalLike, ShareOracle
 
 
 def rho(n: int) -> Fraction:
@@ -62,7 +62,7 @@ def rec_mms(
     ``thresholds[i]`` is agent i's threshold (1 - eps') * rho(n) * xi_i,
     and ``oracle(values, k)`` is the level oracle, both fixed by apx_mms
     for the whole recursion; there the oracle is its ShareOracle at eps',
-    whose memo answers the first level, the partitioner's own xi query.
+    and a memo answers the first level, the partitioner's own xi query.
     Raises GuaranteeError if the partitioner fails her own threshold on one
     of her bundles or ends up unmatched, which the balance invariant rules
     out for inputs reachable from apx_mms.
@@ -131,18 +131,18 @@ def rec_mms(
 def apx_mms(
     instance: Instance,
     eps: RationalLike,
-    oracle_mode: Union[str, ShareOracle] = "ptas",
+    oracle_mode: str = "ptas",
     trace: Optional[list] = None,
 ) -> Allocation:
     """Allocate all goods with per-agent guarantee (2/3 - eps) times her
     maximin value, or rho(n) times it when the oracle is exact.
 
     eps must lie in (0, 1/3) so the advertised factor stays above 1/3.
-    ``oracle_mode`` is a mode or a :class:`ShareOracle` to share.  In ptas
-    mode the internal accuracy is eps' = 3*eps/4, spent once on the xi
-    estimates and once on each level's partition.  ``trace``, if given,
-    collects a dict per recursion level: its agents, goods, partition,
-    thresholds, preference graph, matchings and X+.
+    ``oracle_mode`` is ``"exact"`` or ``"ptas"``.  In ptas mode the internal
+    accuracy is eps' = 3*eps/4, spent once on the xi estimates and once on
+    each level's partition.  ``trace``, if given, collects a dict per
+    recursion level: its agents, goods, partition, thresholds, preference
+    graph, matchings and X+.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
@@ -152,13 +152,15 @@ def apx_mms(
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 3):
         raise InputError(f"eps must be in (0, 1/3), got {eps}")
-    oracle = ShareOracle.of(oracle_mode)
+    oracle = ShareOracle(oracle_mode)
     if instance.n == 1:
         return Allocation.of([tuple(instance.goods)])
     eps_prime = oracle.loss(3 * eps / 4)
-    certs = xi_vector(instance, instance.n, eps_prime, oracle)
     factor = (1 - eps_prime) * rho(instance.n)
-    thresholds = tuple(factor * cert.value for cert in certs)
+    thresholds = tuple(
+        factor * oracle.share(instance.row(i), instance.n, eps_prime).value
+        for i in instance.agents
+    )
     result = rec_mms(
         instance, tuple(instance.agents), tuple(instance.goods), thresholds,
         partial(oracle.share, eps=eps_prime), trace,

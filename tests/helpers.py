@@ -153,20 +153,18 @@ def three_agent_suite(count: int = 200, seed: int = 424242) -> list[Instance]:
     return out
 
 
-def record_oracle_queries(monkeypatch, *modules) -> list[tuple]:
-    """Record every mms_exact and mms_approx call made through the oracle
-    module or through the names any of the given modules still binds."""
+def record_searches(monkeypatch) -> list[tuple]:
+    """Record every maximin search, one call of oracle._maximin, as (mode,
+    values, k, eps).  A share a memo answers makes no search, so a query
+    recorded twice was searched twice."""
     import mmsalloc.oracle as oracle
 
-    queries: list[tuple] = []
-    for name in ("mms_exact", "mms_approx"):
-        real = getattr(oracle, name)
+    searches: list[tuple] = []
+    real = oracle._maximin
 
-        def recorded(values, k, *rest, _real=real, _name=name):
-            queries.append((_name, tuple(values), k) + rest)
-            return _real(values, k, *rest)
+    def recorded(values, k, mode, eps=None):
+        searches.append((mode, tuple(values), k, eps))
+        return real(values, k, mode, eps)
 
-        for module in (oracle,) + modules:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, recorded)
-    return queries
+    monkeypatch.setattr(oracle, "_maximin", recorded)
+    return searches

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import record_oracle_queries
+from helpers import record_searches
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -751,9 +751,9 @@ def test_out_file_holds_what_stdout_would(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("algo", ["twothirds", "three78"])
 def test_solve_asks_no_share_twice(monkeypatch, capsys, tmp_path, algo):
-    # The solver and the thresholds share one oracle, so the exact shares
-    # the solver used are not asked for again.
-    queries = record_oracle_queries(monkeypatch)
+    # The thresholds ask the exact shares the solver used, and the process
+    # memo under mms_exact answers them, so no share is searched twice.
+    searches = record_searches(monkeypatch)
     path = write_instance(tmp_path / "inst.json", BRANCH_ROWS["d"])
     code, _, err = run_cli(
         capsys,
@@ -761,8 +761,8 @@ def test_solve_asks_no_share_twice(monkeypatch, capsys, tmp_path, algo):
          "--oracle", "exact"],
     )
     assert code == 0, err
-    assert queries
-    assert len(queries) == len(set(queries))
+    assert searches
+    assert len(searches) == len(set(searches))
 
 
 class TestHostileFiles:

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmsalloc.oracle as oracle
-from helpers import exhaustive_mms
+from helpers import exhaustive_mms, record_searches
 from mmsalloc import (
     EXACT_ITEM_CAP,
     GuaranteeError,
     InputError,
     Instance,
+    ShareOracle,
     greedy_floor,
     mms_approx,
     mms_exact,
@@ -173,12 +174,31 @@ def test_xi_vector_ptas_within_band():
         assert certs[i].value >= (1 - eps) * exact
 
 
-def test_xi_vector_reuses_identical_rows():
+def test_xi_vector_reuses_identical_rows(monkeypatch):
     rows = [[4, 3, 2, 1]] * 3
-    with patch.object(oracle, "mms_exact", wraps=oracle.mms_exact) as asked:
-        certs = xi_vector(Instance.from_rows(rows), 3, mode="exact")
-    assert asked.call_count == 1
+    searches = record_searches(monkeypatch)
+    certs = xi_vector(Instance.from_rows(rows), 3, mode="exact")
+    assert len(searches) == 1
     assert certs[0].value == certs[1].value == certs[2].value
+
+
+def test_approximate_shares_are_not_kept_past_their_oracle(monkeypatch):
+    # Approximate shares live in the oracle of one xi_vector call: within
+    # the call identical rows search once, and a second call searches again.
+    inst = Instance.from_rows([[9, 7, 5, 3, 1]] * 2 + [[1, 3, 5, 7, 9]])
+    searches = record_searches(monkeypatch)
+    first = xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas")
+    assert len(searches) == 2
+    assert xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas") == first
+    assert len(searches) == 4
+    assert searches[2:] == searches[:2]
+
+
+def test_xi_vector_takes_only_a_mode_string():
+    inst = Instance.from_rows([[4, 3, 2, 1]])
+    for bad_mode in ("fast", ShareOracle("exact")):
+        with pytest.raises(InputError):
+            xi_vector(inst, 2, mode=bad_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ import mmsalloc.three_agents as ta_mod
 from helpers import (
     assert_shares_met,
     instances,
-    record_oracle_queries,
+    record_searches,
     three_agent_suite,
 )
 
 from mmsalloc import (
     Instance,
     InputError,
+    ShareOracle,
     apx_3_mms,
     bundle_value,
     mms_exact,
@@ -117,8 +118,9 @@ def test_input_validation():
     for bad in (Fraction(0), Fraction(7, 8), Fraction(-1, 4), Fraction(9, 10)):
         with pytest.raises(InputError):
             apx_3_mms(inst3, bad)
-    with pytest.raises(InputError):
-        apx_3_mms(inst3, Fraction(1, 10), oracle_mode="quick")
+    for bad_mode in ("quick", ShareOracle("exact")):
+        with pytest.raises(InputError):
+            apx_3_mms(inst3, Fraction(1, 10), oracle_mode=bad_mode)
 
 
 def test_deterministic():
@@ -132,9 +134,9 @@ def test_deterministic():
 @pytest.mark.parametrize("rows", [UNIFORM_ROWS, REPARTITION_ROWS])
 @pytest.mark.parametrize("mode", ["exact", "ptas"])
 def test_no_oracle_query_is_repeated(monkeypatch, rows, mode):
-    queries = record_oracle_queries(monkeypatch, ta_mod)
+    searches = record_searches(monkeypatch)
     apx_3_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
-    assert len(queries) == len(set(queries))
+    assert len(searches) == len(set(searches))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

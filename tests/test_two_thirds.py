@@ -12,12 +12,13 @@ from helpers import (
     assert_shares_met,
     instances,
     random_suite,
-    record_oracle_queries,
+    record_searches,
 )
 
 from mmsalloc import (
     InputError,
     Instance,
+    ShareOracle,
     apx_mms,
     bundle_value,
     mms_exact,
@@ -57,8 +58,10 @@ def test_eps_domain():
     for bad in (Fraction(0), Fraction(1, 3), Fraction(-1, 10), Fraction(1)):
         with pytest.raises(InputError):
             apx_mms(inst, bad)
-    with pytest.raises(InputError):
-        apx_mms(inst, Fraction(1, 10), oracle_mode="fast")
+    # A mode is a string; an oracle object is not one.
+    for bad_mode in ("fast", ShareOracle("exact")):
+        with pytest.raises(InputError):
+            apx_mms(inst, Fraction(1, 10), oracle_mode=bad_mode)
 
 
 def test_single_agent_takes_everything():
@@ -139,11 +142,11 @@ def test_deterministic():
 
 @pytest.mark.parametrize("mode", ["exact", "ptas"])
 def test_first_level_reuses_the_partitioner_share(monkeypatch, mode):
-    queries = record_oracle_queries(monkeypatch, tt_mod)
+    searches = record_searches(monkeypatch)
     rows = [[5, 4, 3, 2, 1, 1], [1, 2, 3, 4, 5, 1], [2, 2, 2, 2, 2, 2]]
     apx_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
-    assert len(queries) == len(set(queries))
-    assert queries[0][1:3] == (tuple(rows[0]), 3)
+    assert len(searches) == len(set(searches))
+    assert searches[0][1:3] == (tuple(rows[0]), 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
