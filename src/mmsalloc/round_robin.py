@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, GuaranteeError, InputError, Instance
+from .core import Allocation, InputError, Instance
 
 
 def _take_turns(
@@ -27,8 +27,6 @@ def _take_turns(
     """Allocate ``goods`` to the agents in ``order`` by repeated picking
     rounds.  Returns a bundle list per agent id in ``order``."""
     pool = sorted(goods)
-    if pool and not order:
-        raise InputError("cannot allocate goods to an empty agent order")
     # A reverse sort is stable and the pool ascends, so ties keep index order.
     prefs = {
         a: sorted(pool, key=rows[a].__getitem__, reverse=True) for a in set(order)
@@ -104,6 +102,4 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
     if active:
         for a, bundle in _take_turns(rows, tuple(active), pool).items():
             final[a].extend(bundle)
-    elif pool:
-        raise GuaranteeError(f"goods {pool} are left with no agent to take them")
     return Allocation.of(final[i] for i in instance.agents)

@@ -1,30 +1,46 @@
 """Dedicated solver for exactly three agents with a 7/8 guarantee.
 
-The plan has three branches.  If some agent values a single good at 7/8 of
-her maximin estimate, she takes it and the other two split the rest by
-cut-and-choose (branch b).  Otherwise agent 0 lays out a 3-way partition;
-if two of its sets can be handed to agents 1 and 2 at 7/8 of their
-estimates, done (branch c).  Otherwise exactly two of the sets are bad for
-agent 1, and she repartitions her good set together with each bad set in
-turn, keeping the split with the larger minimum; agent 2 picks her
-preferred half of the kept split, agent 1 takes the other half, and agent 0
-takes the untouched set, which is one of her own bundles (branch d).
+The plan has three branches over one primitive, cut-and-choose: a cutter
+splits a pool in two by her 2-way share, and a chooser takes her preferred
+half.  If some agent values a single good at 7/8 of her maximin estimate,
+she takes it and the other two cut and choose the rest (branch b).
+Otherwise agent 0 lays out a 3-way partition; if two of its sets can be
+handed to agents 1 and 2 at 7/8 of their estimates, done (branch c).
+Otherwise exactly two of the sets are bad for agent 1, and she cuts her
+good set together with each bad set in turn, keeping the split with the
+larger minimum; agent 2 chooses from the kept split, agent 1 takes the
+other half, and agent 0 takes the untouched set, which is one of her own
+bundles (branch d).
 
-With exact oracle calls every agent ends at or above 7/8 of her true
-three-way maximin value; in ptas mode with parameter eps the factor is
-(7/8 - eps), with internal accuracy eps' = 8*eps/7 for branch d's two-way
-repartitions.
+One :class:`ShareOracle` per solve answers the three estimates and every
+two-way split.  With exact oracle calls every agent ends at or above 7/8 of
+her true three-way maximin value; in ptas mode with parameter eps the
+factor is (7/8 - eps), with internal accuracy eps' = 8*eps/7 for branch d's
+two-way splits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
-from .oracle import RationalLike, ShareOracle, xi_vector
+from .oracle import RationalLike, ShareOracle
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def _cut_and_choose(
+    oracle: ShareOracle, rows: Sequence[Sequence[int]], cutter: int, chooser: int,
+    pool: Sequence[int], eps: Fraction,
+) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """The cutter's 2-way split of the goods in pool at eps, as
+    (her split value, the two halves as sorted tuples of goods, the index of
+    the half the chooser values more, the first on ties)."""
+    cert = oracle.share([rows[cutter][g] for g in pool], 2, eps)
+    halves = tuple(tuple(sorted(pool[p] for p in part)) for part in cert.witness)
+    pick = max(range(2), key=lambda j: (sum(rows[chooser][g] for g in halves[j]), -j))
+    return cert.value, halves, pick
 
 
 def apx_3_mms(
@@ -37,9 +53,8 @@ def apx_3_mms(
     (7/8 - eps) times her maximin value ((7/8) times it in exact mode).
 
     eps must lie in (0, 7/8); ``oracle_mode`` is ``"exact"`` or ``"ptas"``.
-    Exact shares live in one process memo; approximate ones in the oracle
-    of one solve or one xi_vector call, and the two-way splits never repeat
-    an estimate's query.
+    One oracle in that mode answers the three estimates and the two-way
+    splits, so identical rows cost one search and no split repeats a query.
     ``trace``, if given, receives one dict naming the branch taken ("b",
     "c", or "d") and its intermediate data.
 
@@ -53,10 +68,9 @@ def apx_3_mms(
     eps = Fraction(eps)
     if not 0 < eps < Fraction(7, 8):
         raise InputError(f"eps must be in (0, 7/8), got {eps}")
-    certs = xi_vector(instance, 3, eps, oracle_mode)
     oracle = ShareOracle(oracle_mode)
-    eps_prime = 8 * eps / 7
     rows = [instance.row(i) for i in instance.agents]
+    certs = [oracle.share(row, 3, eps) for row in rows]
     xi = [cert.value for cert in certs]
 
     # Branch b: a single good already worth 7/8 of someone's estimate.
@@ -65,30 +79,15 @@ def apx_3_mms(
             if 8 * rows[i][g] >= 7 * xi[i]:
                 rest = [h for h in instance.goods if h != g]
                 cutter, chooser = [a for a in range(3) if a != i]
-                cert = oracle.share([rows[cutter][h] for h in rest], 2, eps)
-                halves = [
-                    sorted(rest[pos] for pos in part) for part in cert.witness
-                ]
-                pick = max(
-                    range(2),
-                    key=lambda j: (sum(rows[chooser][h] for h in halves[j]), -j),
+                _, halves, pick = _cut_and_choose(
+                    oracle, rows, cutter, chooser, rest, eps
                 )
-                bundles = {
-                    i: [g],
-                    chooser: halves[pick],
-                    cutter: halves[1 - pick],
-                }
                 if trace is not None:
                     trace.append(
-                        {
-                            "branch": "b",
-                            "agent": i,
-                            "good": g,
-                            "cutter": cutter,
-                            "chooser": chooser,
-                            "halves": tuple(tuple(h) for h in halves),
-                        }
+                        {"branch": "b", "agent": i, "good": g, "cutter": cutter,
+                         "chooser": chooser, "halves": halves}
                     )
+                bundles = {i: [g], chooser: halves[pick], cutter: halves[1 - pick]}
                 return Allocation.of(bundles[a] for a in range(3))
 
     # Branch c: agent 0 partitions; try to seat agents 1 and 2 directly.
@@ -106,39 +105,24 @@ def apx_3_mms(
                 )
             return Allocation.of([a_sets[j0], a_sets[j1], a_sets[j2]])
 
-    # Branch d: exactly two of the sets are bad for agent 1; she repartitions
-    # her good set with each bad set and keeps the better split.
+    # Branch d: exactly two of the sets are bad for agent 1; she cuts her
+    # good set with each bad set, keeps the better split, and agent 2 chooses.
     bad = [j for j in range(3) if 8 * value_of(1, a_sets[j]) < 7 * xi[1]]
     if len(bad) != 2:
         raise GuaranteeError(
             f"expected exactly two sets below agent 1's threshold, found {len(bad)}"
         )
     (good_j,) = [j for j in range(3) if j not in bad]
-    base = a_sets[good_j]
-    candidates = []
-    for j in bad:
-        pool = sorted(base + a_sets[j])
-        cert = oracle.share([rows[1][g] for g in pool], 2, eps_prime)
-        halves = tuple(
-            tuple(sorted(pool[pos] for pos in part)) for part in cert.witness
-        )
-        candidates.append((cert.value, halves))
-    x = max(range(2), key=lambda x: (candidates[x][0], -x))
-    halves = candidates[x][1]
-    pick = max(
-        range(2), key=lambda j: (sum(rows[2][g] for g in halves[j]), -j)
-    )
+    eps_prime = 8 * eps / 7
+    pools = [sorted(a_sets[good_j] + a_sets[j]) for j in bad]
+    splits = [_cut_and_choose(oracle, rows, 1, 2, pool, eps_prime) for pool in pools]
+    x = max(range(2), key=lambda x: (splits[x][0], -x))
+    _, halves, pick = splits[x]
     if trace is not None:
         trace.append(
-            {
-                "branch": "d",
-                "a_sets": a_sets,
-                "base": good_j,
-                "kept_with": bad[x],
-                "kept_value": candidates[x][0],
-                "discarded_value": candidates[1 - x][0],
-                "halves": halves,
-            }
+            {"branch": "d", "a_sets": a_sets, "base": good_j, "kept_with": bad[x],
+             "kept_value": splits[x][0], "discarded_value": splits[1 - x][0],
+             "halves": halves}
         )
     bundles = {0: a_sets[bad[1 - x]], 2: halves[pick], 1: halves[1 - pick]}
     return Allocation.of(bundles[a] for a in range(3))

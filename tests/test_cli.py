@@ -16,7 +16,10 @@ from helpers import record_searches
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmsalloc import Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012
+import mmsalloc.cli as cli_mod
+from mmsalloc import (
+    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012,
+)
 from mmsalloc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -124,6 +127,44 @@ class TestSolve:
         payload = json.loads(out)
         assert len(payload["bundles"]) == 3
 
+    def test_guarantee_violation_exits_one(
+        self, monkeypatch, capsys, tmp_path, instance_path
+    ):
+        # A solver that leaves agent 1 with nothing: solve names her, prints
+        # nothing and writes no file.
+        monkeypatch.setattr(
+            cli_mod, "apx_mms_half",
+            lambda inst, trace=None: Allocation.of([(), inst.goods]),
+        )
+        target = tmp_path / "alloc.json"
+        code, out, err = run_cli(
+            capsys,
+            ["solve", "--algo", "half", "--instance", instance_path,
+             "--out", str(target)],
+        )
+        assert code == 1 and out == ""
+        assert err == "guarantee violation: agent 1 got 0, needs 5/2\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv,thresholds",
+        [
+            (["--algo", "half"], [2170220, 2542534, 2736434]),
+            (["--algo", "twothirds", "--eps", "1/10"], [2459583, 2881539, 3101292]),
+            (["--algo", "three78", "--eps", "1/10"], [3363841, 3940928, 4241472]),
+        ],
+    )
+    def test_thresholds_past_the_exact_cap(self, capsys, tmp_path, argv, thresholds):
+        # 30 goods is past EXACT_ITEM_CAP, so the thresholds stand on the
+        # greedy floors [4340440, 5085068, 5472867] instead of exact shares.
+        path = str(tmp_path / "inst.json")
+        argv_gen = ["gen", "--n", "3", "--m", "30", "--seed", "4", "--out", path]
+        assert run_cli(capsys, argv_gen)[0] == 0
+        code, out, err = run_cli(capsys, ["solve", *argv, "--instance", path])
+        assert code == 0, err
+        certs = json.loads(out)["certificates"]
+        assert [c["threshold"] for c in certs] == thresholds
+
     @pytest.mark.parametrize("branch", sorted(BRANCH_ROWS))
     def test_trace_output_per_branch(self, capsys, tmp_path, branch):
         path = write_instance(tmp_path / f"{branch}.json", BRANCH_ROWS[branch])
@@ -186,6 +227,8 @@ class TestSolve:
              "--order must be a permutation of 1..2, got '1,1'"),
             (["--algo", "rr", "--order", "1,2,3"],
              "--order must be a permutation of 1..2, got '1,2,3'"),
+            (["--algo", "rr", "--order", "1,x"],
+             "--order must be comma-separated integers, got '1,x'"),
         ],
     )
     def test_flag_misuse_exits_two(self, capsys, instance_path, argv, fragment):
@@ -714,12 +757,16 @@ class TestGenVerifyExperiment:
         assert code == 0
 
     def test_experiment_rejects_bad_config(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            ["experiment", "--n", "2", "--m", "4", "--trials", "0", "--seed", "1"],
-        )
-        assert code == 2
-        assert "input error" in err
+        # A repeated flag's last value wins, so each case overrides one.
+        good = ["experiment", "--n", "2", "--m", "4", "--trials", "3", "--seed", "1"]
+        for bad, fragment in [
+            (["--trials", "0"], "need at least one trial, got 0"),
+            (["--n", "0"], "need at least one agent, got n=0"),
+            (["--m", "-1"], "negative number of goods: m=-1"),
+        ]:
+            code, _, err = run_cli(capsys, good + bad)
+            assert code == 2
+            assert f"input error: {fragment}" in err
 
 
 # Each command without --out; INSTANCE stands for an instance file's path.
@@ -807,6 +854,20 @@ class TestHostileFiles:
         code, _, err = self.verify(capsys, tmp_path, allocation)
         assert code == 2
         assert "agent 2 has no certificate row" in err
+
+    def test_certificate_agent_zero_exits_two(self, capsys, tmp_path):
+        rows = [dict(row) for row in self.ALLOCATION["certificates"]]
+        rows[0]["agent"] = 0
+        allocation = dict(self.ALLOCATION, certificates=rows)
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "certificate agent 0 out of range" in err
+
+    def test_one_bundle_for_two_agents_exits_two(self, capsys, tmp_path):
+        allocation = dict(self.ALLOCATION, bundles=[[1, 2]])
+        code, _, err = self.verify(capsys, tmp_path, allocation)
+        assert code == 2
+        assert "allocation has 1 bundles, expected n=2" in err
 
     def test_misstated_value_fails(self, capsys, tmp_path):
         rows = [dict(row) for row in self.ALLOCATION["certificates"]]

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmsalloc.oracle as oracle
@@ -871,8 +871,21 @@ _eps = st.sampled_from(
 )
 
 
+# Large goods mixed with goods worth 1-3, which fall below the rounding
+# grain of the approximate search and go to its worst bundle as dust.
+_dusty_values = st.lists(
+    st.one_of(st.integers(100, 400), st.integers(1, 3)), min_size=3, max_size=9
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(values=_values, k=st.integers(1, 4), eps=_eps)
+@given(values=st.one_of(_values, _dusty_values), k=st.integers(1, 4), eps=_eps)
+@example(values=[200, 200, 100, 1], k=2, eps=Fraction(1, 10))  # grain 2, share 201
+# Grain 4: good 1 is dust, and the rounded search's split with it beats the
+# raised split's 7188, at the exact share 7218.
+@example(
+    values=[4076, 1, 3945, 1371, 2823, 4699, 3141, 2488], k=3, eps=Fraction(1, 100)
+)
 def test_upper_bound_and_approximate_share(values, k, eps):
     share = exhaustive_mms(values, k)
     upper = _upper_by_definition(values, k)

@@ -2,7 +2,6 @@
 
 import doctest
 import random
-from types import SimpleNamespace
 
 import mmsalloc.round_robin as rr_mod
 from helpers import binary_suite, exhaustive_mms, random_suite
@@ -10,7 +9,6 @@ from helpers import binary_suite, exhaustive_mms, random_suite
 import pytest
 
 from mmsalloc import (
-    GuaranteeError,
     InputError,
     Instance,
     bundle_value,
@@ -106,9 +104,3 @@ class TestModifiedRoundRobin:
         inst = Instance.from_rows([[9, 2], [9, 3], [9, 4]])
         with pytest.raises(InputError):
             modified_greedy_round_robin(inst, seed=-3)
-
-    def test_leftovers_without_an_agent_raise(self):
-        # A stand-in for an instance with no agents, which Instance refuses.
-        nobody = SimpleNamespace(agents=range(0), goods=range(1))
-        with pytest.raises(GuaranteeError):
-            modified_greedy_round_robin(nobody, seed=0)
