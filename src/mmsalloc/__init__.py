@@ -2,7 +2,17 @@
 
 Exact-arithmetic solvers, per-agent maximin oracles, and verification tools
 for fair division instances with integer values on a common scale.
+
+``import mmsalloc`` executes :mod:`mmsalloc.core` and :mod:`mmsalloc.oracle`
+only.  Every other module is registered in ``sys.modules``, and as an
+attribute of the package, through :class:`importlib.util.LazyLoader`: it is
+compiled and executed on its first attribute access, so a command compiles
+only the modules it runs.  A public name from such a module is looked up in
+``_LAZY_NAMES`` on its first use, which executes its module.
 """
+
+import importlib.util
+import sys
 
 from .core import (
     Allocation,
@@ -21,21 +31,6 @@ from .core import (
     save_instance,
     verify_allocation,
 )
-from .experiments import (
-    TrialConfig,
-    TrialStats,
-    gen_uniform_instance,
-    report_text,
-    run_existence_trials,
-)
-from .half import apx_mms_half
-from .matching import (
-    PreferenceGraph,
-    XPlusDecomposition,
-    build_preference_graph,
-    compute_x_plus,
-    maximum_matching,
-)
 from .oracle import (
     EXACT_ITEM_CAP,
     MaximinCertificate,
@@ -45,10 +40,62 @@ from .oracle import (
     mms_exact,
     xi_vector,
 )
-from .round_robin import greedy_round_robin, modified_greedy_round_robin
-from .ternary import exact_mms_012
-from .three_agents import apx_3_mms
-from .two_thirds import apx_mms, rec_mms, rho
+
+
+def _lazy(name: str):
+    """The module mmsalloc.name, registered but not yet executed."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+experiments = _lazy("experiments")
+half = _lazy("half")
+matching = _lazy("matching")
+round_robin = _lazy("round_robin")
+ternary = _lazy("ternary")
+three_agents = _lazy("three_agents")
+two_thirds = _lazy("two_thirds")
+
+#: Each public name of a lazy module, mapped to that module.
+_LAZY_NAMES = {
+    "TrialConfig": experiments,
+    "TrialStats": experiments,
+    "gen_uniform_instance": experiments,
+    "report_text": experiments,
+    "run_existence_trials": experiments,
+    "apx_mms_half": half,
+    "PreferenceGraph": matching,
+    "XPlusDecomposition": matching,
+    "build_preference_graph": matching,
+    "compute_x_plus": matching,
+    "maximum_matching": matching,
+    "greedy_round_robin": round_robin,
+    "modified_greedy_round_robin": round_robin,
+    "exact_mms_012": ternary,
+    "apx_3_mms": three_agents,
+    "apx_mms": two_thirds,
+    "rec_mms": two_thirds,
+    "rho": two_thirds,
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY_NAMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __version__ = "0.1.0"
 

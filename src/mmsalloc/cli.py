@@ -14,6 +14,12 @@ indices are 1-based in all files and printed artifacts.  ``solve --trace``
 prints each solver's own trace steps through one rule that holds for every
 solver (:func:`_one_based`).  The library builds each result as text, and
 :func:`_emit` alone writes it, to the ``--out`` file or to stdout.
+
+Importing this module executes the package's ``core`` and ``oracle`` and
+nothing more.  The solver and experiment modules are bound here as the
+modules the package registers lazily, and each function is called through
+its module, so a command compiles and executes only the modules it runs,
+and building the parser executes none of them.
 """
 
 from __future__ import annotations
@@ -25,7 +31,11 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import experiments, half, round_robin, ternary, three_agents, two_thirds
 from .core import (
+    DEFAULT_SCALE,
+    PREDICATES,
+    TRIAL_ALGORITHMS,
     Certificate,
     GuaranteeError,
     InputError,
@@ -37,21 +47,7 @@ from .core import (
     load_instance,
     verify_allocation,
 )
-from .experiments import (
-    ALGORITHMS as TRIAL_ALGORITHMS,
-    DEFAULT_SCALE,
-    PREDICATES,
-    TrialConfig,
-    gen_uniform_instance,
-    report_text,
-    run_existence_trials,
-)
-from .half import apx_mms_half
 from .oracle import ShareOracle
-from .round_robin import greedy_round_robin, modified_greedy_round_robin
-from .ternary import exact_mms_012
-from .three_agents import apx_3_mms
-from .two_thirds import apx_mms, rho
 
 ALGORITHMS = ("rr", "rr-modified", "half", "twothirds", "three78", "ternary")
 _EPS_ALGOS = ("twothirds", "three78")
@@ -87,7 +83,7 @@ def _solve_thresholds(
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds" and n > 1:
-        factor = Fraction(2, 3) - eps if oracle.loss(eps) else rho(n)
+        factor = Fraction(2, 3) - eps if oracle.loss(eps) else two_thirds.rho(n)
         return [factor * b for b in base]
     if algo == "three78":
         return [(Fraction(7, 8) - oracle.loss(eps)) * b for b in base]
@@ -152,18 +148,20 @@ def _run_solver(args, instance: Instance, mode: str, trace: Optional[list]):
                     f"got {args.order!r}"
                 )
             order = [agent - 1 for agent in order]
-        return greedy_round_robin(instance, order=order)
+        return round_robin.greedy_round_robin(instance, order=order)
     if algo == "rr-modified":
-        return modified_greedy_round_robin(
+        return round_robin.modified_greedy_round_robin(
             instance, seed=0 if args.seed is None else args.seed
         )
     if algo == "half":
-        return apx_mms_half(instance, trace=trace)
+        return half.apx_mms_half(instance, trace=trace)
     if algo == "twothirds":
-        return apx_mms(instance, args.eps, oracle_mode=mode, trace=trace)
+        return two_thirds.apx_mms(instance, args.eps, oracle_mode=mode, trace=trace)
     if algo == "three78":
-        return apx_3_mms(instance, args.eps, oracle_mode=mode, trace=trace)
-    return exact_mms_012(instance, trace=trace)
+        return three_agents.apx_3_mms(
+            instance, args.eps, oracle_mode=mode, trace=trace
+        )
+    return ternary.exact_mms_012(instance, trace=trace)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -247,7 +245,7 @@ def cmd_mms(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    instance = gen_uniform_instance(args.n, args.m, args.seed, args.scale)
+    instance = experiments.gen_uniform_instance(args.n, args.m, args.seed, args.scale)
     _emit(instance_to_json(instance), args.out)
     return 0
 
@@ -294,7 +292,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = TrialConfig(
+    config = experiments.TrialConfig(
         n=args.n,
         m=args.m,
         trials=args.trials,
@@ -303,8 +301,8 @@ def cmd_experiment(args) -> int:
         algorithm=args.algo,
         predicate=args.predicate,
     )
-    stats = run_existence_trials(config)
-    _emit(report_text(stats, args.format), args.out)
+    stats = experiments.run_existence_trials(config)
+    _emit(experiments.report_text(stats, args.format), args.out)
     if args.out:
         print(
             f"{stats.successes}/{config.trials} trials succeeded "

@@ -19,6 +19,13 @@ from typing import Iterable, Sequence, Union
 
 Number = Union[int, Fraction]
 
+#: The grid of a generated instance, and the algorithms and success
+#: predicates of a Monte Carlo trial.  The command line parser reads them,
+#: so they live here, not in the experiments module it would have to run.
+DEFAULT_SCALE = 10**6
+TRIAL_ALGORITHMS = ("rr", "rr-modified")
+PREDICATES = ("proportional", "mms")
+
 
 class InputError(ValueError):
     """Malformed instance, allocation, or parameter (CLI exit code 2)."""

@@ -16,14 +16,18 @@ import json
 import random
 from fractions import Fraction
 
-from .core import Instance, InputError, record, verify_allocation
+from . import round_robin
+from .core import (
+    DEFAULT_SCALE,
+    PREDICATES,
+    TRIAL_ALGORITHMS,
+    Instance,
+    InputError,
+    record,
+    verify_allocation,
+)
 from .oracle import EXACT_ITEM_CAP, mms_exact
-from .round_robin import greedy_round_robin, modified_greedy_round_robin
 
-ALGORITHMS = ("rr", "rr-modified")
-PREDICATES = ("proportional", "mms")
-
-DEFAULT_SCALE = 10**6
 MIN_SCALE = 10**4
 
 # Keeps the modified round robin's internal randomness decorrelated from
@@ -54,9 +58,9 @@ class TrialConfig:
             raise InputError(
                 f"scale must be at least {MIN_SCALE} for a fine grid, got {self.scale}"
             )
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in TRIAL_ALGORITHMS:
             raise InputError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+                f"algorithm must be one of {TRIAL_ALGORITHMS}, got {self.algorithm!r}"
             )
         if self.predicate not in PREDICATES:
             raise InputError(
@@ -142,9 +146,9 @@ def run_existence_trials(config: TrialConfig) -> TrialStats:
         seed = trial_seed(config.seed, t)
         instance = gen_uniform_instance(config.n, config.m, seed, config.scale)
         if config.algorithm == "rr":
-            allocation = greedy_round_robin(instance)
+            allocation = round_robin.greedy_round_robin(instance)
         else:
-            allocation = modified_greedy_round_robin(
+            allocation = round_robin.modified_greedy_round_robin(
                 instance, seed=seed ^ _ALGO_SEED_SALT
             )
         thresholds = _trial_thresholds(instance, config.predicate)

@@ -408,14 +408,14 @@ def _rounded_search(
 
 
 def _maximin(
-    values: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
+    vals: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
 ) -> MaximinCertificate:
-    """The maximin certificate over k bundles, exact in ``exact`` mode and
-    within a factor (1 - eps) in ``ptas`` mode.  The exact search climbs from
-    one below the raised split's value when that beats greedy, else from it.
+    """The maximin certificate over k bundles of vals, values that
+    :func:`_validated_values` has passed, exact in ``exact`` mode and within
+    a factor (1 - eps) in ``ptas`` mode.  The exact search climbs from one
+    below the raised split's value when that beats greedy, else from it.
     Its witness is the greedy split when that attains the share, and
     otherwise the cover found at the share."""
-    vals = _validated_values(values, k)
     frac = None if mode == "exact" else _as_eps(eps)
     if frac is None and len(vals) > EXACT_ITEM_CAP:
         raise InputError(
@@ -480,7 +480,7 @@ def mms_approx(
     >>> mms_approx([1, 1, 1, 1], 2, Fraction(1, 10)).value
     2
     """
-    return _maximin(values, k, "ptas", eps)
+    return _maximin(_validated_values(values, k), k, "ptas", eps)
 
 
 def greedy_floor(values: Sequence[int], k: int) -> int:

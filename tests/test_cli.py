@@ -16,9 +16,8 @@ from helpers import record_searches
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import mmsalloc.cli as cli_mod
 from mmsalloc import (
-    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012,
+    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012, half,
 )
 from mmsalloc.cli import main
 
@@ -133,7 +132,7 @@ class TestSolve:
         # A solver that leaves agent 1 with nothing: solve names her, prints
         # nothing and writes no file.
         monkeypatch.setattr(
-            cli_mod, "apx_mms_half",
+            half, "apx_mms_half",
             lambda inst, trace=None: Allocation.of([(), inst.goods]),
         )
         target = tmp_path / "alloc.json"

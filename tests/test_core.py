@@ -102,6 +102,7 @@ class TestAllocation:
 def test_public_names_resolve():
     for name in mmsalloc.__all__:
         assert hasattr(mmsalloc, name), name
+    assert set(mmsalloc.__all__) <= set(dir(mmsalloc))
     deleted = {
         "AgentCheck", "RecursionState", "lift_allocation", "profile_rows",
         "sort_reduce", "proportional_upper_bound", "VerificationReport",

@@ -1,10 +1,11 @@
-"""Fresh interpreters: no command imports numpy, ``dataclasses`` or
-``inspect``, and every command runs the same under ``python -O`` and with
-warnings turned into errors.
+"""Fresh interpreters: each command executes only the package modules it
+runs, none imports numpy, ``dataclasses`` or ``inspect``, every command runs
+the same under ``python -O`` and with warnings turned into errors, and the
+benchmark's tracer still wraps every solver.
 
 Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
-because this test session may have imported numpy itself and runs in one
-mode only.
+because this test session may have imported numpy itself, has executed
+every module of the package, and runs in one mode only.
 """
 
 import json
@@ -13,13 +14,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+from mmsalloc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
+def executed():
+    # A module the package registered lazily is of another type until its
+    # first use executes it.
+    return sorted(name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "mmsalloc"
+                  and type(module) is types.ModuleType)
 before = set(sys.modules)
 from mmsalloc import cli
-on_import = sorted(set(sys.modules) - before)
+on_import, executed_on_import = sorted(set(sys.modules) - before), executed()
 codes, outs = [], []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -28,30 +40,41 @@ for argv in json.loads(sys.argv[1]):
     outs.append(out.getvalue())
 with open(sys.argv[2], "w") as fh:
     json.dump({"codes": codes, "outs": outs, "on_import": on_import,
-               "on_run": sorted(set(sys.modules) - before)}, fh)
+               "on_run": sorted(set(sys.modules) - before),
+               "executed_on_import": executed_on_import,
+               "executed_on_run": executed()}, fh)
 """
 
 
-def run_fresh(tmp_path, commands, flags=()):
-    """Run each argv list through ``cli.main`` in one new interpreter,
-    started with the interpreter options flags, and return the exit codes,
-    each command's stdout and the modules the package loaded: a dict of
-    the names new after ``import mmsalloc.cli`` ("on_import") and after
-    the last command ("on_run")."""
+def run_child(tmp_path, code, args, flags=()):
+    """Run the Python source code in a new interpreter, started with the
+    interpreter options flags, with args and a report path as its
+    arguments, and return the JSON it writes to that path."""
     report = tmp_path / "report.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, *flags, "-c", CHILD, json.dumps(commands), str(report)],
+        [sys.executable, *flags, "-c", code, *args, str(report)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert "Warning" not in result.stderr, result.stderr
-    got = json.loads(report.read_text())
+    return json.loads(report.read_text())
+
+
+def run_fresh(tmp_path, commands, flags=()):
+    """Run each argv list through ``cli.main`` in one new interpreter,
+    started with the interpreter options flags, and return the exit codes,
+    each command's stdout and the package's modules: a dict of the modules
+    new after ``import mmsalloc.cli`` ("on_import") and after the last
+    command ("on_run"), and of the package modules executed by then
+    ("executed_on_import", "executed_on_run")."""
+    got = run_child(tmp_path, CHILD, [json.dumps(commands)], flags)
     return got["codes"], got["outs"], {
-        "on_import": set(got["on_import"]), "on_run": set(got["on_run"])
+        key: set(got[key])
+        for key in ("on_import", "on_run", "executed_on_import", "executed_on_run")
     }
 
 
@@ -144,3 +167,92 @@ def test_optimised_and_strict_interpreters_match_the_plain_one(tmp_path):
     assert runs["plain"][0] == [0] * (len(commands) - 1) + [2]
     assert runs["optimised"] == runs["plain"]
     assert runs["strict"] == runs["plain"]
+
+
+#: The package modules each command executes beyond those that
+#: ``import mmsalloc.cli`` executes.
+EXECUTES = {
+    "gen": {"experiments"},
+    "mms": set(),
+    "rr": {"round_robin"},
+    "rr-modified": {"round_robin"},
+    "half": {"half", "round_robin"},
+    "twothirds": {"two_thirds", "matching"},
+    "three78": {"three_agents"},
+    "ternary": {"ternary"},
+    "verify": set(),
+    "experiment": {"experiments", "round_robin"},
+}
+
+
+def _package(names):
+    return {f"mmsalloc.{name}" for name in names}
+
+
+def write_instances(tmp_path):
+    """Paths of a 3x8 instance and of a 3x7 one valued in {0, 1, 2}, each
+    written by ``gen`` in this process."""
+    inst, tern = str(tmp_path / "inst.json"), str(tmp_path / "tern.json")
+    assert main(["gen", "--n", "3", "--m", "8", "--seed", "11", "--out", inst]) == 0
+    assert main(["gen", "--n", "3", "--m", "7", "--seed", "4", "--scale", "2",
+                 "--out", tern]) == 0
+    return inst, tern
+
+
+@pytest.mark.parametrize("command", EXECUTES)
+def test_each_command_executes_only_the_modules_it_runs(tmp_path, command):
+    inst, tern = write_instances(tmp_path)
+    alloc = str(tmp_path / "alloc.json")
+    assert main(["solve", "--instance", inst, "--algo", "rr", "--out", alloc]) == 0
+    argv = {
+        "gen": ["gen", "--n", "3", "--m", "8", "--seed", "1"],
+        "mms": ["mms", "--instance", inst, "--agent", "2", "--k", "3", "--exact"],
+        "verify": ["verify", "--instance", inst, "--allocation", alloc],
+        "experiment": ["experiment", "--n", "3", "--m", "6", "--trials", "4",
+                       "--seed", "5"],
+        "ternary": ["solve", "--instance", tern, "--algo", "ternary"],
+    }.get(command, ["solve", "--instance", inst, "--algo", command])
+    if command in ("twothirds", "three78"):
+        argv += ["--eps", "1/10"]
+    codes, _, loaded = run_fresh(tmp_path, [argv])
+    assert codes == [0]
+    on_import = _package(("cli", "core", "oracle")) | {"mmsalloc"}
+    assert loaded["executed_on_import"] == on_import
+    assert loaded["executed_on_run"] - on_import == _package(EXECUTES[command])
+
+
+TRACED_CHILD = """
+import contextlib, importlib.util, io, json, sys
+from mmsalloc import cli, core, oracle
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+traced = tracer.Tracer()
+tracer.install(traced)
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+with open(sys.argv[3], "w") as fh:
+    json.dump({"codes": codes, "spans": sorted({span[0] for span in traced.spans})},
+              fh)
+"""
+
+
+def test_bench_tracer_wraps_every_solver_of_a_fresh_worker(tmp_path):
+    # The traced benchmark imports what its worker imports, then wraps each
+    # function bench/tracer.py names at its home module, which it looks up
+    # in sys.modules; the solver modules are not executed by then.
+    inst, tern = write_instances(tmp_path)
+    commands = [
+        ["solve", "--instance", tern if algo == "ternary" else inst, "--algo", algo]
+        + (["--eps", "1/10"] if algo in ("twothirds", "three78") else [])
+        for algo in ("rr", "rr-modified", "half", "twothirds", "three78", "ternary")
+    ]
+    got = run_child(tmp_path, TRACED_CHILD,
+                    [str(ROOT / "bench" / "tracer.py"), json.dumps(commands)])
+    assert got["codes"] == [0] * len(commands)
+    assert {
+        "two_thirds.apx_mms", "three_agents.apx_3_mms", "half.apx_mms_half",
+        "round_robin.greedy_round_robin", "ternary.exact_mms_012",
+    } <= set(got["spans"])
