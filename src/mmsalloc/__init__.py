@@ -78,7 +78,6 @@ _LAZY_NAMES = {
     "exact_mms_012": ternary,
     "apx_3_mms": three_agents,
     "apx_mms": two_thirds,
-    "rec_mms": two_thirds,
     "rho": two_thirds,
 }
 
@@ -133,7 +132,6 @@ __all__ = [
     "mms_approx",
     "mms_exact",
     "modified_greedy_round_robin",
-    "rec_mms",
     "report_text",
     "rho",
     "run_existence_trials",

@@ -1,19 +1,19 @@
-"""Recursive bundle-matching solver with a rho(n) guarantee.
+"""Bundle-matching solver with a rho(n) guarantee, one level at a time.
 
 apx_mms asks one ShareOracle for every agent's n-way maximin estimate xi_i,
 and from it sets her threshold (1 - eps') * rho(n) * xi_i; every level
 partitions with the same oracle at eps'.  Exact shares: one process memo;
-approximate shares: that oracle's, for the one solve.  It then recursively
-satisfies agents, each level taking only its active agents K and the goods
-left: the lowest-indexed active agent partitions those goods into |K|
-bundles as well as she can, a bipartite preference graph records which
+approximate shares: that oracle's, for the one solve.  It then runs levels
+until every agent is seated, each level taking only its active agents K and
+the goods left: the lowest-indexed active agent partitions those goods into
+|K| bundles as well as she can, a bipartite preference graph records which
 active agents accept which bundles at their thresholds, and a maximum
 matching hands bundles to every agent outside the Hall violator X+.  The
-agents in X+ recurse on the unallocated goods.  The guarantee rests on a
-balance invariant: entering any level, the goods already gone are worth at
-most (n - |K|) * rho(n) * xi_i to each remaining agent, so the partitioner's
-own |K|-maximin value over the residual is still at least rho(n) * xi_i and
-her bundles all clear her threshold.
+agents in X+ and the goods of the unseated bundles make the next level.
+The guarantee rests on a balance invariant: entering any level, the goods
+already gone are worth at most (n - |K|) * rho(n) * xi_i to each remaining
+agent, so the partitioner's own |K|-maximin value over the residual is
+still at least rho(n) * xi_i and her bundles all clear her threshold.
 
 With an exact oracle each agent ends with at least rho(n) times her true
 maximin value; rho(n) = 2*odd(n) / (3*odd(n) - 1) exceeds 2/3 for every
@@ -55,21 +55,19 @@ def rec_mms(
     thresholds: Sequence[Fraction],
     oracle: Callable[[list[int], int], MaximinCertificate],
     trace: Optional[list] = None,
-) -> dict[int, frozenset[int]]:
-    """Allocate goods among the active agents recursively.
+) -> tuple[dict[int, frozenset[int]], tuple[int, ...], tuple[int, ...]]:
+    """Run one level on the active agents and the goods left.
 
-    Returns a bundle per active agent; the bundles partition goods.
-    ``thresholds[i]`` is agent i's threshold (1 - eps') * rho(n) * xi_i,
-    and ``oracle(values, k)`` is the level oracle, both fixed by apx_mms
-    for the whole recursion; there the oracle is its ShareOracle at eps',
-    and a memo answers the first level, the partitioner's own xi query.
-    Raises GuaranteeError if the partitioner fails her own threshold on one
-    of her bundles or ends up unmatched, which the balance invariant rules
-    out for inputs reachable from apx_mms.
+    Returns the bundles it seats, by agent; the agents of X+, who make the
+    next level; and the sorted goods of the bundles it did not seat, which
+    that level shares.  ``thresholds[i]`` is agent i's threshold
+    (1 - eps') * rho(n) * xi_i, and ``oracle(values, k)`` is the level
+    oracle, both fixed by apx_mms for every level; there the oracle is its
+    ShareOracle at eps', and a memo answers the first level, the
+    partitioner's own xi query.  Raises GuaranteeError if the partitioner
+    fails her own threshold on one of her bundles or ends up in X+, which
+    the balance invariant rules out for inputs reachable from apx_mms.
     """
-    if len(agents) == 1:
-        return {agents[0]: frozenset(goods)}
-
     partitioner = agents[0]
     k = len(agents)
     cert = oracle([instance.row(partitioner)[g] for g in goods], k)
@@ -91,6 +89,7 @@ def rec_mms(
         raise GuaranteeError(
             f"agent {partitioner} ended up in the deferred set of her own level"
         )
+    deferred = tuple(agents[u] for u in decomposition.x_plus)
     if trace is not None:
         trace.append({
             "agents": agents,
@@ -100,32 +99,18 @@ def rec_mms(
             "thresholds": level_thresholds,
             "adjacency": graph.adj,
             "matching": matching,
-            "x_plus": tuple(agents[u] for u in decomposition.x_plus),
+            "x_plus": deferred,
             "gamma": decomposition.gamma,
             "restricted_matching": tuple(
                 (agents[u], v) for u, v in decomposition.restricted_matching
             ),
         })
-
-    result: dict[int, frozenset[int]] = {}
-    taken = set()
-    for left, right in decomposition.restricted_matching:
-        result[agents[left]] = frozenset(bundles[right])
-        taken.add(right)
-    if decomposition.x_plus:
-        leftover = tuple(
-            sorted(
-                g
-                for j, bundle in enumerate(bundles)
-                if j not in taken
-                for g in bundle
-            )
-        )
-        deferred = tuple(agents[u] for u in decomposition.x_plus)
-        result.update(
-            rec_mms(instance, deferred, leftover, thresholds, oracle, trace)
-        )
-    return result
+    pairs = decomposition.restricted_matching
+    taken = {v for _, v in pairs}
+    leftover = tuple(sorted(
+        g for j, bundle in enumerate(bundles) if j not in taken for g in bundle
+    ))
+    return {agents[u]: frozenset(bundles[v]) for u, v in pairs}, deferred, leftover
 
 
 def apx_mms(
@@ -140,9 +125,12 @@ def apx_mms(
     eps must lie in (0, 1/3) so the advertised factor stays above 1/3.
     ``oracle_mode`` is ``"exact"`` or ``"ptas"``.  In ptas mode the internal
     accuracy is eps' = 3*eps/4, spent once on the xi estimates and once on
-    each level's partition.  ``trace``, if given, collects a dict per
-    recursion level: its agents, goods, partition, thresholds, preference
-    graph, matchings and X+.
+    each level's partition.  Each rec_mms call runs one level; its seated
+    bundles are kept, and its X+ agents and left-over goods make the next.
+    The loop ends: every level seats its partitioner, which rec_mms checks,
+    so each level has fewer agents than the last.  ``trace``, if given,
+    collects a dict per level: its agents, goods, partition, thresholds,
+    preference graph, matchings and X+.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
@@ -161,8 +149,12 @@ def apx_mms(
         factor * oracle.share(instance.row(i), instance.n, eps_prime).value
         for i in instance.agents
     )
-    result = rec_mms(
-        instance, tuple(instance.agents), tuple(instance.goods), thresholds,
-        partial(oracle.share, eps=eps_prime), trace,
-    )
-    return Allocation.of(result[i] for i in instance.agents)
+    level_oracle = partial(oracle.share, eps=eps_prime)
+    agents, goods = tuple(instance.agents), tuple(instance.goods)
+    bundles: dict[int, frozenset[int]] = {}
+    while agents:
+        seated, agents, goods = rec_mms(
+            instance, agents, goods, thresholds, level_oracle, trace
+        )
+        bundles.update(seated)
+    return Allocation.of(bundles[i] for i in instance.agents)

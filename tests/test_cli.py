@@ -630,8 +630,9 @@ class TestGenVerifyExperiment:
 
     @pytest.mark.xfail(
         strict=True, raises=subprocess.TimeoutExpired,
-        reason="ROADMAP item 1: the approximate oracle is exponential, and "
-        "its first query here, 40 goods in 20 bundles, runs past 20 s",
+        reason="ROADMAP item 1: the approximate oracle is exponential; here "
+        "the xi queries of agents 1 and 2 end, and agent 3's, 40 goods in 20 "
+        "bundles, runs past 20 s",
     )
     def test_twothirds_ends_on_twenty_agents_and_forty_goods(
         self, capsys, tmp_path

@@ -1,6 +1,7 @@
-"""Recursive matching allocation with the rho(n) factor."""
+"""Level-by-level bundle-matching allocation with the rho(n) factor."""
 
 import doctest
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,14 +17,17 @@ from helpers import (
 )
 
 from mmsalloc import (
+    GuaranteeError,
     InputError,
     Instance,
     ShareOracle,
+    XPlusDecomposition,
     apx_mms,
     bundle_value,
     mms_exact,
     rho,
 )
+from mmsalloc.cli import main
 
 
 def test_module_doctests():
@@ -138,6 +142,85 @@ def test_deterministic():
         a = apx_mms(inst, Fraction(1, 12), oracle_mode="exact")
         b = apx_mms(inst, Fraction(1, 12), oracle_mode="exact")
         assert a == b
+
+
+@pytest.mark.parametrize("mode", ["exact", "ptas"])
+def test_each_call_runs_one_level(monkeypatch, mode):
+    # Index 26 (3 agents, 8 goods) is the one instance of the suite whose
+    # solve reaches a second level, in both modes.
+    inst = random_suite()[26]
+    real, calls = tt_mod.rec_mms, []
+
+    def level(instance, agents, goods, *rest):
+        calls.append((agents, goods, real(instance, agents, goods, *rest)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(tt_mod, "rec_mms", level)
+    trace = []
+    alloc = apx_mms(inst, Fraction(1, 10), oracle_mode=mode, trace=trace)
+    assert len(calls) == len(trace) == 2
+    for step, (agents, goods, (seated, x_plus, leftover)) in zip(trace, calls):
+        assert (agents, goods, x_plus) == (step["agents"], step["goods"], step["x_plus"])
+        assert sorted(seated) == sorted(set(agents) - set(x_plus))
+        assert set(seated.values()) <= set(map(frozenset, step["partition"]))
+        assert leftover == tuple(sorted(set(goods).difference(*seated.values())))
+        assert all(alloc.bundles[i] == bundle for i, bundle in seated.items())
+    # Each level's X+ and left-over goods are the next level's input.
+    assert calls[1][:2] == calls[0][2][1:]
+    assert calls[1][2][1:] == ((), ())
+
+
+class TestGuaranteeChecks:
+    """Each check of rec_mms, forced to fail."""
+
+    ROWS = [[3, 3, 2, 2, 1, 1]] * 3
+
+    @staticmethod
+    def partitioner_misses_threshold(monkeypatch):
+        # Her threshold above her whole row: she accepts none of her bundles.
+        real = tt_mod.build_preference_graph
+        monkeypatch.setattr(
+            tt_mod, "build_preference_graph",
+            lambda rows, bundles, thresholds: real(
+                rows, bundles, (sum(rows[0]) + 1,) + thresholds[1:]
+            ),
+        )
+        return "misses her threshold"
+
+    @staticmethod
+    def partitioner_in_x_plus(monkeypatch):
+        real = tt_mod.compute_x_plus
+
+        def x_plus(graph, matching):
+            found = real(graph, matching)
+            return XPlusDecomposition(
+                (0,) + found.x_plus, found.gamma, found.restricted_matching
+            )
+
+        monkeypatch.setattr(tt_mod, "compute_x_plus", x_plus)
+        return "deferred set of her own level"
+
+    @pytest.mark.parametrize("force", ["partitioner_misses_threshold",
+                                       "partitioner_in_x_plus"])
+    @pytest.mark.parametrize("mode", ["exact", "ptas"])
+    def test_check_raises(self, monkeypatch, force, mode):
+        message = getattr(self, force)(monkeypatch)
+        with pytest.raises(GuaranteeError, match=message):
+            apx_mms(Instance.from_rows(self.ROWS), Fraction(1, 10), oracle_mode=mode)
+
+    @pytest.mark.parametrize("force", ["partitioner_misses_threshold",
+                                       "partitioner_in_x_plus"])
+    def test_failed_check_exits_one(self, monkeypatch, tmp_path, capsys, force):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 3, "m": 6, "scale": 1, "valuations": self.ROWS}
+        ))
+        message = getattr(self, force)(monkeypatch)
+        argv = ["solve", "--algo", "twothirds", "--eps", "1/10",
+                "--instance", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "guarantee violation" in err and message in err
 
 
 @pytest.mark.parametrize("mode", ["exact", "ptas"])
