@@ -139,6 +139,23 @@ def _record_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+_INT = frozenset((int,))
+
+
+def nonnegative_ints(values: Sequence) -> bool:
+    """Whether every value is a non-negative int, in one pass over the types
+    and one ``min``.
+
+    An int of a subclass, bool or any other, makes it False.  A validator
+    that gets False runs its own loop over the values, which names the first
+    bad position or, when every value is an int other than a bool, accepts.
+
+    >>> nonnegative_ints([3, 0, 2**70]), nonnegative_ints([3, True])
+    (True, False)
+    """
+    return _INT.issuperset(map(type, values)) and (not values or min(values) >= 0)
+
+
 @record
 class Instance:
     """An additive valuation profile: ``valuations[i][j]`` is agent i's value
@@ -170,8 +187,10 @@ class Instance:
                 raise InputError(
                     f"valuation row {i} has {len(row)} entries, expected m={self.m}"
                 )
+            if nonnegative_ints(row):
+                continue
             for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not _is_int(v):
                     raise InputError(f"valuation[{i}][{j}] is not an integer: {v!r}")
                 if v < 0:
                     raise InputError(f"valuation[{i}][{j}] is negative: {v}")

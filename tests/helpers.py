@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
 from mmsalloc import Allocation, Instance, bundle_value
+
+
+def first_bad_value(row: Sequence) -> Optional[tuple[int, str]]:
+    """The per-value loop both row validators ran on every row before the
+    one-pass check, core.nonnegative_ints: the first bad position and what
+    is wrong there, as both validators word it, or None for a valid row."""
+    for j, v in enumerate(row):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return j, f"is not an integer: {v!r}"
+        if v < 0:
+            return j, f"is negative: {v}"
+    return None
 
 
 def exhaustive_mms(values: Sequence[int], k: int) -> int:

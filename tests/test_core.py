@@ -8,11 +8,15 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmsalloc
 import mmsalloc.core as core
 import mmsalloc.oracle as oracle
+from helpers import first_bad_value
 from mmsalloc import (
     Allocation,
     Certificate,
@@ -78,6 +82,40 @@ class TestInstance:
     def test_zero_goods_allowed(self):
         inst = Instance.from_rows([[], []])
         assert inst.m == 0
+
+
+# Valid values, including ints past 2**64, mixed with each kind of bad one.
+_ROW_VALUES = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -1),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(0, 9).map(np.int64),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(row=st.one_of(
+    st.lists(st.integers(0, 2**70), max_size=12),
+    st.lists(_ROW_VALUES, max_size=12),
+))
+def test_row_validators_agree_with_the_per_value_loop(row):
+    # The one-pass check accepts exactly the rows the old loop accepts, and
+    # on the others both validators name the loop's first bad position.
+    bad = first_bad_value(row)
+    assert core.nonnegative_ints(row) == (bad is None)
+    if bad is None:
+        assert Instance.from_rows([row]).row(0) == tuple(row)
+        assert oracle._validated_values(row, 1) == tuple(row)
+        return
+    j, what = bad
+    with pytest.raises(InputError) as caught:
+        Instance.from_rows([[0] * len(row), row])
+    assert str(caught.value) == f"valuation[1][{j}] {what}"
+    with pytest.raises(InputError) as caught:
+        oracle._validated_values(row, 1)
+    assert str(caught.value) == f"value at position {j} {what}"
 
 
 class TestAllocation:

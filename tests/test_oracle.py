@@ -327,11 +327,19 @@ def test_desc_items_keep_equal_values_in_position_order(values):
 
 def test_lpt_heap_matches_linear_scan():
     rng = random.Random(41)
+
+    def few():
+        # Few distinct values, so loads tie often and the tie rule shows.
+        return rng.choice((0, 1, 1, 2, 3, 3, 5))
+
+    def large():
+        # Loads past 2**64, so the heap's load*k + index is a large int.
+        return rng.choice((rng.randint(0, 10**6), rng.randint(2**64, 2**70)))
+
     for k in range(1, 41):
-        for _ in range(5):
-            # Few distinct values, so loads tie often and the tie rule shows.
+        for draw in (few,) * 5 + (large,) * 2:
             m = rng.randint(0, 3 * k + 10)
-            values = [rng.choice((0, 1, 1, 2, 3, 3, 5)) for _ in range(m)]
+            values = [draw() for _ in range(m)]
             items = oracle._desc_items(values)
             loads, bundles = _lpt_by_scan(items, k)
             assert oracle._lpt(items, k) == (loads, bundles)
@@ -932,6 +940,20 @@ def test_raised_witness_settles_rows_greedy_misses():
         for row in missed:
             cert = mms_approx(row, 10, Fraction(1, 10))
             assert 10 * cert.value >= 9 * cert.upper
+
+
+def test_approx_on_large_uniform_rows_makes_no_cover_search():
+    # 105 goods at k = 10: the raised split meets (1 - eps)*U on every row,
+    # so a query costs its validation, sort, greedy split and witness check.
+    rng = random.Random("105/10")
+    rows = [[rng.randint(0, 10**6) for _ in range(105)] for _ in range(100)]
+    with patch.object(
+        oracle, "_cover_search", wraps=oracle._cover_search
+    ) as cover_search:
+        for row in rows:
+            cert = mms_approx(row, 10, Fraction(1, 10))
+            assert 10 * cert.value >= 9 * cert.upper
+    assert cover_search.call_count == 0
 
 
 def test_fail_memo_keeps_the_least_failing_floor():
