@@ -142,18 +142,41 @@ def _record_delattr(self, name):
 _INT = frozenset((int,))
 
 
-def nonnegative_ints(values: Sequence) -> bool:
-    """Whether every value is a non-negative int, in one pass over the types
-    and one ``min``.
+def is_int(value) -> bool:
+    """An int that is not a bool: the one test of every integer input."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    An int of a subclass, bool or any other, makes it False.  A validator
-    that gets False runs its own loop over the values, which names the first
-    bad position or, when every value is an int other than a bool, accepts.
 
-    >>> nonnegative_ints([3, 0, 2**70]), nonnegative_ints([3, True])
-    (True, False)
-    """
-    return _INT.issuperset(map(type, values)) and (not values or min(values) >= 0)
+def check_values(values: Sequence, label: str, i: int = 0) -> None:
+    """Raise InputError unless every value is a non-negative int, naming the
+    first bad one ``label.format(i=i, j=j)`` for its position j.  Only a row
+    that fails the one pass over its types and one ``min`` is walked."""
+    if _INT.issuperset(map(type, values)) and (not values or min(values) >= 0):
+        return
+    for j, v in enumerate(values):
+        if not is_int(v):
+            raise InputError(f"{label.format(i=i, j=j)} is not an integer: {v!r}")
+        if v < 0:
+            raise InputError(f"{label.format(i=i, j=j)} is negative: {v}")
+
+
+def as_rational(value, label: str, i: int = 0) -> Fraction:
+    """value as a Fraction; InputError naming it ``label.format(i=i)`` when
+    Fraction cannot read it, as with None, "abc", "1/0" or an infinite float."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"{label.format(i=i)} is not a rational: {value!r}") from exc
+
+
+def check_seed(seed) -> None:
+    """A seed must be a non-negative int, as random.Random reads -s as s."""
+    if not is_int(seed):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 @record
@@ -172,6 +195,8 @@ class Instance:
     valuations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not (is_int(self.n) and is_int(self.m) and is_int(self.scale)):
+            raise InputError("instance n, m, scale must be integers")
         if self.n < 1:
             raise InputError(f"need at least one agent, got n={self.n}")
         if self.m < 0:
@@ -187,20 +212,12 @@ class Instance:
                 raise InputError(
                     f"valuation row {i} has {len(row)} entries, expected m={self.m}"
                 )
-            if nonnegative_ints(row):
-                continue
-            for j, v in enumerate(row):
-                if not _is_int(v):
-                    raise InputError(f"valuation[{i}][{j}] is not an integer: {v!r}")
-                if v < 0:
-                    raise InputError(f"valuation[{i}][{j}] is negative: {v}")
+            check_values(row, "valuation[{i}][{j}]", i)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], scale: int = 1) -> "Instance":
-        rows_t = tuple(tuple(row) for row in rows)
-        n = len(rows_t)
-        m = len(rows_t[0]) if rows_t else 0
-        return cls(n=n, m=m, scale=scale, valuations=rows_t)
+        rows_t = tuple(map(tuple, rows))
+        return cls(len(rows_t), len(rows_t[0]) if rows_t else 0, scale, rows_t)
 
     @property
     def agents(self) -> range:
@@ -300,7 +317,8 @@ def verify_allocation(
 
     Structural problems (wrong bundle count, overlap, missing goods) raise
     :class:`PartitionError` before any value comparison.  Thresholds may be
-    integers or Fractions; comparisons are exact.
+    integers or Fractions; comparisons are exact.  A threshold that is no
+    rational raises :class:`InputError` naming its agent.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> alloc = Allocation.of([{0, 2}, {1, 3}])
@@ -316,12 +334,11 @@ def verify_allocation(
         )
     allocation.require_partition(instance.m)
     if len(thresholds) != instance.n:
-        raise InputError(
-            f"got {len(thresholds)} thresholds for n={instance.n} agents"
-        )
+        raise InputError(f"got {len(thresholds)} thresholds for n={instance.n} agents")
+    label, bundles = "threshold of agent {i}", allocation.bundles
     return tuple(
-        Certificate(i, bundle_value(instance, i, allocation.bundles[i]), Fraction(t))
-        for i, t in zip(instance.agents, thresholds)
+        Certificate(i, bundle_value(instance, i, bundles[i]), as_rational(t, label, i))
+        for i, t in enumerate(thresholds)
     )
 
 
@@ -343,11 +360,6 @@ def instance_to_json(instance: Instance) -> str:
         "valuations": [list(row) for row in instance.valuations],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read(path: str, kind: str) -> str:
@@ -374,14 +386,11 @@ def instance_from_json(text: str) -> Instance:
     missing = {"n", "m", "scale", "valuations"} - payload.keys()
     if missing:
         raise InputError(f"instance file missing keys: {sorted(missing)}")
-    n, m, scale = payload["n"], payload["m"], payload["scale"]
     rows = payload["valuations"]
-    if not (_is_int(n) and _is_int(m) and _is_int(scale)):
-        raise InputError("instance n, m, scale must be integers")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("instance valuations must be a list of lists")
     rows = tuple(tuple(r) for r in rows)
-    instance = Instance(n=n, m=m, scale=scale, valuations=rows)
+    instance = Instance(payload["n"], payload["m"], payload["scale"], rows)
     for i, row in enumerate(rows):
         try:
             str(sum(row))
@@ -431,7 +440,7 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
     bundles = []
     for b in raw_bundles:
         for g in b:
-            if not _is_int(g) or g < 1:
+            if not is_int(g) or g < 1:
                 raise InputError(f"good index {g!r} is not a positive integer")
         bundles.append(frozenset(g - 1 for g in b))
     certs = []
@@ -443,7 +452,7 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
             fields = [row["agent"], row["value"], row["threshold"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed certificate row: {row!r}") from exc
-        if not all(map(_is_int, fields)):
+        if not all(map(is_int, fields)):
             raise InputError(f"malformed certificate row: {row!r}")
         agent, value, threshold = fields
         certs.append(Certificate(agent - 1, value, Fraction(threshold)))

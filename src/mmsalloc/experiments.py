@@ -23,6 +23,7 @@ from .core import (
     TRIAL_ALGORITHMS,
     Instance,
     InputError,
+    check_seed,
     record,
     verify_allocation,
 )
@@ -37,7 +38,8 @@ _ALGO_SEED_SALT = 0x9E3779B97F4A7C15
 
 @record
 class TrialConfig:
-    """Parameters of one Monte Carlo run."""
+    """Parameters of one Monte Carlo run.  n and m are checked, in the same
+    words, by the Instance of the first trial."""
 
     n: int
     m: int
@@ -48,10 +50,6 @@ class TrialConfig:
     predicate: str = "proportional"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"need at least one agent, got n={self.n}")
-        if self.m < 0:
-            raise InputError(f"negative number of goods: m={self.m}")
         if self.trials < 1:
             raise InputError(f"need at least one trial, got {self.trials}")
         if self.scale < MIN_SCALE:
@@ -85,7 +83,7 @@ def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) 
     """Draw each value independently and uniformly from {0, 1, ..., scale}.
 
     Deterministic for a given seed; rows are filled agent by agent.  The
-    seed must be non-negative, since ``random.Random`` reads -s as s.
+    seed must be a non-negative int (see :func:`core.check_seed`).
 
     >>> gen_uniform_instance(2, 3, seed=7, scale=10**4) == \\
     ...     gen_uniform_instance(2, 3, seed=7, scale=10**4)
@@ -95,13 +93,10 @@ def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) 
     """
     if scale < 1:
         raise InputError(f"scale must be a positive integer, got {scale}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     rng = random.Random(seed)
     rows = [[rng.randint(0, scale) for _ in range(m)] for _ in range(n)]
-    return Instance(
-        n=n, m=m, scale=scale, valuations=tuple(tuple(row) for row in rows)
-    )
+    return Instance(n, m, scale, tuple(map(tuple, rows)))
 
 
 def _trial_thresholds(instance: Instance, predicate: str) -> list:

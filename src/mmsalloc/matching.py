@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import GuaranteeError, InputError, Number, record
+from .core import GuaranteeError, InputError, Number, is_int, record
 
 
 @record
@@ -38,14 +38,12 @@ class PreferenceGraph:
         for i, nbrs in enumerate(self.adj):
             prev = -1
             for v in nbrs:
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not is_int(v):
                     raise InputError(f"neighbor {v!r} of {i} is not an integer")
                 if not 0 <= v < self.n_right:
                     raise InputError(f"neighbor {v} of {i} is out of range")
                 if v <= prev:
-                    raise InputError(
-                        f"neighbors of {i} must be strictly ascending"
-                    )
+                    raise InputError(f"neighbors of {i} must be strictly ascending")
                 prev = v
 
 

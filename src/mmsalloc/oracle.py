@@ -47,7 +47,9 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import GuaranteeError, InputError, Instance, nonnegative_ints, record
+from .core import (
+    GuaranteeError, InputError, Instance, as_rational, check_values, is_int, record
+)
 
 #: Exact search refuses instances with more goods than this.  Beyond it, use
 #: mms_approx.
@@ -74,30 +76,23 @@ class MaximinCertificate:
 
 
 def _validated_values(values: Sequence[int], k: int) -> tuple[int, ...]:
+    if not is_int(k):
+        raise InputError(f"bundle count must be an integer, got k={k!r}")
     if k < 1:
         raise InputError(f"bundle count must be positive, got k={k}")
     vals = tuple(values)
-    if nonnegative_ints(vals):
-        return vals
-    for j, v in enumerate(vals):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"value at position {j} is not an integer: {v!r}")
-        if v < 0:
-            raise InputError(f"value at position {j} is negative: {v}")
+    check_values(vals, "value at position {j}")
     return vals
 
 
-def _as_eps(eps: RationalLike) -> Fraction:
-    if type(eps) is Fraction:
-        frac = eps
-    else:
-        try:
-            frac = Fraction(eps)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"eps is not a rational: {eps!r}") from exc
+def _as_eps(eps: RationalLike, bound: Fraction = Fraction(1)) -> Fraction:
+    """eps as a Fraction strictly between 0 and bound: every entry point's
+    one conversion and range check of its accuracy."""
+    frac = as_rational(eps, "eps")
+    p, q = frac.numerator, frac.denominator
     # A Fraction's denominator is positive.
-    if not 0 < frac.numerator < frac.denominator:
-        raise InputError(f"eps must lie strictly between 0 and 1, got {frac}")
+    if not 0 < p * bound.denominator < bound.numerator * q:
+        raise InputError(f"eps must be in (0, {bound}), got {frac}")
     return frac
 
 
@@ -476,11 +471,9 @@ def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
     return _exact_memo(_validated_values(values, k), k)
 
 
-# Answers are pure functions of (values, k) and certificates are immutable,
-# so a kept answer is the one a new search would give.  typed: a k of
-# another type, such as True or 2.0, is not answered from the entry for the
-# equal int, whose certificate carries that int.
-@functools.lru_cache(maxsize=512, typed=True)
+# Validation lets only ints through as values and k, and certificates are
+# immutable, so a kept answer is the one a new search would give.
+@functools.lru_cache(maxsize=512)
 def _exact_memo(vals: tuple[int, ...], k: int) -> MaximinCertificate:
     return _maximin(vals, k, "exact")
 
@@ -533,7 +526,7 @@ class ShareOracle:
 
     def loss(self, eps: RationalLike) -> Fraction:
         """The accuracy :meth:`share` gives up when asked at eps."""
-        return Fraction(0) if self.mode == "exact" else Fraction(eps)
+        return Fraction(0) if self.mode == "exact" else _as_eps(eps)
 
     def share(
         self, values: Sequence[int], k: int, eps: Optional[RationalLike] = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, InputError, Instance
+from .core import Allocation, InputError, Instance, check_seed
 
 
 def _take_turns(
@@ -79,15 +79,14 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
     While the remaining goods number fewer than twice the remaining agents, a
     uniformly random remaining agent takes her single favorite remaining good
     and exits.  The agents still present then run the plain round-robin pass
-    in ascending order on what is left.  The seed must be non-negative,
-    since ``random.Random`` reads -s as s.
+    in ascending order on what is left.  The seed must be a non-negative
+    int (see :func:`core.check_seed`).
 
     >>> inst = Instance.from_rows([[9, 5], [6, 8], [7, 7]])
     >>> len(modified_greedy_round_robin(inst, seed=0))
     3
     """
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     rng = random.Random(seed)
     rows = [instance.row(i) for i in instance.agents]
     active = list(instance.agents)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
-from .oracle import RationalLike, ShareOracle
+from .oracle import RationalLike, ShareOracle, _as_eps
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
@@ -65,9 +65,7 @@ def apx_3_mms(
     """
     if instance.n != 3:
         raise InputError(f"this solver needs exactly 3 agents, got n={instance.n}")
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(7, 8):
-        raise InputError(f"eps must be in (0, 7/8), got {eps}")
+    eps = _as_eps(eps, Fraction(7, 8))
     oracle = ShareOracle(oracle_mode)
     rows = [instance.row(i) for i in instance.agents]
     certs = [oracle.share(row, 3, eps) for row in rows]

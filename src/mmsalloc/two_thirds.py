@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import Allocation, GuaranteeError, InputError, Instance
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import MaximinCertificate, RationalLike, ShareOracle
+from .oracle import MaximinCertificate, RationalLike, ShareOracle, _as_eps
 
 
 def rho(n: int) -> Fraction:
@@ -137,9 +137,7 @@ def apx_mms(
     >>> sorted(len(b) for b in alloc)
     [2, 2]
     """
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 3):
-        raise InputError(f"eps must be in (0, 1/3), got {eps}")
+    eps = _as_eps(eps, Fraction(1, 3))
     oracle = ShareOracle(oracle_mode)
     if instance.n == 1:
         return Allocation.of([tuple(instance.goods)])

@@ -20,7 +20,7 @@ from mmsalloc import Allocation, Instance, bundle_value
 
 def first_bad_value(row: Sequence) -> Optional[tuple[int, str]]:
     """The per-value loop both row validators ran on every row before the
-    one-pass check, core.nonnegative_ints: the first bad position and what
+    one-pass check of core.check_values: the first bad position and what
     is wrong there, as both validators word it, or None for a valid row."""
     for j, v in enumerate(row):
         if not isinstance(v, int) or isinstance(v, bool):

@@ -83,6 +83,14 @@ class TestInstance:
         inst = Instance.from_rows([[], []])
         assert inst.m == 0
 
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("scale", 1.5), ("m", True)])
+    def test_rejects_fields_that_are_no_ints(self, field, value):
+        fields = {"n": 2, "m": 2, "scale": 1, "valuations": ((1, 2), (3, 4))}
+        fields[field] = value
+        with pytest.raises(InputError) as caught:
+            Instance(**fields)
+        assert str(caught.value) == "instance n, m, scale must be integers"
+
 
 # Valid values, including ints past 2**64, mixed with each kind of bad one.
 _ROW_VALUES = st.one_of(
@@ -101,15 +109,18 @@ _ROW_VALUES = st.one_of(
     st.lists(_ROW_VALUES, max_size=12),
 ))
 def test_row_validators_agree_with_the_per_value_loop(row):
-    # The one-pass check accepts exactly the rows the old loop accepts, and
+    # The one row check accepts exactly the rows the old loop accepts, and
     # on the others both validators name the loop's first bad position.
     bad = first_bad_value(row)
-    assert core.nonnegative_ints(row) == (bad is None)
     if bad is None:
+        core.check_values(row, "value at position {j}")
         assert Instance.from_rows([row]).row(0) == tuple(row)
         assert oracle._validated_values(row, 1) == tuple(row)
         return
     j, what = bad
+    with pytest.raises(InputError) as caught:
+        core.check_values(row, "valuation[{i}][{j}]", 4)
+    assert str(caught.value) == f"valuation[4][{j}] {what}"
     with pytest.raises(InputError) as caught:
         Instance.from_rows([[0] * len(row), row])
     assert str(caught.value) == f"valuation[1][{j}] {what}"
@@ -246,6 +257,12 @@ class TestVerifyAllocation:
     def test_threshold_count_must_match(self):
         with pytest.raises(InputError):
             verify_allocation(self.inst, self.alloc, [0])
+
+    @pytest.mark.parametrize("bad", ["abc", None, float("inf")])
+    def test_threshold_that_is_no_rational_names_its_agent(self, bad):
+        with pytest.raises(InputError) as caught:
+            verify_allocation(self.inst, self.alloc, [5, bad])
+        assert str(caught.value) == f"threshold of agent 1 is not a rational: {bad!r}"
 
 
 class TestJsonFormats:

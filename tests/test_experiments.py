@@ -57,6 +57,11 @@ class TestGenerator:
             gen_uniform_instance(2, 3, seed=-5)
         assert gen_uniform_instance(2, 3, seed=0).n == 2
 
+    @pytest.mark.parametrize("seed", [None, 1.0, True, "1"])
+    def test_rejects_a_seed_that_is_no_int(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            gen_uniform_instance(2, 3, seed)
+
 
 class TestTrialConfig:
     def test_validation(self):

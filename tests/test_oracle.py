@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mmsalloc
 import mmsalloc.oracle as oracle
 from helpers import exhaustive_mms, record_searches
 from mmsalloc import (
@@ -140,6 +141,40 @@ def test_input_validation():
         mms_exact([1.5], 1)
 
 
+_THREE = Instance.from_rows([[3, 2, 2, 1]] * 3)
+
+#: Each entry point that takes an accuracy, and the bound eps must lie below.
+_EPS_ENTRY_POINTS = {
+    "mms_approx": (lambda eps: mms_approx([3, 2, 2, 1], 2, eps), Fraction(1)),
+    "xi_vector": (lambda eps: xi_vector(_THREE, 2, eps, mode="ptas"), Fraction(1)),
+    "share": (lambda eps: ShareOracle("ptas").share([3, 2, 2, 1], 2, eps), 1),
+    "loss": (lambda eps: ShareOracle("ptas").loss(eps), 1),
+    "apx_mms": (lambda eps: mmsalloc.apx_mms(_THREE, eps), Fraction(1, 3)),
+    "apx_3_mms": (lambda eps: mmsalloc.apx_3_mms(_THREE, eps), Fraction(7, 8)),
+}
+
+
+@pytest.mark.parametrize("entry", _EPS_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "eps", ["abc", "1/0", None, float("inf"), float("nan"), 0, Fraction(-1, 2),
+            "bound"],
+    ids=repr,
+)
+def test_every_entry_point_rejects_a_bad_eps(entry, eps):
+    call, bound = _EPS_ENTRY_POINTS[entry]
+    with pytest.raises(InputError):
+        call(bound if eps == "bound" else eps)
+
+
+@pytest.mark.parametrize("query", [
+    mms_exact, greedy_floor, lambda values, k: mms_approx(values, k, "1/10"),
+], ids=["mms_exact", "greedy_floor", "mms_approx"])
+@pytest.mark.parametrize("k", [0, -1, True, 2.0, "2", None], ids=repr)
+def test_every_entry_point_rejects_a_bad_k(query, k):
+    with pytest.raises(InputError):
+        query([3, 2, 2, 1], k)
+
+
 def test_greedy_floor_is_sound_lower_bound():
     rng = random.Random(23)
     for _ in range(200):
@@ -236,10 +271,11 @@ def test_exact_memo_keys_on_the_validated_row():
         cert = mms_exact([7, 5, 4, 3, 3], 2)
         assert mms_exact((7, 5, 4, 3, 3), 2) is cert
         assert searched.call_count == 1
-        # A k equal to a cached int but of another type is its own query.
         assert mms_exact([7, 5, 4, 3, 3], 1).k == 1
-        assert mms_exact([7, 5, 4, 3, 3], True).k is True
-    assert searched.call_count == 3
+        # A k equal to a cached int but of another type is no query at all.
+        with pytest.raises(InputError):
+            mms_exact([7, 5, 4, 3, 3], True)
+    assert searched.call_count == 2
 
 
 def test_exact_memo_never_answers_an_invalid_query():

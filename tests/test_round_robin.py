@@ -104,3 +104,9 @@ class TestModifiedRoundRobin:
         inst = Instance.from_rows([[9, 2], [9, 3], [9, 4]])
         with pytest.raises(InputError):
             modified_greedy_round_robin(inst, seed=-3)
+
+    @pytest.mark.parametrize("seed", [None, 1.0, True, "1"])
+    def test_rejects_a_seed_that_is_no_int(self, seed):
+        inst = Instance.from_rows([[9, 2], [9, 3], [9, 4]])
+        with pytest.raises(InputError, match="seed must be an integer"):
+            modified_greedy_round_robin(inst, seed)
