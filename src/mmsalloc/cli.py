@@ -14,6 +14,8 @@ indices are 1-based in all files and printed artifacts.  ``solve --trace``
 prints each solver's own trace steps through one rule that holds for every
 solver (:func:`_one_based`).  The library builds each result as text, and
 :func:`_emit` alone writes it, to the ``--out`` file or to stdout.
+``--eps`` is read by :func:`mmsalloc.core.as_rational`, as the library
+reads eps, so text too long to print exits 2 at once, whatever its exponent.
 
 Importing this module executes the package's ``core`` and ``oracle`` and
 nothing more.  The solver and experiment modules are bound here as the
@@ -42,6 +44,7 @@ from .core import (
     Instance,
     allocation_payload,
     allocation_to_json,
+    as_rational,
     instance_to_json,
     load_allocation,
     load_instance,
@@ -51,18 +54,6 @@ from .oracle import ShareOracle
 
 ALGORITHMS = ("rr", "rr-modified", "half", "twothirds", "three78", "ternary")
 _EPS_ALGOS = ("twothirds", "three78")
-
-
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{flag} must be a rational like 1/10, got {text!r}") from exc
-    try:
-        str(value)
-    except ValueError:  # a numerator or denominator past the int digit limit
-        raise InputError(f"{flag} has too many digits to print, got {text!r}") from None
-    return value
 
 
 def _solve_thresholds(
@@ -186,7 +177,7 @@ def _certificate_table(certificates: Sequence[Certificate]) -> str:
 def cmd_solve(args) -> int:
     _check_solve_flags(args)
     if args.eps is not None:
-        args.eps = _parse_fraction(args.eps, "--eps")
+        args.eps = as_rational(args.eps, "--eps")
     instance = load_instance(args.instance)
     trace: Optional[list] = [] if args.trace else None
     mode = args.oracle or "ptas"
@@ -230,7 +221,7 @@ def cmd_mms(args) -> int:
     if args.k > top:
         raise InputError(f"--k must be at most max(n, m) = {top}, got {args.k}")
     row = instance.row(args.agent - 1)
-    eps = None if args.exact else _parse_fraction(args.eps, "--eps")
+    eps = None if args.exact else as_rational(args.eps, "--eps")
     cert = ShareOracle("exact" if args.exact else "ptas").share(row, args.k, eps)
     payload = {
         "agent": args.agent,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -162,13 +163,41 @@ def check_values(values: Sequence, label: str, i: int = 0) -> None:
 
 def as_rational(value, label: str, i: int = 0) -> Fraction:
     """value as a Fraction; InputError naming it ``label.format(i=i)`` when
-    Fraction cannot read it, as with None, "abc", "1/0" or an infinite float."""
+    it is no rational, as with None, "abc", "1/0" or an infinite float.
+
+    A Fraction, an int or a float is taken as given.  Text, read here alone
+    in the package as Fraction reads it, has too many digits to print when
+    its numerator or denominator passes ``sys.get_int_max_str_digits()``:
+    an exponent that passes it by more than the text before it decides so
+    before any power of ten is built, so "1e-99999999" ends at once.  With
+    the limit off (0) no text is too long.
+    """
     if type(value) is Fraction:
         return value
+    name = label.format(i=i)
     try:
-        return Fraction(value)
+        frac = _read_rational(value) if isinstance(value, str) else Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"{label.format(i=i)} is not a rational: {value!r}") from exc
+        raise InputError(f"{name} is not a rational: {value!r}") from exc
+    if frac is None:
+        raise InputError(f"{name} has too many digits to print, got {value!r}")
+    return frac
+
+
+def _read_rational(text: str) -> Optional[Fraction]:
+    """Fraction(text), or None when it has too many digits to print."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+    mantissa, e, exponent = text.lower().partition("e")
+    if limit and e and abs(int(exponent)) - len(mantissa) >= limit:
+        # Past 10**(limit + len(mantissa)) or below its inverse, unless 0:
+        # the text with a short exponent of the same form says which.
+        return Fraction(0) if Fraction(f"{mantissa}e{exponent[0]}0") == 0 else None
+    frac = Fraction(text)
+    try:
+        str(frac)
+    except ValueError:  # a numerator or denominator past the limit
+        return None
+    return frac
 
 
 def check_seed(seed) -> None:

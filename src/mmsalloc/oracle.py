@@ -80,7 +80,10 @@ def _validated_values(values: Sequence[int], k: int) -> tuple[int, ...]:
         raise InputError(f"bundle count must be an integer, got k={k!r}")
     if k < 1:
         raise InputError(f"bundle count must be positive, got k={k}")
-    vals = tuple(values)
+    try:
+        vals = tuple(values)
+    except TypeError:
+        raise InputError(f"values must be a sequence, got {values!r}") from None
     check_values(vals, "value at position {j}")
     return vals
 
@@ -533,18 +536,22 @@ class ShareOracle:
     ) -> MaximinCertificate:
         if self.mode == "exact":
             return mms_exact(values, k)
-        key = (tuple(values), k, eps)
-        cert = self._memo.get(key)
+        try:
+            key = (tuple(values), k, eps)
+            cert = self._memo.get(key)
+        except TypeError:  # no key to keep: mms_approx says what is wrong
+            return mms_approx(values, k, eps)
         if cert is None:
-            cert = self._memo[key] = mms_approx(values, k, eps)
+            cert = self._memo[key] = mms_approx(key[0], k, eps)
         return cert
 
     def lower(self, values: Sequence[int], k: int) -> int:
         """The exact share for up to EXACT_ITEM_CAP goods, and the greedy
         floor beyond, where the exact search is out of reach."""
-        if len(values) <= EXACT_ITEM_CAP:
-            return mms_exact(values, k).value
-        return greedy_floor(values, k)
+        vals = _validated_values(values, k)
+        if len(vals) <= EXACT_ITEM_CAP:
+            return mms_exact(vals, k).value
+        return greedy_floor(vals, k)
 
 
 def xi_vector(

@@ -16,9 +16,10 @@ monochromatic edges, every red row is reversed, so bucket c takes position
 r*n + (n-1-c) from a red row r and r*n + c from a blue one, and edge colors
 decide whether an at-risk agent must sit in a leftmost bucket, a rightmost
 bucket, or anywhere.  Everyone else is safe in any bucket.  Finally
-dummies are stripped and, unless the rows came sorted, the bucket contents
-are lifted back to original goods (:func:`_lift_ternary`), each owner
-picking her most-valued remaining good in decreasing position order.
+dummies are stripped and the bucket contents are lifted back to original
+goods (:func:`_lift_ternary`), each owner picking her most-valued
+remaining good in increasing position order; on rows that came sorted
+the lift leaves every position where it is.
 Every agent ends with at least her full maximin share, with no
 approximation loss.
 """
@@ -91,7 +92,7 @@ def _lift_ternary(
             owner[p] = i
     class_masks: list[list[int]] = []
     for raw in rows:
-        masks = (int(raw.translate(table)[::-1], 2) for table in _CLASS_TABLES)
+        masks = (int(raw.translate(table)[::-1] or b"0", 2) for table in _CLASS_TABLES)
         class_masks.append([mask for mask in masks if mask])
     available = (1 << m) - 1
     out: list[list[int]] = [[] for _ in range(n)]
@@ -196,10 +197,7 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
     for c in seat:
         cells = (r * n + (n - 1 - c if red[r] else c) for r in range(k))
         bundles_positions.append([p for p in cells if p < m])
-    if is_sorted:
-        bundles = bundles_positions
-    else:
-        bundles = _lift_ternary(rows, bundles_positions, m)
+    bundles = _lift_ternary(rows, bundles_positions, m)
     if trace is not None:
         trace.append(
             {

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -215,7 +216,7 @@ class TestSolve:
             (["--algo", "half", "--order", "1,2"], "--order is only accepted"),
             (["--algo", "rr", "--seed", "4"], "--seed is only accepted"),
             (["--algo", "twothirds", "--eps", "0"], "eps"),
-            (["--algo", "twothirds", "--eps", "abc"], "--eps must be a rational"),
+            (["--algo", "twothirds", "--eps", "abc"], "--eps is not a rational"),
             (["--algo", "twothirds", "--eps", "1e5000"],
              "--eps has too many digits to print, got '1e5000'"),
             (["--algo", "twothirds", "--eps", "1e-5000", "--trace"],
@@ -295,6 +296,23 @@ class TestSolve:
             for eps in ("1/10", "1e-1", "0.1")
         ]
         assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("eps", ["1e-99999999", "1e99999999"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--algo", "twothirds"],
+    ["solve", "--algo", "three78"],
+    ["mms", "--agent", "1", "--k", "3"],
+], ids=" ".join)
+def test_eps_with_a_huge_exponent_exits_two_at_once(tmp_path, command, eps):
+    # A fresh process under a 10 s limit, start-up included.  Building
+    # 10**99999999 to read such an eps would take minutes.
+    path = write_instance(tmp_path / "three.json", BRANCH_ROWS["d"])
+    result = run_module([*command, "--instance", path, "--eps", eps], timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (
+        f"input error: --eps has too many digits to print, got {eps!r}\n"
+    )
 
 
 # The complete --trace output of one solve per solver, recorded before the
@@ -1032,25 +1050,47 @@ _FUZZ_COMMANDS = [
     ["solve", "--algo", "rr"],
     ["solve", "--algo", "rr-modified"],
     ["solve", "--algo", "half"],
-    ["solve", "--algo", "twothirds", "--eps", "1/10"],
-    ["solve", "--algo", "three78", "--eps", "1/10"],
+    ["solve", "--algo", "twothirds", "--eps"],
+    ["solve", "--algo", "three78", "--eps"],
     ["solve", "--algo", "ternary"],
     ["mms", "--exact"],
-    ["mms", "--eps", "1/10"],
+    ["mms", "--eps"],
 ]
+# --eps text: fractions and decimals, in range and not, exponent forms
+# with exponents up to 10**8 either way, zero, negatives, values at or past
+# each bound (1/3, 7/8, 1), and text that is no rational.
+_FUZZ_EPS = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 99), st.integers(100, 10**6)),
+    st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
+    st.from_regex(r"\A[-+]?[0-9]{0,2}\.[0-9]{1,6}\Z"),
+    st.builds(
+        "{}e{}".format,
+        st.from_regex(r"\A[-+]?[0-9]{1,3}(\.[0-9]{0,3})?\Z"),
+        st.one_of(
+            st.integers(-9, 1),
+            st.sampled_from([-10**8, -4301, -4299, 4299, 4300, 10**8]),
+            st.integers(-10**8, 10**8),
+        ),
+    ),
+    st.sampled_from(["0", "-1/10", "-0.5", "1/3", "7/8", "1", "2", "10e-1"]),
+    st.sampled_from(["", "abc", "1/0", "0/0", "1//2", "1e", "e5", "inf", "nan"]),
+    st.text(max_size=8),
+)
+#: Seconds any one fuzzed run may take; the slowest seen takes well under 1.
+_FUZZ_RUN_LIMIT = 5
 
 
 @st.composite
-def fuzzed_runs(draw):
-    """A command line and the text of the instance file it reads.  The file
-    is valid, or has one fault: in a value, in n or m, in the scale, or in
-    not being a JSON object.  mms asks for an agent and a k that are in
-    range three times in four."""
+def fuzzed_runs(draw, commands=_FUZZ_COMMANDS, faults=_FUZZ_FAULTS):
+    """A command line from commands and the text of the instance file it
+    reads.  The file is valid, or has one fault from faults: in a value, in
+    n or m, in the scale, or in not being a JSON object.  mms asks for an
+    agent and a k that are in range three times in four."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 10))
     values = draw(st.sampled_from(_FUZZ_VALUES))
     rows = [[draw(values) for _ in range(m)] for _ in range(n)]
     payload = {"n": n, "m": m, "scale": 1, "valuations": rows}
-    fault = draw(st.sampled_from(_FUZZ_FAULTS))
+    fault = draw(st.sampled_from(faults))
     if fault == "value" and m:
         row = rows[draw(st.integers(0, n - 1))]
         row[draw(st.integers(0, m - 1))] = draw(_HOSTILE_VALUES)
@@ -1060,7 +1100,10 @@ def fuzzed_runs(draw):
         payload["scale"] = draw(st.sampled_from([0, -1, True, 1.5, "1", None]))
     elif fault == "shape":
         payload = draw(st.sampled_from([[], 3, "instance", None, [payload]]))
-    argv = list(draw(st.sampled_from(_FUZZ_COMMANDS)))
+    argv = list(draw(st.sampled_from(commands)))
+    if argv[-1] == "--eps":
+        # One argument, so text that starts with "-" is not read as a flag.
+        argv[-1] = f"--eps={draw(_FUZZ_EPS)}"
     if argv[0] == "solve" and draw(st.booleans()):
         argv.append("--trace")
     if argv[0] == "mms":
@@ -1071,16 +1114,37 @@ def fuzzed_runs(draw):
     return argv, json.dumps(payload)
 
 
+def run_fuzzed(tmp_path, run) -> int:
+    """The exit code of one fuzzed run, checked to take under
+    _FUZZ_RUN_LIMIT seconds."""
+    argv, text = run
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--instance", str(path)])
+    elapsed = time.perf_counter() - started
+    assert elapsed < _FUZZ_RUN_LIMIT, (argv, text[:200], elapsed)
+    return code
+
+
 @settings(
     max_examples=300, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(run=fuzzed_runs())
 def test_fuzzed_files_and_commands_exit_zero_one_or_two(tmp_path, run):
-    argv, text = run
-    path = tmp_path / "inst.json"
-    path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--instance", str(path)])
-    assert code in (0, 1, 2), (argv, text[:200])
+    assert run_fuzzed(tmp_path, run) in (0, 1, 2), run
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run=fuzzed_runs(
+    commands=[argv for argv in _FUZZ_COMMANDS if "--eps" in argv], faults=[None],
+))
+def test_fuzzed_eps_on_valid_files_exits_zero_or_two(tmp_path, run):
+    # A valid file, so every fuzzed eps reaches the solver or its own error.
+    assert run_fuzzed(tmp_path, run) in (0, 2), run

@@ -5,6 +5,8 @@ import doctest
 import importlib
 import importlib.util
 import json
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,6 +265,104 @@ class TestVerifyAllocation:
         with pytest.raises(InputError) as caught:
             verify_allocation(self.inst, self.alloc, [5, bad])
         assert str(caught.value) == f"threshold of agent 1 is not a rational: {bad!r}"
+
+
+def fraction_then_print(text: str):
+    """The reading as_rational keeps from Fraction: its value, or the end
+    of the message when Fraction cannot read text or cannot print it."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return "is not a rational"
+    try:
+        str(value)
+    except ValueError:
+        return "has too many digits to print"
+    return value
+
+
+def as_rational_reading(text: str):
+    try:
+        return core.as_rational(text, "x")
+    except InputError as exc:
+        return str(exc).partition(":")[0].partition(", got")[0][2:]
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_DIGIT_RUNS = st.from_regex(r"\A[0-9]{0,4}(_[0-9]{1,3})?\Z")
+
+
+@st.composite
+def rational_texts(draw):
+    """Text Fraction may read: a sign, digits, then a denominator or a
+    decimal part and an exponent near the digit limit, with stray spaces."""
+    text = draw(st.sampled_from(["", "+", "-", " ", "-."])) + draw(_DIGIT_RUNS)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["/", " /", "/ "])) + draw(_DIGIT_RUNS)
+    else:
+        if draw(st.booleans()):
+            text += "." + draw(_DIGIT_RUNS)
+        if draw(st.booleans()):
+            exponent = draw(st.one_of(
+                st.integers(-_LIMIT - 9, _LIMIT + 9),
+                st.integers(-9, 9).map(lambda d: d - _LIMIT),
+                st.integers(-9, 9).map(lambda d: d + _LIMIT),
+            ))
+            text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+"]))
+            text += str(exponent)
+    return text + draw(st.sampled_from(["", " ", "x"]))
+
+
+class TestAsRational:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=st.one_of(rational_texts(), st.text(max_size=6)))
+    def test_reads_text_as_fraction_reads_and_prints_it(self, text):
+        assert as_rational_reading(text) == fraction_then_print(text)
+
+    @pytest.mark.parametrize("text, end", [
+        ("1e-99999999", "has too many digits to print, got"),
+        ("1e99999999", "has too many digits to print, got"),
+        ("-7.5e-99999999", "has too many digits to print, got"),
+        (f"1e{_LIMIT}", "has too many digits to print, got"),
+        (f"3e-{_LIMIT}", "has too many digits to print, got"),
+        ("0." + "0" * (_LIMIT - 1) + "1", "has too many digits to print, got"),
+        # A run of digits past the limit is one int cannot read.
+        ("1" * (_LIMIT + 1), "is not a rational:"),
+        ("1/" + "1" * (_LIMIT + 1), "is not a rational:"),
+        ("1e" + "0" * _LIMIT + "1", "is not a rational:"),
+        ("xe99999999", "is not a rational:"),
+        ("1e 99999999", "is not a rational:"),
+    ], ids=lambda text: text if len(text) < 20 else f"{text[:9]}...({len(text)})")
+    def test_text_too_long_to_read_is_refused_at_once(self, text, end):
+        started = time.perf_counter()
+        with pytest.raises(InputError) as caught:
+            core.as_rational(text, "eps")
+        assert time.perf_counter() - started < 0.5
+        assert str(caught.value) == f"eps {end} {text!r}"
+
+    @pytest.mark.parametrize("text, value", [
+        (f"1e{_LIMIT - 1}", 10 ** (_LIMIT - 1)),
+        (f"2e-{_LIMIT}", Fraction(2, 10**_LIMIT)),
+        (f"10e-{_LIMIT}", Fraction(1, 10 ** (_LIMIT - 1))),
+        ("0e99999999", 0),
+        ("-0.0e-99999999", 0),
+    ], ids=["1e(L-1)", "2e-L", "10e-L", "0e99999999", "-0.0e-99999999"])
+    def test_text_that_prints_is_read(self, text, value):
+        assert core.as_rational(text, "eps") == value
+
+    def test_with_the_limit_off_no_text_is_too_long(self):
+        sys.set_int_max_str_digits(0)
+        try:
+            assert core.as_rational("1e-5000", "eps") == Fraction(1, 10**5000)
+            assert core.as_rational("7" * 5000, "eps") == int("7" * 5000)
+        finally:
+            sys.set_int_max_str_digits(_LIMIT)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 10**5000), 10**5000, 0.1], ids=["Fraction", "int", "float"]
+    )
+    def test_a_number_is_taken_as_given(self, value):
+        assert core.as_rational(value, "eps") == value
 
 
 class TestJsonFormats:

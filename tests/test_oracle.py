@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -173,6 +174,39 @@ def test_every_entry_point_rejects_a_bad_eps(entry, eps):
 def test_every_entry_point_rejects_a_bad_k(query, k):
     with pytest.raises(InputError):
         query([3, 2, 2, 1], k)
+
+
+#: Each entry point that reads a row of values, at k = 2.
+_ROW_ENTRY_POINTS = {
+    "mms_exact": lambda values: mms_exact(values, 2),
+    "mms_approx": lambda values: mms_approx(values, 2, "1/2"),
+    "greedy_floor": lambda values: greedy_floor(values, 2),
+    "exact share": lambda values: ShareOracle("exact").share(values, 2),
+    "ptas share": lambda values: ShareOracle("ptas").share(values, 2, "1/2"),
+    "exact lower": lambda values: ShareOracle("exact").lower(values, 2),
+    "ptas lower": lambda values: ShareOracle("ptas").lower(values, 2),
+}
+
+
+@pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+@pytest.mark.parametrize("values", [None, 3, [[1], 2], [1, None]], ids=repr)
+def test_every_entry_point_rejects_a_row_that_is_no_row_of_ints(entry, values):
+    with pytest.raises(InputError):
+        _ROW_ENTRY_POINTS[entry](values)
+
+
+@pytest.mark.parametrize("eps", ["1e-99999999", "1e99999999"])
+@pytest.mark.parametrize("call", [
+    lambda eps: mms_approx([1, 2, 3], 2, eps),
+    lambda eps: mmsalloc.apx_mms(_THREE, eps),
+    lambda eps: ShareOracle("ptas").share([1, 2, 3], 2, eps),
+], ids=["mms_approx", "apx_mms", "share"])
+def test_eps_with_a_huge_exponent_is_refused_at_once(call, eps):
+    # Building 10**99999999 to read such an eps would take minutes.
+    started = time.perf_counter()
+    with pytest.raises(InputError, match="^eps has too many digits to print"):
+        call(eps)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_greedy_floor_is_sound_lower_bound():

@@ -93,6 +93,29 @@ class TestLift:
                 assert after >= before
 
 
+@st.composite
+def sorted_rows_and_bundles(draw):
+    """Rows of 2s, then 1s, then 0s, for n agents and m goods (m may be 0),
+    and positions 0..m-1 dealt to the agents, each bundle ascending as
+    the solver builds it."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 30))
+    rows = []
+    for _ in range(n):
+        twos = draw(st.integers(0, m))
+        ones = draw(st.integers(0, m - twos))
+        rows.append(bytes([2] * twos + [1] * ones + [0] * (m - twos - ones)))
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    bundles = [[p for p in range(m) if owners[p] == i] for i in range(n)]
+    return rows, bundles, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sorted_rows_and_bundles())
+def test_lift_leaves_positions_of_sorted_rows_where_they_are(case):
+    rows, bundles, m = case
+    assert ternary_mod._lift_ternary(rows, bundles, m) == bundles
+
+
 class TestExactTernary:
     def test_reaches_share_on_random_suite(self):
         for inst in ternary_suite(count=80, seed=271828):
@@ -149,7 +172,7 @@ class TestExactTernary:
         assert len(step["seats"]) == 2
         assert sorted(step["seats"]) == [0, 1]
 
-    def test_presorted_rows_skip_the_lift(self):
+    def test_presorted_rows_need_no_sort(self):
         inst = Instance.from_rows([[2, 2, 1, 0], [2, 1, 1, 1]])
         trace = []
         alloc = exact_mms_012(inst, trace=trace)
