@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -165,18 +166,20 @@ def as_rational(value, label: str, i: int = 0) -> Fraction:
     """value as a Fraction; InputError naming it ``label.format(i=i)`` when
     it is no rational, as with None, "abc", "1/0" or an infinite float.
 
-    A Fraction, an int or a float is taken as given.  Text, read here alone
-    in the package as Fraction reads it, has too many digits to print when
-    its numerator or denominator passes ``sys.get_int_max_str_digits()``:
-    an exponent that passes it by more than the text before it decides so
-    before any power of ten is built, so "1e-99999999" ends at once.  With
-    the limit off (0) no text is too long.
+    A Fraction, an int or a float is taken as given, and a Decimal is read
+    through its text.  Text, read here alone in the package as Fraction
+    reads it, has too many digits to print when its numerator or
+    denominator passes ``sys.get_int_max_str_digits()``: an exponent that
+    passes it by more than the text before it decides so before any power
+    of ten is built, so "1e-99999999" ends at once.  With the limit off (0)
+    no text is too long.
     """
     if type(value) is Fraction:
         return value
     name = label.format(i=i)
     try:
-        frac = _read_rational(value) if isinstance(value, str) else Fraction(value)
+        is_text = isinstance(value, (str, Decimal))
+        frac = _read_rational(str(value)) if is_text else Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{name} is not a rational: {value!r}") from exc
     if frac is None:
@@ -200,18 +203,21 @@ def _read_rational(text: str) -> Optional[Fraction]:
     return frac
 
 
-def check_seed(seed) -> None:
-    """A seed must be a non-negative int, as random.Random reads -s as s."""
-    if not is_int(seed):
-        raise InputError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+def check_count(value, name: str, least: Optional[int]) -> None:
+    """Raise InputError unless value is an int of at least least, or any int
+    when least is None: the one rule of every size, count and seed.  A seed
+    given to random.Random must be at least 0, as it reads -s as s."""
+    if not is_int(value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
 
 
 @record
 class Instance:
     """An additive valuation profile: ``valuations[i][j]`` is agent i's value
-    for good j, an integer on the grid ``1/scale``.
+    for good j, an integer on the grid ``1/scale``.  The rows are kept as a
+    tuple of tuples, so no row changes after it is checked.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> inst.n, inst.m
@@ -224,19 +230,19 @@ class Instance:
     valuations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not (is_int(self.n) and is_int(self.m) and is_int(self.scale)):
-            raise InputError("instance n, m, scale must be integers")
-        if self.n < 1:
-            raise InputError(f"need at least one agent, got n={self.n}")
-        if self.m < 0:
-            raise InputError(f"negative number of goods: m={self.m}")
-        if self.scale < 1:
-            raise InputError(f"scale must be a positive integer, got {self.scale}")
-        if len(self.valuations) != self.n:
+        check_count(self.n, "n", 1)
+        check_count(self.m, "m", 0)
+        check_count(self.scale, "scale", 1)
+        try:
+            rows = tuple(map(tuple, self.valuations))
+        except TypeError:
+            raise InputError("valuations must be a sequence of rows") from None
+        object.__setattr__(self, "valuations", rows)
+        if len(rows) != self.n:
             raise InputError(
-                f"valuation matrix has {len(self.valuations)} rows, expected n={self.n}"
+                f"valuation matrix has {len(rows)} rows, expected n={self.n}"
             )
-        for i, row in enumerate(self.valuations):
+        for i, row in enumerate(rows):
             if len(row) != self.m:
                 raise InputError(
                     f"valuation row {i} has {len(row)} entries, expected m={self.m}"
@@ -245,8 +251,7 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], scale: int = 1) -> "Instance":
-        rows_t = tuple(map(tuple, rows))
-        return cls(len(rows_t), len(rows_t[0]) if rows_t else 0, scale, rows_t)
+        return cls(len(rows), len(rows[0]) if len(rows) else 0, scale, rows)
 
     @property
     def agents(self) -> range:
@@ -418,9 +423,8 @@ def instance_from_json(text: str) -> Instance:
     rows = payload["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("instance valuations must be a list of lists")
-    rows = tuple(tuple(r) for r in rows)
     instance = Instance(payload["n"], payload["m"], payload["scale"], rows)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(instance.valuations):
         try:
             str(sum(row))
         except ValueError:  # past the int digit limit, so no bundle value prints

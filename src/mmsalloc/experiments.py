@@ -23,7 +23,7 @@ from .core import (
     TRIAL_ALGORITHMS,
     Instance,
     InputError,
-    check_seed,
+    check_count,
     record,
     verify_allocation,
 )
@@ -38,8 +38,8 @@ _ALGO_SEED_SALT = 0x9E3779B97F4A7C15
 
 @record
 class TrialConfig:
-    """Parameters of one Monte Carlo run.  n and m are checked, in the same
-    words, by the Instance of the first trial."""
+    """Parameters of one Monte Carlo run.  The seed may be negative, as
+    :func:`trial_seed` folds its sign in."""
 
     n: int
     m: int
@@ -50,12 +50,11 @@ class TrialConfig:
     predicate: str = "proportional"
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InputError(f"need at least one trial, got {self.trials}")
-        if self.scale < MIN_SCALE:
-            raise InputError(
-                f"scale must be at least {MIN_SCALE} for a fine grid, got {self.scale}"
-            )
+        check_count(self.n, "n", 1)
+        check_count(self.m, "m", 0)
+        check_count(self.trials, "trials", 1)
+        check_count(self.seed, "seed", None)
+        check_count(self.scale, "scale", MIN_SCALE)
         if self.algorithm not in TRIAL_ALGORITHMS:
             raise InputError(
                 f"algorithm must be one of {TRIAL_ALGORITHMS}, got {self.algorithm!r}"
@@ -82,8 +81,9 @@ class TrialStats:
 def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) -> Instance:
     """Draw each value independently and uniformly from {0, 1, ..., scale}.
 
-    Deterministic for a given seed; rows are filled agent by agent.  The
-    seed must be a non-negative int (see :func:`core.check_seed`).
+    Deterministic for a given seed; rows are filled agent by agent.  n, m,
+    scale and the seed are checked by :func:`core.check_count` before
+    anything is drawn; the seed must be at least 0.
 
     >>> gen_uniform_instance(2, 3, seed=7, scale=10**4) == \\
     ...     gen_uniform_instance(2, 3, seed=7, scale=10**4)
@@ -91,12 +91,13 @@ def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) 
     >>> set(gen_uniform_instance(1, 8, seed=0, scale=1).row(0)) <= {0, 1}
     True
     """
-    if scale < 1:
-        raise InputError(f"scale must be a positive integer, got {scale}")
-    check_seed(seed)
+    check_count(n, "n", 1)
+    check_count(m, "m", 0)
+    check_count(scale, "scale", 1)
+    check_count(seed, "seed", 0)
     rng = random.Random(seed)
     rows = [[rng.randint(0, scale) for _ in range(m)] for _ in range(n)]
-    return Instance(n, m, scale, tuple(map(tuple, rows)))
+    return Instance(n, m, scale, rows)
 
 
 def _trial_thresholds(instance: Instance, predicate: str) -> list:

@@ -65,9 +65,6 @@ def apx_mms_half(
         for a in active:
             left[a] -= rows[a][g]
         last_exit = i
-    if active:
-        for a, extra in _take_turns(rows, tuple(active), pool).items():
-            bundles[a].extend(extra)
-    else:
-        bundles[last_exit].extend(pool)
+    for a, extra in _take_turns(rows, tuple(active) or (last_exit,), pool).items():
+        bundles[a].extend(extra)
     return Allocation.of(bundles[i] for i in instance.agents)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import GuaranteeError, InputError, Number, is_int, record
+from .core import GuaranteeError, InputError, Number, check_count, is_int, record
 
 
 @record
@@ -29,8 +29,8 @@ class PreferenceGraph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n_left < 0 or self.n_right < 0:
-            raise InputError("graph side sizes must be non-negative")
+        check_count(self.n_left, "n_left", 0)
+        check_count(self.n_right, "n_right", 0)
         if len(self.adj) != self.n_left:
             raise InputError(
                 f"adjacency has {len(self.adj)} rows for {self.n_left} left vertices"

@@ -48,7 +48,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    GuaranteeError, InputError, Instance, as_rational, check_values, is_int, record
+    GuaranteeError, InputError, Instance, as_rational, check_count, check_values, record
 )
 
 #: Exact search refuses instances with more goods than this.  Beyond it, use
@@ -76,10 +76,7 @@ class MaximinCertificate:
 
 
 def _validated_values(values: Sequence[int], k: int) -> tuple[int, ...]:
-    if not is_int(k):
-        raise InputError(f"bundle count must be an integer, got k={k!r}")
-    if k < 1:
-        raise InputError(f"bundle count must be positive, got k={k}")
+    check_count(k, "k", 1)
     try:
         vals = tuple(values)
     except TypeError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, InputError, Instance, check_seed
+from .core import Allocation, InputError, Instance, check_count
 
 
 def _take_turns(
@@ -79,14 +79,14 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
     While the remaining goods number fewer than twice the remaining agents, a
     uniformly random remaining agent takes her single favorite remaining good
     and exits.  The agents still present then run the plain round-robin pass
-    in ascending order on what is left.  The seed must be a non-negative
-    int (see :func:`core.check_seed`).
+    in ascending order on what is left.  The seed must be an int of at
+    least 0 (see :func:`core.check_count`).
 
     >>> inst = Instance.from_rows([[9, 5], [6, 8], [7, 7]])
     >>> len(modified_greedy_round_robin(inst, seed=0))
     3
     """
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = random.Random(seed)
     rows = [instance.row(i) for i in instance.agents]
     active = list(instance.agents)
@@ -98,7 +98,6 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
             g = max(pool, key=lambda g: (rows[a][g], -g))
             pool.remove(g)
             final[a].append(g)
-    if active:
-        for a, bundle in _take_turns(rows, tuple(active), pool).items():
-            final[a].extend(bundle)
+    for a, bundle in _take_turns(rows, tuple(active), pool).items():
+        final[a].extend(bundle)
     return Allocation.of(final[i] for i in instance.agents)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .core import Allocation, GuaranteeError, InputError, Instance
+from .core import Allocation, GuaranteeError, Instance, check_count
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
 from .oracle import MaximinCertificate, RationalLike, ShareOracle, _as_eps
 
@@ -42,8 +42,7 @@ def rho(n: int) -> Fraction:
     >>> rho(5)
     Fraction(5, 7)
     """
-    if n < 2:
-        raise InputError(f"the guarantee factor needs n >= 2, got n={n}")
+    check_count(n, "n", 2)
     odd = n if n % 2 == 1 else n - 1
     return Fraction(2 * odd, 3 * odd - 1)
 

@@ -764,7 +764,7 @@ class TestGenVerifyExperiment:
         ):
             code, out, err = run_cli(capsys, argv)
             assert code == 2 and out == ""
-            assert "seed must be non-negative" in err
+            assert "seed must be at least 0, got -" in err
 
     def test_experiment_accepts_negative_seed(self, capsys):
         # Trial seeds fold the sign in, so a negative run seed stays valid.
@@ -778,9 +778,9 @@ class TestGenVerifyExperiment:
         # A repeated flag's last value wins, so each case overrides one.
         good = ["experiment", "--n", "2", "--m", "4", "--trials", "3", "--seed", "1"]
         for bad, fragment in [
-            (["--trials", "0"], "need at least one trial, got 0"),
-            (["--n", "0"], "need at least one agent, got n=0"),
-            (["--m", "-1"], "negative number of goods: m=-1"),
+            (["--trials", "0"], "trials must be at least 1, got 0"),
+            (["--n", "0"], "n must be at least 1, got 0"),
+            (["--m", "-1"], "m must be at least 0, got -1"),
         ]:
             code, _, err = run_cli(capsys, good + bad)
             assert code == 2
@@ -970,7 +970,7 @@ class TestHostileFiles:
             capsys, ["solve", "--algo", "rr", "--instance", str(path)]
         )
         assert code == 2
-        assert "must be integers" in err
+        assert f"input error: {field} must be an integer, got True" in err
 
     def test_bool_good_exits_two(self, capsys, tmp_path):
         allocation = dict(self.ALLOCATION, bundles=[[2], [True]])

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,8 @@ class TestInstance:
             Instance.from_rows([[True, False]])
         with pytest.raises(InputError):
             Instance.from_rows([[np.int64(1), np.int64(2)]])
+        with pytest.raises(InputError):
+            Instance.from_rows(np.array([[1, 2], [3, 4]]))
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(InputError):
@@ -91,7 +94,20 @@ class TestInstance:
         fields[field] = value
         with pytest.raises(InputError) as caught:
             Instance(**fields)
-        assert str(caught.value) == "instance n, m, scale must be integers"
+        assert str(caught.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("valuations", [None, (None,)], ids=["None", "(None,)"])
+    def test_rejects_valuations_that_are_no_rows(self, valuations):
+        with pytest.raises(InputError, match="^valuations must be a sequence of rows$"):
+            Instance(1, 1, 1, valuations)
+
+    def test_keeps_its_rows_as_tuples(self):
+        rows = [[1, 2]]
+        inst = Instance(1, 2, 1, rows)
+        rows[0][0] = 7
+        assert inst.valuations == ((1, 2),)
+        assert inst == Instance.from_rows([[1, 2]])
+        assert hash(inst) == hash(Instance.from_rows([[1, 2]]))
 
 
 # Valid values, including ints past 2**64, mixed with each kind of bad one.
@@ -129,6 +145,69 @@ def test_row_validators_agree_with_the_per_value_loop(row):
     with pytest.raises(InputError) as caught:
         oracle._validated_values(row, 1)
     assert str(caught.value) == f"value at position {j} {what}"
+
+
+def _trials(**fields):
+    config = {"n": 2, "m": 3, "trials": 2, "seed": 0, "scale": 10**4, **fields}
+    return mmsalloc.run_existence_trials(mmsalloc.TrialConfig(**config))
+
+
+# Each entry point that takes a count: a call with one field replaced, and
+# each field's least value (None: any int, as a trial run's seed may be
+# negative).
+_COUNT_FIELDS = {
+    "Instance": (
+        lambda **f: Instance(**{"n": 1, "m": 1, "scale": 1, "valuations": ((5,),), **f}),
+        {"n": 1, "m": 0, "scale": 1},
+    ),
+    "gen_uniform_instance": (
+        lambda **f: mmsalloc.gen_uniform_instance(**{"n": 2, "m": 3, "seed": 0, **f}),
+        {"n": 1, "m": 0, "seed": 0, "scale": 1},
+    ),
+    "run_existence_trials": (
+        _trials, {"n": 1, "m": 0, "trials": 1, "seed": None, "scale": 10**4}
+    ),
+    # The mms predicate compares m with the exact search's cap.
+    "run_existence_trials(mms)": (
+        lambda **f: _trials(predicate="mms", **f), {"m": 0}
+    ),
+    "mms_exact": (lambda k: mmsalloc.mms_exact([1, 2], k), {"k": 1}),
+    "mms_approx": (lambda k: mmsalloc.mms_approx([1, 2], k, "1/2"), {"k": 1}),
+    "greedy_floor": (lambda k: mmsalloc.greedy_floor([1, 2], k), {"k": 1}),
+    "modified_greedy_round_robin": (
+        lambda seed: mmsalloc.modified_greedy_round_robin(
+            Instance.from_rows([[1, 2]]), seed
+        ),
+        {"seed": 0},
+    ),
+    "rho": (lambda n: mmsalloc.rho(n), {"n": 2}),
+    "PreferenceGraph": (
+        lambda **f: mmsalloc.PreferenceGraph(
+            **{"n_left": 1, "n_right": 1, "adj": ((0,),), **f}
+        ),
+        {"n_left": 0, "n_right": 0},
+    ),
+}
+
+_BAD_COUNTS = [
+    pytest.param(entry, field, value, least, id=f"{entry}-{field}-{value!r}")
+    for entry, (_, leasts) in _COUNT_FIELDS.items()
+    for field, least in leasts.items()
+    for value in [2.0, "2", None, True] + ([] if least is None else [least - 1])
+]
+
+
+@pytest.mark.parametrize("entry, field, value, least", _BAD_COUNTS)
+def test_every_count_is_an_int_of_at_least_its_least_value(entry, field, value, least):
+    # One rule, core.check_count, for every size, count and seed.
+    call = _COUNT_FIELDS[entry][0]
+    if type(value) is int:
+        message = f"{field} must be at least {least}, got {value}"
+    else:
+        message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(InputError) as caught:
+        call(**{field: value})
+    assert str(caught.value) == message
 
 
 class TestAllocation:
@@ -363,6 +442,15 @@ class TestAsRational:
     )
     def test_a_number_is_taken_as_given(self, value):
         assert core.as_rational(value, "eps") == value
+
+    def test_a_decimal_is_read_through_its_text(self):
+        assert core.as_rational(Decimal("0.1"), "eps") == Fraction(1, 10)
+        with pytest.raises(InputError, match=r"^eps is not a rational: Decimal\('NaN'\)$"):
+            core.as_rational(Decimal("NaN"), "eps")
+        started = time.perf_counter()
+        with pytest.raises(InputError, match="^eps has too many digits to print"):
+            oracle.mms_approx([1, 2, 3], 2, Decimal("1e-999999"))
+        assert time.perf_counter() - started < 0.5
 
 
 class TestJsonFormats:

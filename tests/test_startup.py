@@ -134,8 +134,10 @@ def test_ternary_solver_leaves_numpy_unloaded_and_keeps_its_output(tmp_path):
 def test_optimised_and_strict_interpreters_match_the_plain_one(tmp_path):
     # The guarantee checks raise instead of asserting, so -O keeps them;
     # -X dev with -W error turns any warning, a resource one included, into
-    # an error.  The paths are relative, so each mode works in its own
-    # directory and the outputs can be compared as they are.
+    # an error.  The last three commands are input errors; that each mode
+    # exits 2 on them shows the input checks raise, not assert.  The paths
+    # are relative, so each mode works in its own directory and the outputs
+    # can be compared as they are.
     solve = ["solve", "--instance", "inst.json", "--algo"]
     commands = [
         ["gen", "--n", "3", "--m", "9", "--seed", "4"],
@@ -157,6 +159,8 @@ def test_optimised_and_strict_interpreters_match_the_plain_one(tmp_path):
         ["experiment", "--n", "2", "--m", "5", "--trials", "3", "--seed", "1",
          "--predicate", "mms", "--format", "json"],
         solve + ["twothirds"],
+        ["gen", "--n", "0", "--m", "3", "--seed", "4"],
+        ["experiment", "--n", "2", "--m", "4", "--trials", "0", "--seed", "1"],
     ]
     runs = {}
     for mode, flags in (("plain", ()), ("optimised", ("-O",)),
@@ -164,7 +168,7 @@ def test_optimised_and_strict_interpreters_match_the_plain_one(tmp_path):
         (tmp_path / mode).mkdir()
         codes, outs, _ = run_fresh(tmp_path / mode, commands, flags)
         runs[mode] = codes, outs
-    assert runs["plain"][0] == [0] * (len(commands) - 1) + [2]
+    assert runs["plain"][0] == [0] * (len(commands) - 3) + [2, 2, 2]
     assert runs["optimised"] == runs["plain"]
     assert runs["strict"] == runs["plain"]
 
