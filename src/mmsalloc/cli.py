@@ -45,6 +45,7 @@ from .core import (
     allocation_payload,
     allocation_to_json,
     as_rational,
+    check_count,
     instance_to_json,
     load_allocation,
     load_instance,
@@ -213,13 +214,8 @@ def cmd_solve(args) -> int:
 
 def cmd_mms(args) -> int:
     instance = load_instance(args.instance)
-    if not 1 <= args.agent <= instance.n:
-        raise InputError(
-            f"--agent must be between 1 and n={instance.n}, got {args.agent}"
-        )
-    top = max(instance.n, instance.m)
-    if args.k > top:
-        raise InputError(f"--k must be at most max(n, m) = {top}, got {args.k}")
+    check_count(args.agent, "--agent", 1, instance.n)
+    check_count(args.k, "--k", 1, max(instance.n, instance.m))
     row = instance.row(args.agent - 1)
     eps = None if args.exact else as_rational(args.eps, "--eps")
     cert = ShareOracle("exact" if args.exact else "ptas").share(row, args.k, eps)

@@ -203,14 +203,18 @@ def _read_rational(text: str) -> Optional[Fraction]:
     return frac
 
 
-def check_count(value, name: str, least: Optional[int]) -> None:
-    """Raise InputError unless value is an int of at least least, or any int
-    when least is None: the one rule of every size, count and seed.  A seed
-    given to random.Random must be at least 0, as it reads -s as s."""
+def check_count(value, name: str, least: Optional[int], most: Optional[int] = None) -> None:
+    """Raise InputError unless value is an int from least to most, an end
+    that is None left open: the one rule of every size, count, seed and
+    index.  A seed for random.Random starts at 0, as it reads -s as s.  Each
+    index is checked from 0 to its size - 1 where a caller hands it in:
+    Instance.row, bundle_value, require_partition, matching and orders."""
     if not is_int(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InputError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise InputError(f"{name} must be at most {most}, got {value}")
 
 
 @record
@@ -250,8 +254,13 @@ class Instance:
             check_values(row, "valuation[{i}][{j}]", i)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], scale: int = 1) -> "Instance":
-        return cls(len(rows), len(rows[0]) if len(rows) else 0, scale, rows)
+    def from_rows(cls, rows: Iterable[Sequence[int]], scale: int = 1) -> "Instance":
+        try:
+            rows = tuple(rows)
+            m = len(rows[0]) if rows else 0
+        except TypeError:
+            raise InputError("valuations must be a sequence of rows") from None
+        return cls(len(rows), m, scale, rows)
 
     @property
     def agents(self) -> range:
@@ -262,8 +271,8 @@ class Instance:
         return range(self.m)
 
     def row(self, agent: int) -> tuple[int, ...]:
-        if not 0 <= agent < self.n:
-            raise InputError(f"agent index {agent} out of range for n={self.n}")
+        """Agent's valuation row; agent is checked by core.check_count."""
+        check_count(agent, "agent", 0, self.n - 1)
         return self.valuations[agent]
 
 
@@ -286,11 +295,14 @@ class Allocation:
         return alloc
 
     def require_partition(self, m: int) -> None:
+        check_count(m, "m", 0)
         seen: dict[int, int] = {}
         for i, bundle in enumerate(self.bundles):
             for g in bundle:
-                if not 0 <= g < m:
-                    raise PartitionError(f"good index {g} out of range for m={m}")
+                try:
+                    check_count(g, "good", 0, m - 1)
+                except InputError as exc:
+                    raise PartitionError(str(exc)) from None
                 if g in seen:
                     raise PartitionError(
                         f"good {g} appears in bundles {seen[g]} and {i}"
@@ -309,6 +321,7 @@ class Allocation:
 
 def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
     """Agent's total value for a set of goods, as an exact scaled integer.
+    The agent and each good are checked by core.check_count.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
     >>> bundle_value(inst, 0, {0, 2})
@@ -317,8 +330,7 @@ def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
     row = instance.row(agent)
     total = 0
     for g in goods:
-        if not 0 <= g < instance.m:
-            raise InputError(f"good index {g} out of range for m={instance.m}")
+        check_count(g, "good", 0, instance.m - 1)
         total += row[g]
     return total
 

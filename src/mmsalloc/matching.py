@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import GuaranteeError, InputError, Number, check_count, is_int, record
+from .core import GuaranteeError, InputError, Number, check_count, record
 
 
 @record
@@ -38,10 +38,7 @@ class PreferenceGraph:
         for i, nbrs in enumerate(self.adj):
             prev = -1
             for v in nbrs:
-                if not is_int(v):
-                    raise InputError(f"neighbor {v!r} of {i} is not an integer")
-                if not 0 <= v < self.n_right:
-                    raise InputError(f"neighbor {v} of {i} is out of range")
+                check_count(v, f"neighbor of {i}", 0, self.n_right - 1)
                 if v <= prev:
                     raise InputError(f"neighbors of {i} must be strictly ascending")
                 prev = v
@@ -54,31 +51,24 @@ def build_preference_graph(
 ) -> PreferenceGraph:
     """Edge (i, j) whenever agent i values bundle j at least thresholds[i].
 
-    ``rows`` are full valuation rows; bundles hold good positions into them.
-    Comparisons are exact, so thresholds may be Fractions.
+    ``rows`` are full valuation rows; bundles hold good positions into them,
+    each checked once.  Comparisons are exact, so thresholds may be Fractions.
     """
     if len(thresholds) != len(rows):
         raise InputError(
             f"{len(thresholds)} thresholds for {len(rows)} agents"
         )
-    bundle_lists = [sorted(b) for b in bundles]
-    adj = []
-    for i, row in enumerate(rows):
-        nbrs = []
-        for j, bundle in enumerate(bundle_lists):
-            value = 0
-            for g in bundle:
-                if not 0 <= g < len(row):
-                    raise InputError(
-                        f"bundle {j} refers to good {g} outside agent {i}'s row"
-                    )
-                value += row[g]
-            if value >= thresholds[i]:
-                nbrs.append(j)
-        adj.append(tuple(nbrs))
-    return PreferenceGraph(
-        n_left=len(rows), n_right=len(bundle_lists), adj=tuple(adj)
+    top = min(map(len, rows), default=0) - 1
+    bundle_lists = [tuple(b) for b in bundles]
+    for bundle in bundle_lists:
+        for g in bundle:
+            check_count(g, "good", 0, top)
+    adj = tuple(
+        tuple(j for j, bundle in enumerate(bundle_lists)
+              if sum([row[g] for g in bundle]) >= threshold)
+        for row, threshold in zip(rows, thresholds)
     )
+    return PreferenceGraph(n_left=len(rows), n_right=len(bundle_lists), adj=adj)
 
 
 def _augment(
@@ -150,9 +140,9 @@ def compute_x_plus(
     """
     match_left = [-1] * graph.n_left
     match_right = [-1] * graph.n_right
-    for u, v in matching:
-        if not (0 <= u < graph.n_left and 0 <= v < graph.n_right):
-            raise InputError(f"pair ({u}, {v}) is out of range")
+    for p, (u, v) in enumerate(matching):
+        check_count(u, f"left vertex of pair {p}", 0, graph.n_left - 1)
+        check_count(v, f"right vertex of pair {p}", 0, graph.n_right - 1)
         if v not in graph.adj[u]:
             raise InputError(f"pair ({u}, {v}) is not an edge")
         if match_left[u] != -1 or match_right[v] != -1:

@@ -64,6 +64,8 @@ def greedy_round_robin(
         order = tuple(instance.agents)
     else:
         order = tuple(order)
+        for agent in order:
+            check_count(agent, "order entry", 0, instance.n - 1)
         if sorted(order) != list(instance.agents):
             raise InputError(
                 f"order must be a permutation of 0..{instance.n - 1}, got {order!r}"

@@ -585,7 +585,8 @@ class TestMms:
             timeout=30,
         )
         assert result.returncode == 2
-        assert "--k must be at most max(n, m) = 2" in result.stderr
+        # max(n, m) = 2 bounds k.
+        assert "input error: --k must be at most 2, got 3000000" in result.stderr
 
     @pytest.mark.parametrize(
         "rows, k", [([[4, 3, 2], [1, 1, 1]], 3), ([[4, 3], [1, 1], [2, 2]], 3)]
@@ -1114,12 +1115,51 @@ def fuzzed_runs(draw, commands=_FUZZ_COMMANDS, faults=_FUZZ_FAULTS):
     return argv, json.dumps(payload)
 
 
+@st.composite
+def fuzzed_verify_runs(draw):
+    """verify on a valid instance file and the text of an allocation file
+    for it.  Its bundles partition goods 1..m and its certificate rows state
+    each bundle's value, until up to two faults of each kind are drawn: a
+    good added that is a bool, a float, 0, m + 1 or a repeat; a certificate
+    agent set or added that is 0, n + 1 or a repeat."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    rows = [[draw(st.integers(0, 10)) for _ in range(m)] for _ in range(n)]
+    owners = [draw(st.integers(0, n - 1)) for _ in range(m)]
+    bundles = [[g + 1 for g in range(m) if owners[g] == i] for i in range(n)]
+    certificates = [
+        {"agent": i + 1, "value": sum(rows[i][g - 1] for g in bundle),
+         "threshold": draw(st.integers(0, 12))}
+        for i, bundle in enumerate(bundles)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        bundle = bundles[draw(st.integers(0, n - 1))]
+        good = draw(st.sampled_from(
+            [True, False, 1.0, 2.5, 0, m + 1, *range(1, m + 1)]
+        ))
+        bundle.insert(draw(st.integers(0, len(bundle))), good)
+    for _ in range(draw(st.integers(0, 2))):
+        row = certificates[draw(st.integers(0, n - 1))]
+        agent = draw(st.sampled_from([0, n + 1, *range(1, n + 1)]))
+        if draw(st.booleans()):
+            certificates.append(dict(row, agent=agent))
+        else:
+            row["agent"] = agent
+    instance = {"n": n, "m": m, "scale": 1, "valuations": rows}
+    allocation = {"bundles": bundles, "certificates": certificates}
+    return ["verify"], json.dumps(instance), json.dumps(allocation)
+
+
 def run_fuzzed(tmp_path, run) -> int:
     """The exit code of one fuzzed run, checked to take under
-    _FUZZ_RUN_LIMIT seconds."""
-    argv, text = run
+    _FUZZ_RUN_LIMIT seconds.  A run of verify carries its allocation file's
+    text third."""
+    argv, text, *allocation = run
     path = tmp_path / "inst.json"
     path.write_text(text)
+    if allocation:
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(allocation[0])
+        argv = [*argv, "--allocation", str(alloc)]
     out, err = io.StringIO(), io.StringIO()
     started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1148,3 +1188,14 @@ def test_fuzzed_files_and_commands_exit_zero_one_or_two(tmp_path, run):
 def test_fuzzed_eps_on_valid_files_exits_zero_or_two(tmp_path, run):
     # A valid file, so every fuzzed eps reaches the solver or its own error.
     assert run_fuzzed(tmp_path, run) in (0, 2), run
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run=fuzzed_verify_runs())
+def test_fuzzed_allocation_files_exit_zero_one_or_two(tmp_path, run):
+    # Item 8 of ROADMAP: verify over goods and certificate agents that are
+    # no index, or repeat one.
+    assert run_fuzzed(tmp_path, run) in (0, 1, 2), run

@@ -1,5 +1,6 @@
 """Instance and allocation data model, verification, and file formats."""
 
+import argparse
 import ast
 import doctest
 import importlib
@@ -10,6 +11,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmsalloc
+import mmsalloc.cli as cli
 import mmsalloc.core as core
 import mmsalloc.oracle as oracle
 from helpers import first_bad_value
@@ -100,6 +103,15 @@ class TestInstance:
     def test_rejects_valuations_that_are_no_rows(self, valuations):
         with pytest.raises(InputError, match="^valuations must be a sequence of rows$"):
             Instance(1, 1, 1, valuations)
+
+    @pytest.mark.parametrize("rows", [None, 5, [None]], ids=["None", "5", "[None]"])
+    def test_from_rows_rejects_what_is_no_rows(self, rows):
+        with pytest.raises(InputError, match="^valuations must be a sequence of rows$"):
+            Instance.from_rows(rows)
+
+    def test_from_rows_takes_any_iterable_of_rows(self):
+        inst = Instance.from_rows(iter([[1, 2], [3, 4]]))
+        assert inst == Instance.from_rows([[1, 2], [3, 4]])
 
     def test_keeps_its_rows_as_tuples(self):
         rows = [[1, 2]]
@@ -187,6 +199,7 @@ _COUNT_FIELDS = {
         ),
         {"n_left": 0, "n_right": 0},
     ),
+    "Allocation.checked": (lambda m: Allocation.checked([[0], [1]], m), {"m": 0}),
 }
 
 _BAD_COUNTS = [
@@ -208,6 +221,86 @@ def test_every_count_is_an_int_of_at_least_its_least_value(entry, field, value, 
     with pytest.raises(InputError) as caught:
         call(**{field: value})
     assert str(caught.value) == message
+
+
+_SQUARE = Instance.from_rows([[1, 2], [3, 4]])
+
+
+def _mms(agent=1, k=1):
+    """cli.cmd_mms on the 2x2 instance, which raises what main reports."""
+    with TemporaryDirectory() as folder:
+        path = Path(folder) / "inst.json"
+        path.write_text(instance_to_json(_SQUARE))
+        args = argparse.Namespace(
+            instance=str(path), agent=agent, k=k, exact=True, eps=None, out=None
+        )
+        return cli.cmd_mms(args)
+
+
+# Each entry point that takes an index: a call with the index replaced, the
+# field its message names, the index's least and most value, and the error
+# it raises.  Goods of an allocation break the partition.
+_SQUARE_GRAPH = mmsalloc.PreferenceGraph(2, 2, ((0,), (1,)))
+_INDEX_FIELDS = {
+    "Instance.row": (_SQUARE.row, "agent", 0, 1, InputError),
+    "bundle_value-agent": (
+        lambda v: bundle_value(_SQUARE, v, [0]), "agent", 0, 1, InputError
+    ),
+    "bundle_value-good": (
+        lambda v: bundle_value(_SQUARE, 0, [v]), "good", 0, 1, InputError
+    ),
+    "Allocation.checked": (
+        lambda v: Allocation.checked([[v], [1]], 2), "good", 0, 1, PartitionError
+    ),
+    "verify_allocation": (
+        lambda v: verify_allocation(_SQUARE, Allocation.of([[v], [1]]), [0, 0]),
+        "good", 0, 1, PartitionError,
+    ),
+    "greedy_round_robin": (
+        lambda v: mmsalloc.greedy_round_robin(_SQUARE, order=[v, 0]),
+        "order entry", 0, 1, InputError,
+    ),
+    "PreferenceGraph": (
+        lambda v: mmsalloc.PreferenceGraph(1, 2, ((v,),)),
+        "neighbor of 0", 0, 1, InputError,
+    ),
+    "build_preference_graph": (
+        lambda v: mmsalloc.build_preference_graph([[1, 2]], [[v]], [0]),
+        "good", 0, 1, InputError,
+    ),
+    "compute_x_plus-left": (
+        lambda v: mmsalloc.compute_x_plus(_SQUARE_GRAPH, [(v, 0)]),
+        "left vertex of pair 0", 0, 1, InputError,
+    ),
+    "compute_x_plus-right": (
+        lambda v: mmsalloc.compute_x_plus(_SQUARE_GRAPH, [(0, v)]),
+        "right vertex of pair 0", 0, 1, InputError,
+    ),
+    "mms --agent": (lambda v: _mms(agent=v), "--agent", 1, 2, InputError),
+    "mms --k": (lambda v: _mms(k=v), "--k", 1, 2, InputError),
+}
+
+_BAD_INDICES = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, _, least, most, _) in _INDEX_FIELDS.items()
+    for value in [True, 0.0, "0", None, least - 1, most + 1]
+]
+
+
+@pytest.mark.parametrize("entry, value", _BAD_INDICES)
+def test_every_index_is_an_int_within_its_range(entry, value):
+    # One rule, core.check_count with an upper end, for every index a
+    # caller hands in; a bool or a float is no index, even when it equals one.
+    call, field, least, most, error = _INDEX_FIELDS[entry]
+    if type(value) is not int:
+        message = f"{field} must be an integer, got {value!r}"
+    elif value < least:
+        message = f"{field} must be at least {least}, got {value}"
+    else:
+        message = f"{field} must be at most {most}, got {value}"
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 class TestAllocation:
