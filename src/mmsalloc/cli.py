@@ -13,7 +13,9 @@ codes: 0 success, 1 guarantee violation, 2 input error.  Good and agent
 indices are 1-based in all files and printed artifacts.  ``solve --trace``
 prints each solver's own trace steps through one rule that holds for every
 solver (:func:`_one_based`).  The library builds each result as text, and
-:func:`_emit` alone writes it, to the ``--out`` file or to stdout.
+:func:`_emit` alone writes it, to the ``--out`` file or to stdout.  ``gen``
+alone hands it pieces, one per row, each drawn as it is written, so it
+never holds an ``Instance`` or the whole text.
 ``--eps`` is read by :func:`mmsalloc.core.as_rational`, as the library
 reads eps, so text too long to print exits 2 at once, whatever its exponent.
 
@@ -31,7 +33,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import experiments, half, round_robin, ternary, three_agents, two_thirds
 from .core import (
@@ -46,7 +48,7 @@ from .core import (
     allocation_to_json,
     as_rational,
     check_count,
-    instance_to_json,
+    instance_pieces,
     load_allocation,
     load_instance,
     verify_allocation,
@@ -156,13 +158,15 @@ def _run_solver(args, instance: Instance, mode: str, trace: Optional[list]):
     return ternary.exact_mms_012(instance, trace=trace)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write text to the file out, or to stdout when no file is named."""
+def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write the pieces of a text in order, one write each, to the file
+    out, or to stdout when no file is named.  A command's text is one
+    piece; gen's is one piece per row, drawn as it is written."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _certificate_table(certificates: Sequence[Certificate]) -> str:
@@ -206,7 +210,7 @@ def cmd_solve(args) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = allocation_to_json(allocation, rows)
-    _emit(text, args.out)
+    _emit((text,), args.out)
     if args.out:
         print(_certificate_table(rows))
     return 0
@@ -227,13 +231,13 @@ def cmd_mms(args) -> int:
         "value": cert.value,
         "witness": _one_based(cert.witness),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit((json.dumps(payload, indent=2) + "\n",), args.out)
     return 0
 
 
 def cmd_gen(args) -> int:
-    instance = experiments.gen_uniform_instance(args.n, args.m, args.seed, args.scale)
-    _emit(instance_to_json(instance), args.out)
+    rows = experiments.uniform_rows(args.n, args.m, args.seed, args.scale)
+    _emit(instance_pieces(args.n, args.m, args.scale, rows), args.out)
     return 0
 
 
@@ -289,7 +293,7 @@ def cmd_experiment(args) -> int:
         predicate=args.predicate,
     )
     stats = experiments.run_existence_trials(config)
-    _emit(experiments.report_text(stats, args.format), args.out)
+    _emit((experiments.report_text(stats, args.format),), args.out)
     if args.out:
         print(
             f"{stats.successes}/{config.trials} trials succeeded "

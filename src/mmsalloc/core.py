@@ -17,7 +17,7 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -217,6 +217,26 @@ def check_count(value, name: str, least: Optional[int], most: Optional[int] = No
         raise InputError(f"{name} must be at most {most}, got {value}")
 
 
+def as_tuple(items, name: str) -> tuple:
+    """items as a tuple; InputError naming it when it is no iterable, as
+    with None or an int where a caller's container of indices or values
+    belongs: the one conversion of each such container."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {items!r}") from None
+
+
+def _first_repeat(items: Iterable):
+    """The first item that items lists a second time, or None."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 @record
 class Instance:
     """An additive valuation profile: ``valuations[i][j]`` is agent i's value
@@ -289,8 +309,17 @@ class Allocation:
 
     @classmethod
     def checked(cls, bundles: Iterable[Iterable[int]], m: int) -> "Allocation":
-        """Build an allocation and verify it partitions goods 0..m-1."""
-        alloc = cls.of(bundles)
+        """Build an allocation and verify it partitions goods 0..m-1.  A
+        bundle that is no sequence, or that lists a good twice, raises
+        InputError naming it."""
+        rows = as_tuple(bundles, "bundles")
+        rows = [as_tuple(bundle, f"bundle {i}") for i, bundle in enumerate(rows)]
+        alloc = cls.of(rows)
+        for i, (row, bundle) in enumerate(zip(rows, alloc.bundles)):
+            if len(row) != len(bundle):
+                raise PartitionError(
+                    f"good {_first_repeat(row)} appears twice in bundle {i}"
+                )
         alloc.require_partition(m)
         return alloc
 
@@ -329,7 +358,7 @@ def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
     """
     row = instance.row(agent)
     total = 0
-    for g in goods:
+    for g in as_tuple(goods, "goods"):
         check_count(g, "good", 0, instance.m - 1)
         total += row[g]
     return total
@@ -379,6 +408,7 @@ def verify_allocation(
             f"allocation has {len(allocation.bundles)} bundles, expected n={instance.n}"
         )
     allocation.require_partition(instance.m)
+    thresholds = as_tuple(thresholds, "thresholds")
     if len(thresholds) != instance.n:
         raise InputError(f"got {len(thresholds)} thresholds for n={instance.n} agents")
     label, bundles = "threshold of agent {i}", allocation.bundles
@@ -398,14 +428,32 @@ def verify_allocation(
 # ---------------------------------------------------------------------------
 
 
+#: What json.dumps(..., indent=2) puts between two values of a row.
+_VALUE_SEPARATOR = ",\n      "
+
+
+def instance_pieces(
+    n: int, m: int, scale: int, rows: Iterable[Sequence[int]]
+) -> Iterator[str]:
+    """An instance file's text, the text of ``json.dumps(payload, indent=2)
+    + "\n"``, as a head, one piece per row and a tail.  Each row is read
+    only when its piece is asked for, so whoever writes the pieces holds one
+    row's text at a time, and the rows may be drawn as they are written.
+    The caller vouches for the fields: n >= 1 rows of m ints.  A value too
+    long to print raises ValueError once the pieces before it are out."""
+    yield f'{{\n  "n": {n},\n  "m": {m},\n  "scale": {scale},\n  "valuations": [\n'
+    separator = ""
+    for row in rows:
+        values = _VALUE_SEPARATOR.join(map(str, row))
+        yield separator + (f"    [\n      {values}\n    ]" if row else "    []")
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def instance_to_json(instance: Instance) -> str:
-    payload = {
-        "n": instance.n,
-        "m": instance.m,
-        "scale": instance.scale,
-        "valuations": [list(row) for row in instance.valuations],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(
+        instance_pieces(instance.n, instance.m, instance.scale, instance.valuations)
+    )
 
 
 def _read(path: str, kind: str) -> str:
@@ -450,8 +498,11 @@ def load_instance(path: str) -> Instance:
 
 
 def save_instance(instance: Instance, path: str) -> None:
+    """Write an instance file one row at a time (see instance_pieces)."""
+    rows = instance.valuations
+    pieces = instance_pieces(instance.n, instance.m, instance.scale, rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(instance))
+        fh.writelines(pieces)
 
 
 def allocation_payload(
@@ -483,11 +534,14 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
     ):
         raise InputError("allocation bundles must be a list of lists")
     bundles = []
-    for b in raw_bundles:
+    for i, b in enumerate(raw_bundles):
         for g in b:
             if not is_int(g) or g < 1:
                 raise InputError(f"good index {g!r} is not a positive integer")
         bundles.append(frozenset(g - 1 for g in b))
+        if len(bundles[-1]) != len(b):
+            repeat = _first_repeat(b)
+            raise PartitionError(f"good {repeat} appears twice in bundle {i + 1}")
     certs = []
     rows = payload.get("certificates", [])
     if not isinstance(rows, list):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from . import round_robin
 from .core import (
@@ -78,12 +79,25 @@ class TrialStats:
         return Fraction(self.successes, self.config.trials)
 
 
-def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) -> Instance:
-    """Draw each value independently and uniformly from {0, 1, ..., scale}.
+def uniform_rows(
+    n: int, m: int, seed: int, scale: int = DEFAULT_SCALE
+) -> Iterator[list[int]]:
+    """The n rows of a uniform instance, each drawn only when it is asked
+    for: every value independent and uniform on {0, 1, ..., scale}, agent
+    by agent, from ``random.Random(seed)``.  n, m, scale and the seed are
+    checked by :func:`core.check_count` in this call, before any row is
+    drawn; the seed must be at least 0."""
+    check_count(n, "n", 1)
+    check_count(m, "m", 0)
+    check_count(scale, "scale", 1)
+    check_count(seed, "seed", 0)
+    rng = random.Random(seed)
+    return ([rng.randint(0, scale) for _ in range(m)] for _ in range(n))
 
-    Deterministic for a given seed; rows are filled agent by agent.  n, m,
-    scale and the seed are checked by :func:`core.check_count` before
-    anything is drawn; the seed must be at least 0.
+
+def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) -> Instance:
+    """The instance of the rows :func:`uniform_rows` draws: deterministic
+    for a given seed, with every argument checked before anything is drawn.
 
     >>> gen_uniform_instance(2, 3, seed=7, scale=10**4) == \\
     ...     gen_uniform_instance(2, 3, seed=7, scale=10**4)
@@ -91,13 +105,7 @@ def gen_uniform_instance(n: int, m: int, seed: int, scale: int = DEFAULT_SCALE) 
     >>> set(gen_uniform_instance(1, 8, seed=0, scale=1).row(0)) <= {0, 1}
     True
     """
-    check_count(n, "n", 1)
-    check_count(m, "m", 0)
-    check_count(scale, "scale", 1)
-    check_count(seed, "seed", 0)
-    rng = random.Random(seed)
-    rows = [[rng.randint(0, scale) for _ in range(m)] for _ in range(n)]
-    return Instance(n, m, scale, rows)
+    return Instance(n, m, scale, uniform_rows(n, m, seed, scale))
 
 
 def _trial_thresholds(instance: Instance, predicate: str) -> list:

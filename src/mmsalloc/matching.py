@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import GuaranteeError, InputError, Number, check_count, record
+from .core import GuaranteeError, InputError, Number, as_tuple, check_count, record
 
 
 @record
@@ -31,11 +31,16 @@ class PreferenceGraph:
     def __post_init__(self) -> None:
         check_count(self.n_left, "n_left", 0)
         check_count(self.n_right, "n_right", 0)
-        if len(self.adj) != self.n_left:
+        adj = tuple(
+            as_tuple(nbrs, f"neighbors of {i}")
+            for i, nbrs in enumerate(as_tuple(self.adj, "adj"))
+        )
+        object.__setattr__(self, "adj", adj)
+        if len(adj) != self.n_left:
             raise InputError(
-                f"adjacency has {len(self.adj)} rows for {self.n_left} left vertices"
+                f"adjacency has {len(adj)} rows for {self.n_left} left vertices"
             )
-        for i, nbrs in enumerate(self.adj):
+        for i, nbrs in enumerate(adj):
             prev = -1
             for v in nbrs:
                 check_count(v, f"neighbor of {i}", 0, self.n_right - 1)
@@ -54,12 +59,15 @@ def build_preference_graph(
     ``rows`` are full valuation rows; bundles hold good positions into them,
     each checked once.  Comparisons are exact, so thresholds may be Fractions.
     """
+    thresholds = as_tuple(thresholds, "thresholds")
     if len(thresholds) != len(rows):
         raise InputError(
             f"{len(thresholds)} thresholds for {len(rows)} agents"
         )
     top = min(map(len, rows), default=0) - 1
-    bundle_lists = [tuple(b) for b in bundles]
+    bundle_lists = [
+        as_tuple(b, f"bundle {j}") for j, b in enumerate(as_tuple(bundles, "bundles"))
+    ]
     for bundle in bundle_lists:
         for g in bundle:
             check_count(g, "good", 0, top)
@@ -140,7 +148,13 @@ def compute_x_plus(
     """
     match_left = [-1] * graph.n_left
     match_right = [-1] * graph.n_right
-    for p, (u, v) in enumerate(matching):
+    for p, pair in enumerate(as_tuple(matching, "matching")):
+        pair = as_tuple(pair, f"pair {p}")
+        if len(pair) != 2:
+            raise InputError(
+                f"pair {p} must hold a left and a right vertex, got {pair!r}"
+            )
+        u, v = pair
         check_count(u, f"left vertex of pair {p}", 0, graph.n_left - 1)
         check_count(v, f"right vertex of pair {p}", 0, graph.n_right - 1)
         if v not in graph.adj[u]:

@@ -48,7 +48,8 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    GuaranteeError, InputError, Instance, as_rational, check_count, check_values, record
+    GuaranteeError, InputError, Instance, as_rational, as_tuple, check_count,
+    check_values, record,
 )
 
 #: Exact search refuses instances with more goods than this.  Beyond it, use
@@ -77,10 +78,7 @@ class MaximinCertificate:
 
 def _validated_values(values: Sequence[int], k: int) -> tuple[int, ...]:
     check_count(k, "k", 1)
-    try:
-        vals = tuple(values)
-    except TypeError:
-        raise InputError(f"values must be a sequence, got {values!r}") from None
+    vals = as_tuple(values, "values")
     check_values(vals, "value at position {j}")
     return vals
 

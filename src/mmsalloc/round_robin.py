@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, InputError, Instance, check_count
+from .core import Allocation, InputError, Instance, as_tuple, check_count
 
 
 def _take_turns(
@@ -63,7 +63,7 @@ def greedy_round_robin(
     if order is None:
         order = tuple(instance.agents)
     else:
-        order = tuple(order)
+        order = as_tuple(order, "order")
         for agent in order:
             check_count(agent, "order entry", 0, instance.n - 1)
         if sorted(order) != list(instance.agents):

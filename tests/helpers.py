@@ -9,10 +9,15 @@ instances.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
 from mmsalloc import Allocation, Instance, bundle_value
@@ -180,3 +185,55 @@ def record_searches(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(oracle, "_maximin", recorded)
     return searches
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``python -m mmsalloc.cli`` on its arguments and, as the interpreter
+# exits, prints its own peak resident memory to stderr as a last line
+# "VmHWM: <kB> kB".  A child's ru_maxrss cannot stand in: the child of a
+# fork starts with its launcher's pages and counts their peak as its own.
+_PEAK_LAUNCHER = """
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    sys.stderr.write(line)
+
+atexit.register(peak)
+runpy.run_module("mmsalloc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_python(args: Sequence[str], timeout=None) -> subprocess.CompletedProcess:
+    """``python`` with args in a fresh interpreter, which finds the package
+    in this checkout's src; its output is captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def run_module(args: Sequence[str], timeout=None) -> subprocess.CompletedProcess:
+    """``python -m mmsalloc.cli`` with args in a fresh interpreter."""
+    return run_python(["-m", "mmsalloc.cli", *args], timeout)
+
+
+def run_cli_peak(args: Sequence[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """The finished run of ``python -m mmsalloc.cli`` with args in a fresh
+    interpreter, and that interpreter's own peak resident memory in MB,
+    its VmHWM.  The last line of stderr, which carries the peak, is taken
+    off the result's stderr.  Skips the test where /proc/self/status does
+    not exist."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read a peak from")
+    result = run_python(["-c", _PEAK_LAUNCHER, *args])
+    err, _, line = result.stderr.rstrip("\n").rpartition("\n")
+    assert line.startswith("VmHWM:"), result.stderr
+    result.stderr = err + "\n" if err else ""
+    return result, int(line.split()[1]) / 1024

@@ -4,25 +4,21 @@ import contextlib
 import gc
 import io
 import json
-import os
 import random
 import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from helpers import record_searches
+from helpers import record_searches, run_cli_peak, run_module
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmsalloc import (
-    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012, half,
+    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012,
+    gen_uniform_instance, half, instance_to_json,
 )
 from mmsalloc.cli import main
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 BRANCH_ROWS = {
     "b": [[7, 1, 1, 1, 1, 1, 1, 1]] * 3,
@@ -55,19 +51,6 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_module(args, timeout=None):
-    """``python -m mmsalloc.cli`` with args in a fresh interpreter, which
-    finds the package in this checkout's src."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "mmsalloc.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
 
 
 class TestSolve:
@@ -788,6 +771,61 @@ class TestGenVerifyExperiment:
             assert f"input error: {fragment}" in err
 
 
+# (n, m, seed, scale) of gen runs, from the least instance to values of 31
+# digits.
+_GEN_SHAPES = [(1, 0, 0, 1), (1, 1, 3, 10**6), (2, 3, 1, 1), (3, 10, 7, 10**6),
+               (5, 40, 11, 10**30)]
+
+
+@pytest.mark.parametrize("n, m, seed, scale", _GEN_SHAPES)
+def test_gen_writes_the_instance_it_draws(capsys, tmp_path, n, m, seed, scale):
+    # gen writes each row as it is drawn; the text is the whole instance's.
+    expected = instance_to_json(gen_uniform_instance(n, m, seed, scale))
+    argv = ["gen", "--n", str(n), "--m", str(m), "--seed", str(seed),
+            "--scale", str(scale)]
+    assert run_cli(capsys, argv) == (0, expected, "")
+    target = tmp_path / "inst.json"
+    assert run_cli(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+    ("--m", "-1", "m must be at least 0, got -1"),
+])
+def test_refused_gen_writes_nothing(capsys, tmp_path, flag, value, message):
+    # Every check runs before the first row is drawn or the file is opened.
+    target = tmp_path / "inst.json"
+    argv = ["gen", "--n", "2", "--m", "3", "--seed", "1", flag, value]
+    for out in ([], ["--out", str(target)]):
+        assert run_cli(capsys, argv + out) == (2, "", f"input error: {message}\n")
+    assert not target.exists()
+
+
+def test_gen_holds_one_row_at_a_time(tmp_path):
+    # 10^6 values; built as one text, the document peaked at 147 MB.
+    result, peak_mb = run_cli_peak(
+        ["gen", "--n", "400", "--m", "2500", "--seed", "1",
+         "--out", str(tmp_path / "inst.json")]
+    )
+    assert result.returncode == 0, result.stderr
+    assert peak_mb < 40
+
+
+def test_gen_leaves_no_cyclic_garbage(tmp_path):
+    # json.dumps with an indent builds closures that refer to each other.
+    argv = ["gen", "--n", "3", "--m", "12", "--seed", "2",
+            "--out", str(tmp_path / "inst.json")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # Each command without --out; INSTANCE stands for an instance file's path.
 _OUT_COMMANDS = {
     "gen": ["gen", "--n", "3", "--m", "7", "--seed", "5"],
@@ -887,6 +925,20 @@ class TestHostileFiles:
         code, _, err = self.verify(capsys, tmp_path, allocation)
         assert code == 2
         assert "allocation has 1 bundles, expected n=2" in err
+
+    def test_good_listed_twice_in_one_bundle_exits_two(self, capsys, tmp_path):
+        # A bundle used to be read as a set, so the repeat vanished and
+        # both agents passed.
+        allocation = {
+            "bundles": [[1, 1], [2]],
+            "certificates": [
+                {"agent": 1, "value": 1, "threshold": 1},
+                {"agent": 2, "value": 1, "threshold": 1},
+            ],
+        }
+        code, out, err = self.verify(capsys, tmp_path, allocation)
+        assert (code, out) == (2, "")
+        assert err == "input error: good 1 appears twice in bundle 1\n"
 
     def test_misstated_value_fails(self, capsys, tmp_path):
         rows = [dict(row) for row in self.ALLOCATION["certificates"]]

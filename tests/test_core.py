@@ -15,14 +15,14 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmsalloc
 import mmsalloc.cli as cli
 import mmsalloc.core as core
 import mmsalloc.oracle as oracle
-from helpers import first_bad_value
+from helpers import first_bad_value, instances
 from mmsalloc import (
     Allocation,
     Certificate,
@@ -303,7 +303,59 @@ def test_every_index_is_an_int_within_its_range(entry, value):
     assert (type(caught.value), str(caught.value)) == (error, message)
 
 
+# Each entry point that takes a container of indices or values, called with
+# something that is no such container, and the InputError it raises.
+_NOT_CONTAINERS = {
+    "compute_x_plus-short-pair": (
+        lambda: mmsalloc.compute_x_plus(_SQUARE_GRAPH, [(0,)]),
+        "pair 0 must hold a left and a right vertex, got (0,)",
+    ),
+    "compute_x_plus-int-pair": (
+        lambda: mmsalloc.compute_x_plus(_SQUARE_GRAPH, [5]),
+        "pair 0 must be a sequence, got 5",
+    ),
+    "greedy_round_robin": (
+        lambda: mmsalloc.greedy_round_robin(_SQUARE, order=5),
+        "order must be a sequence, got 5",
+    ),
+    "PreferenceGraph-row": (
+        lambda: mmsalloc.PreferenceGraph(1, 1, (5,)),
+        "neighbors of 0 must be a sequence, got 5",
+    ),
+    "PreferenceGraph-adj": (
+        lambda: mmsalloc.PreferenceGraph(1, 1, None),
+        "adj must be a sequence, got None",
+    ),
+    "Allocation.checked": (
+        lambda: Allocation.checked([5], 1), "bundle 0 must be a sequence, got 5"
+    ),
+    "bundle_value": (
+        lambda: bundle_value(_SQUARE, 0, None), "goods must be a sequence, got None"
+    ),
+    "build_preference_graph": (
+        lambda: mmsalloc.build_preference_graph([[1, 2]], [5], [0]),
+        "bundle 0 must be a sequence, got 5",
+    ),
+    "verify_allocation": (
+        lambda: verify_allocation(_SQUARE, Allocation.of([[0], [1]]), None),
+        "thresholds must be a sequence, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NOT_CONTAINERS))
+def test_every_index_container_is_a_sequence(entry):
+    call, message = _NOT_CONTAINERS[entry]
+    with pytest.raises(InputError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (InputError, message)
+
+
 class TestAllocation:
+    def test_checked_rejects_a_good_listed_twice_in_a_bundle(self):
+        with pytest.raises(PartitionError, match="^good 0 appears twice in bundle 0$"):
+            Allocation.checked([[0, 0], [1]], 2)
+
     def test_checked_accepts_partition(self):
         alloc = Allocation.checked([[0, 2], [1]], 3)
         assert alloc.bundles == (frozenset({0, 2}), frozenset({1}))
@@ -601,6 +653,31 @@ class TestJsonFormats:
     def test_allocation_json_goods_are_one_based(self):
         text = allocation_to_json(Allocation.of([[0]]))
         assert json.loads(text)["bundles"] == [[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instances(st.integers(1, 4), max_goods=6, values=st.integers(0, 10**30)),
+    st.integers(1, 10**30),
+)
+@example(Instance.from_rows([[]]), 1)
+@example(Instance.from_rows([[10**30]]), 10**30)
+def test_instance_text_is_json_dumps_with_indent_two(inst, scale):
+    # Written row by row, the text is still byte for byte what json.dumps
+    # gives for the whole payload.
+    inst = Instance(inst.n, inst.m, scale, inst.valuations)
+    payload = {
+        "n": inst.n,
+        "m": inst.m,
+        "scale": scale,
+        "valuations": [list(row) for row in inst.valuations],
+    }
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert instance_to_json(inst) == expected
+    with TemporaryDirectory() as folder:
+        path = Path(folder) / "inst.json"
+        save_instance(inst, str(path))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 @core.record
