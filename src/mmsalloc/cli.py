@@ -91,17 +91,15 @@ _NOT_INDICES = frozenset({"rows", "dummies", "kept_value", "discarded_value"})
 
 def _one_based(value):
     """A solver's trace, or any part of it, as JSON: every index 1-based,
-    Fractions as text, frozensets as sorted lists and other sequences as
-    lists.  A step is a dict; its keys named in _NOT_INDICES are copied as
-    they are."""
+    Fractions as text and sequences as lists in their own order: a witness
+    and every bundle in a trace list their goods ascending.  A step is a
+    dict; its keys named in _NOT_INDICES are copied as they are."""
     if isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return value + 1
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, frozenset):
-        return sorted(map(_one_based, value))
     if isinstance(value, (list, tuple)):
         return [_one_based(item) for item in value]
     return {

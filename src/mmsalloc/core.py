@@ -296,6 +296,28 @@ class Instance:
         return self.valuations[agent]
 
 
+def _require_partition(bundles: Sequence[Iterable], m: int) -> None:
+    """Raise PartitionError unless bundles list each of goods 0..m-1 once,
+    naming the first good that is no index below m (by core.check_count,
+    so before it is hashed), that is listed twice or that is missing."""
+    check_count(m, "m", 0)
+    seen: dict[int, int] = {}
+    for i, bundle in enumerate(bundles):
+        for g in bundle:
+            try:
+                check_count(g, "good", 0, m - 1)
+            except InputError as exc:
+                raise PartitionError(str(exc)) from None
+            if g in seen:
+                if seen[g] == i:
+                    raise PartitionError(f"good {g} appears twice in bundle {i}")
+                raise PartitionError(f"good {g} appears in bundles {seen[g]} and {i}")
+            seen[g] = i
+    if len(seen) != m:
+        missing = sorted(set(range(m)) - seen.keys())
+        raise PartitionError(f"goods missing from allocation: {missing}")
+
+
 @record
 class Allocation:
     """An ordered tuple of bundles, one per agent; ``bundles[i]`` holds agent
@@ -305,41 +327,24 @@ class Allocation:
 
     @classmethod
     def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":
+        """The unchecked constructor: each bundle becomes a frozenset of the
+        goods it lists, with nothing checked.  Use :meth:`checked` for a
+        caller's bundles."""
         return cls(tuple(frozenset(b) for b in bundles))
 
     @classmethod
     def checked(cls, bundles: Iterable[Iterable[int]], m: int) -> "Allocation":
         """Build an allocation and verify it partitions goods 0..m-1.  A
-        bundle that is no sequence, or that lists a good twice, raises
-        InputError naming it."""
+        bundle that is no sequence raises InputError naming it; a good that
+        is no index below m, or that is listed twice, raises PartitionError
+        naming it, before any good is hashed."""
         rows = as_tuple(bundles, "bundles")
         rows = [as_tuple(bundle, f"bundle {i}") for i, bundle in enumerate(rows)]
-        alloc = cls.of(rows)
-        for i, (row, bundle) in enumerate(zip(rows, alloc.bundles)):
-            if len(row) != len(bundle):
-                raise PartitionError(
-                    f"good {_first_repeat(row)} appears twice in bundle {i}"
-                )
-        alloc.require_partition(m)
-        return alloc
+        _require_partition(rows, m)
+        return cls.of(rows)
 
     def require_partition(self, m: int) -> None:
-        check_count(m, "m", 0)
-        seen: dict[int, int] = {}
-        for i, bundle in enumerate(self.bundles):
-            for g in bundle:
-                try:
-                    check_count(g, "good", 0, m - 1)
-                except InputError as exc:
-                    raise PartitionError(str(exc)) from None
-                if g in seen:
-                    raise PartitionError(
-                        f"good {g} appears in bundles {seen[g]} and {i}"
-                    )
-                seen[g] = i
-        if len(seen) != m:
-            missing = sorted(set(range(m)) - seen.keys())
-            raise PartitionError(f"goods missing from allocation: {missing}")
+        _require_partition(self.bundles, m)
 
     def __iter__(self):
         return iter(self.bundles)

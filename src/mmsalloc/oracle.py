@@ -28,12 +28,13 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   row of 105 goods at k = 10 on a 2-core Xeon under CPython 3.11.
 
 Exact shares: one process memo, under :func:`mms_exact`, of the last 512
-distinct queries, keyed on the validated values and k, at most about 2.8 MB
-(5.5 KB an entry at the worst case, 22 goods and k = 22).  A share asked
-again, by the same command or a later one in the process, is not searched
-again.  Errors are never kept.  Approximate shares: the memo of the
-:class:`ShareOracle` of one solve or one :func:`xi_vector` call, gone with
-that oracle.
+distinct queries, keyed on the validated values and k, at most about 0.94
+MB: under 2 KB an entry, 1.8 KB at the worst case, 22 goods and k = 22,
+where the witness is 22 one-good tuples.  A certificate of 105 goods at
+k = 10 takes 1.6 KB.  A share asked again, by the same command or a later
+one in the process, is not searched again.  Errors are never kept.
+Approximate shares: the memo of the :class:`ShareOracle` of one solve or
+one :func:`xi_vector` call, gone with that oracle.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -64,13 +65,14 @@ Item = tuple[int, int]  # (value, position), kept sorted by value desc
 @record
 class MaximinCertificate:
     """A maximin query answer: the value, the bundle count, and a witness
-    k-partition (bundles of positions into the queried value sequence) whose
-    worst bundle attains exactly ``value``, and ``upper``, a proven upper
-    bound on the exact share."""
+    k-partition whose worst bundle attains exactly ``value``, and ``upper``,
+    a proven upper bound on the exact share.  The witness is a tuple of k
+    bundles, each a tuple of positions into the queried value sequence in
+    ascending order, so equal partitions give equal witnesses."""
 
     value: int
     k: int
-    witness: tuple[frozenset[int], ...]
+    witness: tuple[tuple[int, ...], ...]
     mode: str
     upper: int
     eps: Optional[Fraction] = None
@@ -372,9 +374,10 @@ def _search_maximin(
 
 def _checked_witness(
     vals: Sequence[int], bundles: list[list[int]], value: int
-) -> tuple[frozenset[int], ...]:
-    """The bundles as a witness, checked to have its worst bundle at value."""
-    witness = tuple(map(frozenset, bundles))
+) -> tuple[tuple[int, ...], ...]:
+    """The bundles as a witness, each sorted into a tuple, checked to have
+    its worst bundle at value."""
+    witness = tuple(map(tuple, map(sorted, bundles)))
     worst = min(sum(map(vals.__getitem__, b)) for b in bundles)
     if worst != value:
         raise GuaranteeError(

@@ -34,11 +34,11 @@ def _cut_and_choose(
     oracle: ShareOracle, rows: Sequence[Sequence[int]], cutter: int, chooser: int,
     pool: Sequence[int], eps: Fraction,
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """The cutter's 2-way split of the goods in pool at eps, as
-    (her split value, the two halves as sorted tuples of goods, the index of
-    the half the chooser values more, the first on ties)."""
+    """The cutter's 2-way split of the ascending goods in pool at eps, as
+    (her split value, the two halves as ascending tuples of goods, the index
+    of the half the chooser values more, the first on ties)."""
     cert = oracle.share([rows[cutter][g] for g in pool], 2, eps)
-    halves = tuple(tuple(sorted(pool[p] for p in part)) for part in cert.witness)
+    halves = tuple(tuple(pool[p] for p in part) for part in cert.witness)
     pick = max(range(2), key=lambda j: (sum(rows[chooser][g] for g in halves[j]), -j))
     return cert.value, halves, pick
 
@@ -89,7 +89,8 @@ def apx_3_mms(
                 return Allocation.of(bundles[a] for a in range(3))
 
     # Branch c: agent 0 partitions; try to seat agents 1 and 2 directly.
-    a_sets = tuple(tuple(sorted(part)) for part in certs[0].witness)
+    # Agent 0's row covers every good, so her positions are the goods.
+    a_sets = certs[0].witness
     value_of = lambda agent, part: sum(rows[agent][g] for g in part)
     for j1, j2 in _ORDERED_PAIRS:
         if (

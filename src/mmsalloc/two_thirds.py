@@ -55,7 +55,7 @@ def rec_mms(
     oracle: Callable[[list[int], int], MaximinCertificate],
     trace: Optional[list] = None,
 ) -> tuple[dict[int, frozenset[int]], tuple[int, ...], tuple[int, ...]]:
-    """Run one level on the active agents and the goods left.
+    """Run one level on the active agents and the goods left, ascending.
 
     Returns the bundles it seats, by agent; the agents of X+, who make the
     next level; and the sorted goods of the bundles it did not seat, which
@@ -70,9 +70,8 @@ def rec_mms(
     partitioner = agents[0]
     k = len(agents)
     cert = oracle([instance.row(partitioner)[g] for g in goods], k)
-    bundles = tuple(
-        tuple(sorted(goods[pos] for pos in bundle)) for bundle in cert.witness
-    )
+    # goods ascend, so each bundle's goods ascend as its positions do.
+    bundles = tuple(tuple(goods[pos] for pos in bundle) for bundle in cert.witness)
 
     level_thresholds = tuple(thresholds[i] for i in agents)
     rows = [instance.row(i) for i in agents]

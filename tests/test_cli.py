@@ -518,9 +518,9 @@ class TestMms:
         assert 10 * payload["value"] >= 9 * 5
 
     def test_ptas_witness_is_pinned(self, capsys, tmp_path):
-        # The witness's first bundle, frozenset({1, 3, 8, 9}) (0-based),
-        # iterates out of order in CPython, so this case shows that each
-        # printed bundle is sorted.
+        # The witness's first bundle, (1, 3, 8, 9) (0-based), is one a
+        # frozenset iterates out of order in CPython, so this case shows
+        # that each printed bundle ascends.
         path = write_instance(
             tmp_path / "inst.json", [[3, 9, 8, 2, 5, 9, 7, 9, 1, 9], [1] * 10]
         )

@@ -253,7 +253,8 @@ _INDEX_FIELDS = {
         lambda v: Allocation.checked([[v], [1]], 2), "good", 0, 1, PartitionError
     ),
     "verify_allocation": (
-        lambda v: verify_allocation(_SQUARE, Allocation.of([[v], [1]]), [0, 0]),
+        # Bundles as given, not hashed into frozensets by Allocation.of.
+        lambda v: verify_allocation(_SQUARE, Allocation(((v,), (1,))), [0, 0]),
         "good", 0, 1, PartitionError,
     ),
     "greedy_round_robin": (
@@ -283,14 +284,15 @@ _INDEX_FIELDS = {
 _BAD_INDICES = [
     pytest.param(entry, value, id=f"{entry}-{value!r}")
     for entry, (_, _, least, most, _) in _INDEX_FIELDS.items()
-    for value in [True, 0.0, "0", None, least - 1, most + 1]
+    for value in [True, 0.0, "0", None, [least], least - 1, most + 1]
 ]
 
 
 @pytest.mark.parametrize("entry, value", _BAD_INDICES)
 def test_every_index_is_an_int_within_its_range(entry, value):
     # One rule, core.check_count with an upper end, for every index a
-    # caller hands in; a bool or a float is no index, even when it equals one.
+    # caller hands in; a bool or a float is no index, even when it equals one,
+    # and a list holding one is refused before anything hashes it.
     call, field, least, most, error = _INDEX_FIELDS[entry]
     if type(value) is not int:
         message = f"{field} must be an integer, got {value!r}"
@@ -744,8 +746,8 @@ class TestRecord:
             "Instance(n=2, m=2, scale=1, valuations=((4, 3), (1, 1)))"
         )
         assert repr(mms_exact([4, 3, 2, 1], 2)) == (
-            "MaximinCertificate(value=5, k=2, witness=(frozenset({0, 3}), "
-            "frozenset({1, 2})), mode='exact', upper=5, eps=None)"
+            "MaximinCertificate(value=5, k=2, witness=((0, 3), (1, 2)), "
+            "mode='exact', upper=5, eps=None)"
         )
 
     def test_pickle_and_copy_round_trips(self):

@@ -81,11 +81,26 @@ def test_no_cover_search_when_greedy_meets_the_upper_bound():
 
 
 def assert_witness_certifies(values, k, cert):
-    assert len(cert.witness) == k
-    seen = sorted(g for bundle in cert.witness for g in bundle)
+    # The one witness form: a tuple of k tuples of ascending positions,
+    # which together list every position of the row once.
+    witness = cert.witness
+    assert type(witness) is tuple and len(witness) == k
+    for bundle in witness:
+        assert type(bundle) is tuple and list(bundle) == sorted(set(bundle))
+    seen = sorted(g for bundle in witness for g in bundle)
     assert seen == list(range(len(values)))
-    worst = min(sum(values[g] for g in bundle) for bundle in cert.witness)
+    worst = min(sum(values[g] for g in bundle) for bundle in witness)
     assert worst >= cert.value
+
+
+def test_a_frozenset_witness_is_not_the_witness_form():
+    cert = mms_exact([4, 3, 2, 1], 2)
+    assert_witness_certifies([4, 3, 2, 1], 2, cert)
+    as_sets = oracle.MaximinCertificate(
+        cert.value, 2, tuple(map(frozenset, cert.witness)), "exact", cert.upper
+    )
+    with pytest.raises(AssertionError):
+        assert_witness_certifies([4, 3, 2, 1], 2, as_sets)
 
 
 def test_exact_witness_achieves_value():
@@ -487,6 +502,7 @@ _values = st.lists(
 def test_exact_search_matches_bisection_and_exhaustive(values, k):
     cert, _, _ = _assert_same_as_bisection(mms_exact, values, k)
     assert cert.value == exhaustive_mms(values, k)
+    assert_witness_certifies(values, k, cert)
 
 
 def _approx_rows():
@@ -638,11 +654,12 @@ def _mms_exact_from_greedy(values, k):
     items = oracle._desc_items(values)
     total = sum(values)
     if k == 1:
-        return total, (frozenset(range(len(values))),), total
+        return total, (tuple(range(len(values))),), total
     loads, bundles = oracle._lpt(items, k)
     value, best = oracle._search_maximin(items, k, min(loads), bundles)
     best[0].extend(j for j, v in enumerate(values) if v == 0)
-    return value, tuple(map(frozenset, best)), oracle._upper_bound(items, total, k)
+    witness = tuple(tuple(sorted(bundle)) for bundle in best)
+    return value, witness, oracle._upper_bound(items, total, k)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1085,6 +1102,42 @@ def test_goods_worth_the_floor_cost_one_pool_copy():
         tracemalloc.stop()
     assert got == [[j] for j in range(3000)]
     assert peak < 2 * 2**20
+
+
+def _bytes_kept_per_query(query, rows):
+    """The memory query(row) leaves behind, on average over rows, as
+    tracemalloc counts it: the answer, and what a memo keeps with it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [query(row) for row in rows]
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(rows)
+    return (after - before) / len(rows)
+
+
+def test_a_memo_entry_stays_under_its_stated_bound():
+    # The module docstring's bound of 2 KB an entry, at the worst case of
+    # the exact memo, 22 goods and k = 22 (one bundle a good), and for a
+    # certificate of 105 goods at k = 10.  Averaged over 64 queries, so the
+    # growth of the memo's own table is shared out.
+    rng = random.Random(23)
+    rows = [[rng.randint(1, 10**6) for _ in range(22)] for _ in range(64)]
+    oracle._exact_memo.cache_clear()
+    try:
+        exact = _bytes_kept_per_query(lambda row: mms_exact(row, 22), rows)
+        assert oracle._exact_memo.cache_info().currsize == len(rows)
+    finally:
+        oracle._exact_memo.cache_clear()
+    rows = [[rng.randint(0, 10**6) for _ in range(105)] for _ in range(64)]
+    ptas = _bytes_kept_per_query(
+        lambda row: mms_approx(row, 10, Fraction(1, 10)), rows
+    )
+    assert exact < 2000 and ptas < 2000
 
 
 def test_oracles_leave_the_recursion_limit_alone(default_recursion_limit):
