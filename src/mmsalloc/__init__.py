@@ -3,43 +3,43 @@
 Exact-arithmetic solvers, per-agent maximin oracles, and verification tools
 for fair division instances with integer values on a common scale.
 
-``import mmsalloc`` executes :mod:`mmsalloc.core` and :mod:`mmsalloc.oracle`
-only.  Every other module is registered in ``sys.modules``, and as an
-attribute of the package, through :class:`importlib.util.LazyLoader`: it is
-compiled and executed on its first attribute access, so a command compiles
-only the modules it runs.  A public name from such a module is looked up in
-``_LAZY_NAMES`` on its first use, which executes its module.
+``import mmsalloc`` executes no module of the package.  Each module named in
+``_PUBLIC`` is registered in ``sys.modules``, and as an attribute of the
+package, through :class:`importlib.util.LazyLoader`: it is compiled and
+executed on its first attribute access, so a command compiles only the
+modules it runs.  A public name is looked up in ``_PUBLIC`` on its first
+use, which executes its module.
 """
 
 import importlib.util
 import sys
 
-from .core import (
-    Allocation,
-    Certificate,
-    GuaranteeError,
-    InputError,
-    Instance,
-    PartitionError,
-    allocation_from_json,
-    allocation_to_json,
-    bundle_value,
-    instance_from_json,
-    instance_to_json,
-    load_allocation,
-    load_instance,
-    save_instance,
-    verify_allocation,
-)
-from .oracle import (
-    EXACT_ITEM_CAP,
-    MaximinCertificate,
-    ShareOracle,
-    greedy_floor,
-    mms_approx,
-    mms_exact,
-    xi_vector,
-)
+#: Each module of the package, mapped to the public names it defines.
+_PUBLIC = {
+    "core": (
+        "Allocation", "Certificate", "GuaranteeError", "InputError", "Instance",
+        "PartitionError", "allocation_from_json", "allocation_to_json",
+        "bundle_value", "instance_from_json", "instance_to_json",
+        "load_allocation", "load_instance", "save_instance", "verify_allocation",
+    ),
+    "oracle": (
+        "EXACT_ITEM_CAP", "MaximinCertificate", "ShareOracle", "greedy_floor",
+        "mms_approx", "mms_exact", "xi_vector",
+    ),
+    "experiments": (
+        "TrialConfig", "TrialStats", "gen_uniform_instance", "report_text",
+        "run_existence_trials",
+    ),
+    "half": ("apx_mms_half",),
+    "matching": (
+        "PreferenceGraph", "XPlusDecomposition", "build_preference_graph",
+        "compute_x_plus", "maximum_matching",
+    ),
+    "round_robin": ("greedy_round_robin", "modified_greedy_round_robin"),
+    "ternary": ("exact_mms_012",),
+    "three_agents": ("apx_3_mms",),
+    "two_thirds": ("apx_mms", "rho"),
+}
 
 
 def _lazy(name: str):
@@ -52,39 +52,15 @@ def _lazy(name: str):
     return module
 
 
-experiments = _lazy("experiments")
-half = _lazy("half")
-matching = _lazy("matching")
-round_robin = _lazy("round_robin")
-ternary = _lazy("ternary")
-three_agents = _lazy("three_agents")
-two_thirds = _lazy("two_thirds")
+globals().update((module, _lazy(module)) for module in _PUBLIC)
 
-#: Each public name of a lazy module, mapped to that module.
-_LAZY_NAMES = {
-    "TrialConfig": experiments,
-    "TrialStats": experiments,
-    "gen_uniform_instance": experiments,
-    "report_text": experiments,
-    "run_existence_trials": experiments,
-    "apx_mms_half": half,
-    "PreferenceGraph": matching,
-    "XPlusDecomposition": matching,
-    "build_preference_graph": matching,
-    "compute_x_plus": matching,
-    "maximum_matching": matching,
-    "greedy_round_robin": round_robin,
-    "modified_greedy_round_robin": round_robin,
-    "exact_mms_012": ternary,
-    "apx_3_mms": three_agents,
-    "apx_mms": two_thirds,
-    "rho": two_thirds,
-}
+#: Each public name, mapped to the module that defines it.
+_HOME = {name: globals()[module] for module, names in _PUBLIC.items() for name in names}
 
 
 def __getattr__(name: str):
     try:
-        module = _LAZY_NAMES[name]
+        module = _HOME[name]
     except KeyError:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}"
@@ -93,50 +69,9 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_NAMES))
+    return sorted(set(globals()) | set(_HOME))
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation",
-    "Certificate",
-    "EXACT_ITEM_CAP",
-    "GuaranteeError",
-    "InputError",
-    "Instance",
-    "MaximinCertificate",
-    "PartitionError",
-    "PreferenceGraph",
-    "ShareOracle",
-    "TrialConfig",
-    "TrialStats",
-    "XPlusDecomposition",
-    "allocation_from_json",
-    "allocation_to_json",
-    "apx_3_mms",
-    "apx_mms",
-    "apx_mms_half",
-    "build_preference_graph",
-    "bundle_value",
-    "compute_x_plus",
-    "exact_mms_012",
-    "gen_uniform_instance",
-    "greedy_floor",
-    "greedy_round_robin",
-    "instance_from_json",
-    "instance_to_json",
-    "load_allocation",
-    "load_instance",
-    "maximum_matching",
-    "mms_approx",
-    "mms_exact",
-    "modified_greedy_round_robin",
-    "report_text",
-    "rho",
-    "run_existence_trials",
-    "save_instance",
-    "verify_allocation",
-    "xi_vector",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]

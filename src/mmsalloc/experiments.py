@@ -127,7 +127,11 @@ def trial_seed(seed: int, t: int) -> int:
 
     >>> len({trial_seed(s, t) for s in range(-4, 4) for t in range(500)})
     4000
+
+    Raises InputError unless seed is an int and t a non-negative one.
     """
+    check_count(seed, "seed", None)
+    check_count(t, "t", 0)
     s = 2 * seed if seed >= 0 else -2 * seed - 1
     return (s + t) * (s + t + 1) // 2 + t
 

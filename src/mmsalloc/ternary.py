@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import Allocation, GuaranteeError, InputError, Instance
+from .core import (
+    Allocation, GuaranteeError, InputError, Instance, as_tuple, check_count,
+)
 
 _NOT_TERNARY = "values must be 0, 1, or 2 in scaled units"
 
@@ -51,13 +53,23 @@ def color_rows(
     ends and red on both ends.
 
     Stopping at the first such step leaves strictly fewer than half the
-    edges red on both ends.
+    edges red on both ends.  Raises InputError unless k is a count and each
+    edge is a pair of rows from 0 to k - 1.
 
     >>> color_rows(2, [])
     ([False, False], 0, 0)
     >>> color_rows(3, [(1, 2)])
     ([True, True, False], 0, 0)
     """
+    check_count(k, "k", 0)
+    edges = [
+        as_tuple(edge, f"edge {p}") for p, edge in enumerate(as_tuple(edges, "edges"))
+    ]
+    for p, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise InputError(f"edge {p} must hold two rows, got {edge!r}")
+        for end, row in zip(("first", "second"), edge):
+            check_count(row, f"{end} row of edge {p}", 0, k - 1)
     e = len(edges)
     red = [False] * k
     blue_blue = e

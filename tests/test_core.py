@@ -200,6 +200,11 @@ _COUNT_FIELDS = {
         {"n_left": 0, "n_right": 0},
     ),
     "Allocation.checked": (lambda m: Allocation.checked([[0], [1]], m), {"m": 0}),
+    "color_rows": (lambda k: mmsalloc.ternary.color_rows(k, []), {"k": 0}),
+    "trial_seed": (
+        lambda **f: mmsalloc.experiments.trial_seed(**{"seed": 0, "t": 0, **f}),
+        {"seed": None, "t": 0},
+    ),
 }
 
 _BAD_COUNTS = [
@@ -277,6 +282,14 @@ _INDEX_FIELDS = {
         lambda v: mmsalloc.compute_x_plus(_SQUARE_GRAPH, [(0, v)]),
         "right vertex of pair 0", 0, 1, InputError,
     ),
+    "color_rows-first": (
+        lambda v: mmsalloc.ternary.color_rows(2, [(v, 0)]),
+        "first row of edge 0", 0, 1, InputError,
+    ),
+    "color_rows-second": (
+        lambda v: mmsalloc.ternary.color_rows(2, [(0, v)]),
+        "second row of edge 0", 0, 1, InputError,
+    ),
     "mms --agent": (lambda v: _mms(agent=v), "--agent", 1, 2, InputError),
     "mms --k": (lambda v: _mms(k=v), "--k", 1, 2, InputError),
 }
@@ -341,6 +354,16 @@ _NOT_CONTAINERS = {
     "verify_allocation": (
         lambda: verify_allocation(_SQUARE, Allocation.of([[0], [1]]), None),
         "thresholds must be a sequence, got None",
+    ),
+    "color_rows-edges": (
+        lambda: mmsalloc.ternary.color_rows(2, None), "edges must be a sequence, got None"
+    ),
+    "color_rows-int-edge": (
+        lambda: mmsalloc.ternary.color_rows(2, [5]), "edge 0 must be a sequence, got 5"
+    ),
+    "color_rows-short-edge": (
+        lambda: mmsalloc.ternary.color_rows(2, [(0,)]),
+        "edge 0 must hold two rows, got (0,)",
     ),
 }
 

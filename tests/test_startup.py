@@ -1,7 +1,9 @@
-"""Fresh interpreters: each command executes only the package modules it
-runs, none imports numpy, ``dataclasses`` or ``inspect``, every command runs
-the same under ``python -O`` and with warnings turned into errors, and the
-benchmark's tracer still wraps every solver.
+"""Fresh interpreters: a bare ``import mmsalloc`` executes no package module
+and serves every public name from its home module, each command executes
+only the package modules it runs, none imports numpy, ``dataclasses`` or
+``inspect``, every command runs the same under ``python -O`` and with
+warnings turned into errors, and the benchmark's tracer still wraps every
+solver.
 
 Each test runs CLI commands through ``cli.main`` in a fresh interpreter,
 because this test session may have imported numpy itself, has executed
@@ -223,6 +225,78 @@ def test_each_command_executes_only_the_modules_it_runs(tmp_path, command):
     on_import = _package(("cli", "core", "oracle")) | {"mmsalloc"}
     assert loaded["executed_on_import"] == on_import
     assert loaded["executed_on_run"] - on_import == _package(EXECUTES[command])
+
+
+#: ``mmsalloc.__all__`` as it stood when ``import mmsalloc`` executed
+#: ``core`` and ``oracle`` and kept three lists of names.
+PUBLIC_NAMES = [
+    "Allocation", "Certificate", "EXACT_ITEM_CAP", "GuaranteeError",
+    "InputError", "Instance", "MaximinCertificate", "PartitionError",
+    "PreferenceGraph", "ShareOracle", "TrialConfig", "TrialStats",
+    "XPlusDecomposition", "allocation_from_json", "allocation_to_json",
+    "apx_3_mms", "apx_mms", "apx_mms_half", "build_preference_graph",
+    "bundle_value", "compute_x_plus", "exact_mms_012", "gen_uniform_instance",
+    "greedy_floor", "greedy_round_robin", "instance_from_json",
+    "instance_to_json", "load_allocation", "load_instance", "maximum_matching",
+    "mms_approx", "mms_exact", "modified_greedy_round_robin", "report_text",
+    "rho", "run_existence_trials", "save_instance", "verify_allocation",
+    "xi_vector", "__version__",
+]
+
+
+def after_bare_import(tmp_path, code):
+    """What the Python source code sets ``got`` to, run in a new interpreter
+    right after a bare ``import mmsalloc``."""
+    child = f"import json, sys, types\nimport mmsalloc\n{code}\n" \
+        "with open(sys.argv[1], 'w') as fh:\n    json.dump(got, fh)\n"
+    return run_child(tmp_path, child, [])
+
+
+def test_bare_import_executes_no_package_module(tmp_path):
+    got = after_bare_import(tmp_path, (
+        "got = sorted(name for name, module in sys.modules.items()\n"
+        "             if name.split('.')[0] == 'mmsalloc'\n"
+        "             and type(module) is types.ModuleType)"
+    ))
+    assert got == ["mmsalloc"]
+
+
+def test_public_names_are_unchanged(tmp_path):
+    assert after_bare_import(tmp_path, "got = mmsalloc.__all__") == PUBLIC_NAMES
+
+
+def test_each_public_name_is_the_object_of_its_home_module(tmp_path):
+    # Each name is looked up on the package first, then on each module of
+    # the package that binds it: its defining module, and any that imports it.
+    got = after_bare_import(tmp_path, """
+import importlib, pkgutil
+public = {name: getattr(mmsalloc, name) for name in mmsalloc.__all__[:-1]}
+modules = [importlib.import_module(f"mmsalloc.{info.name}")
+           for info in pkgutil.iter_modules(mmsalloc.__path__)]
+got = {}
+for name, obj in public.items():
+    holders = {m.__name__: vars(m)[name] is obj for m in modules if name in vars(m)}
+    home = getattr(obj, "__module__", next(iter(holders), None))
+    got[name] = [home in holders, all(holders.values())]
+""")
+    assert got == {name: [True, True] for name in PUBLIC_NAMES[:-1]}
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    got = after_bare_import(tmp_path, (
+        "namespace = {}\nexec('from mmsalloc import *', namespace)\n"
+        "got = [name for name in mmsalloc.__all__\n"
+        "       if namespace.get(name) is not getattr(mmsalloc, name)]"
+    ))
+    assert got == []
+
+
+def test_an_unknown_name_is_an_attribute_error(tmp_path):
+    got = after_bare_import(tmp_path, (
+        "try:\n    mmsalloc.nope\nexcept AttributeError as error:\n"
+        "    got = str(error)"
+    ))
+    assert got == "module 'mmsalloc' has no attribute 'nope'"
 
 
 TRACED_CHILD = """
