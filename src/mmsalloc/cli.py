@@ -44,6 +44,7 @@ from .core import (
     GuaranteeError,
     InputError,
     Instance,
+    _require_partition,
     allocation_payload,
     allocation_to_json,
     as_rational,
@@ -242,6 +243,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     allocation, certificates = load_allocation(args.allocation)
+    _require_partition([[g + 1 for g in b] for b in allocation], instance.m, 1)
     rows: dict[int, Certificate] = {}
     for cert in certificates:
         if not 0 <= cert.agent < instance.n:

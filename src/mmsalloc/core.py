@@ -227,16 +227,6 @@ def as_tuple(items, name: str) -> tuple:
         raise InputError(f"{name} must be a sequence, got {items!r}") from None
 
 
-def _first_repeat(items: Iterable):
-    """The first item that items lists a second time, or None."""
-    seen = set()
-    for item in items:
-        if item in seen:
-            return item
-        seen.add(item)
-    return None
-
-
 @record
 class Instance:
     """An additive valuation profile: ``valuations[i][j]`` is agent i's value
@@ -296,16 +286,18 @@ class Instance:
         return self.valuations[agent]
 
 
-def _require_partition(bundles: Sequence[Iterable], m: int) -> None:
-    """Raise PartitionError unless bundles list each of goods 0..m-1 once,
-    naming the first good that is no index below m (by core.check_count,
-    so before it is hashed), that is listed twice or that is missing."""
+def _require_partition(bundles: Sequence[Iterable], m: int, first: int = 0) -> None:
+    """Raise PartitionError unless bundles list each of m goods once, the
+    goods and bundles numbered from first (0 in code, 1 in files), naming
+    the first good that is out of range (by core.check_count, so before it
+    is hashed), that is listed twice or that is missing: the one judge of
+    a partition."""
     check_count(m, "m", 0)
     seen: dict[int, int] = {}
-    for i, bundle in enumerate(bundles):
+    for i, bundle in enumerate(bundles, first):
         for g in bundle:
             try:
-                check_count(g, "good", 0, m - 1)
+                check_count(g, "good", first, m - 1 + first)
             except InputError as exc:
                 raise PartitionError(str(exc)) from None
             if g in seen:
@@ -314,23 +306,23 @@ def _require_partition(bundles: Sequence[Iterable], m: int) -> None:
                 raise PartitionError(f"good {g} appears in bundles {seen[g]} and {i}")
             seen[g] = i
     if len(seen) != m:
-        missing = sorted(set(range(m)) - seen.keys())
+        missing = sorted(set(range(first, m + first)) - seen.keys())
         raise PartitionError(f"goods missing from allocation: {missing}")
 
 
 @record
 class Allocation:
     """An ordered tuple of bundles, one per agent; ``bundles[i]`` holds agent
-    i's goods as a frozenset of good indices."""
+    i's good indices as an ascending tuple."""
 
-    bundles: tuple[frozenset[int], ...]
+    bundles: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":
-        """The unchecked constructor: each bundle becomes a frozenset of the
-        goods it lists, with nothing checked.  Use :meth:`checked` for a
-        caller's bundles."""
-        return cls(tuple(frozenset(b) for b in bundles))
+        """The unchecked constructor: each bundle becomes the ascending tuple
+        of the goods it lists, a repeat kept, with nothing checked.  Use
+        :meth:`checked` for a caller's bundles."""
+        return cls(tuple(tuple(sorted(b)) for b in bundles))
 
     @classmethod
     def checked(cls, bundles: Iterable[Iterable[int]], m: int) -> "Allocation":
@@ -395,8 +387,9 @@ def verify_allocation(
     """Check every agent's bundle against a per-agent value threshold, and
     return one certificate row per agent, in agent order.
 
-    Structural problems (wrong bundle count, overlap, missing goods) raise
-    :class:`PartitionError` before any value comparison.  Thresholds may be
+    Structural problems (wrong bundle count, a good out of range, listed
+    twice or missing) raise :class:`PartitionError` before any value
+    comparison.  Thresholds may be
     integers or Fractions; comparisons are exact.  A threshold that is no
     rational raises :class:`InputError` naming its agent.
 
@@ -515,7 +508,7 @@ def allocation_payload(
 ) -> dict:
     """The allocation file's JSON object, with 1-based goods and agents."""
     return {
-        "bundles": [sorted(g + 1 for g in bundle) for bundle in allocation.bundles],
+        "bundles": [[g + 1 for g in bundle] for bundle in allocation.bundles],
         "certificates": [
             {"agent": c.agent + 1, "value": c.value, "threshold": c.threshold_int}
             for c in certificates
@@ -538,15 +531,10 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
         isinstance(b, list) for b in raw_bundles
     ):
         raise InputError("allocation bundles must be a list of lists")
-    bundles = []
-    for i, b in enumerate(raw_bundles):
+    for b in raw_bundles:
         for g in b:
             if not is_int(g) or g < 1:
                 raise InputError(f"good index {g!r} is not a positive integer")
-        bundles.append(frozenset(g - 1 for g in b))
-        if len(bundles[-1]) != len(b):
-            repeat = _first_repeat(b)
-            raise PartitionError(f"good {repeat} appears twice in bundle {i + 1}")
     certs = []
     rows = payload.get("certificates", [])
     if not isinstance(rows, list):
@@ -560,7 +548,7 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
             raise InputError(f"malformed certificate row: {row!r}")
         agent, value, threshold = fields
         certs.append(Certificate(agent - 1, value, Fraction(threshold)))
-    return Allocation(tuple(bundles)), tuple(certs)
+    return Allocation.of([g - 1 for g in b] for b in raw_bundles), tuple(certs)
 
 
 def load_allocation(path: str) -> tuple[Allocation, tuple[Certificate, ...]]:

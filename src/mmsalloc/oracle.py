@@ -534,13 +534,10 @@ class ShareOracle:
     ) -> MaximinCertificate:
         if self.mode == "exact":
             return mms_exact(values, k)
-        try:
-            key = (tuple(values), k, eps)
-            cert = self._memo.get(key)
-        except TypeError:  # no key to keep: mms_approx says what is wrong
-            return mms_approx(values, k, eps)
+        key = (_validated_values(values, k), k, _as_eps(eps))
+        cert = self._memo.get(key)
         if cert is None:
-            cert = self._memo[key] = mms_approx(key[0], k, eps)
+            cert = self._memo[key] = mms_approx(*key)
         return cert
 
     def lower(self, values: Sequence[int], k: int) -> int:

@@ -54,7 +54,7 @@ def rec_mms(
     thresholds: Sequence[Fraction],
     oracle: Callable[[list[int], int], MaximinCertificate],
     trace: Optional[list] = None,
-) -> tuple[dict[int, frozenset[int]], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
     """Run one level on the active agents and the goods left, ascending.
 
     Returns the bundles it seats, by agent; the agents of X+, who make the
@@ -108,7 +108,7 @@ def rec_mms(
     leftover = tuple(sorted(
         g for j, bundle in enumerate(bundles) if j not in taken for g in bundle
     ))
-    return {agents[u]: frozenset(bundles[v]) for u, v in pairs}, deferred, leftover
+    return {agents[u]: bundles[v] for u, v in pairs}, deferred, leftover
 
 
 def apx_mms(
@@ -147,7 +147,7 @@ def apx_mms(
     )
     level_oracle = partial(oracle.share, eps=eps_prime)
     agents, goods = tuple(instance.agents), tuple(instance.goods)
-    bundles: dict[int, frozenset[int]] = {}
+    bundles: dict[int, tuple[int, ...]] = {}
     while agents:
         seated, agents, goods = rec_mms(
             instance, agents, goods, thresholds, level_oracle, trace

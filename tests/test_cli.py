@@ -940,6 +940,25 @@ class TestHostileFiles:
         assert (code, out) == (2, "")
         assert err == "input error: good 1 appears twice in bundle 1\n"
 
+    @pytest.mark.parametrize("bundles, message", [
+        ([[1, 2], [2, 3]], "good 2 appears in bundles 1 and 2"),
+        ([[1, 4], [2, 3]], "good must be at most 3, got 4"),
+        ([[1], [2]], "goods missing from allocation: [3]"),
+        ([[1, 1], [2, 3]], "good 1 appears twice in bundle 1"),
+    ])
+    def test_partition_fault_names_goods_and_bundles_as_the_file_does(
+        self, capsys, tmp_path, bundles, message
+    ):
+        # The file counts goods and bundles from 1, and so does each message.
+        inst = write_instance(tmp_path / "inst.json", [[1, 2, 3], [3, 2, 1]])
+        alloc = tmp_path / "alloc.json"
+        rows = [{"agent": i, "value": 0, "threshold": 0} for i in (1, 2)]
+        alloc.write_text(json.dumps({"bundles": bundles, "certificates": rows}))
+        code, out, err = run_cli(
+            capsys, ["verify", "--instance", inst, "--allocation", str(alloc)]
+        )
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
     def test_misstated_value_fails(self, capsys, tmp_path):
         rows = [dict(row) for row in self.ALLOCATION["certificates"]]
         rows[0]["value"] = 9
@@ -1169,11 +1188,15 @@ def fuzzed_runs(draw, commands=_FUZZ_COMMANDS, faults=_FUZZ_FAULTS):
 
 @st.composite
 def fuzzed_verify_runs(draw):
-    """verify on a valid instance file and the text of an allocation file
-    for it.  Its bundles partition goods 1..m and its certificate rows state
-    each bundle's value, until up to two faults of each kind are drawn: a
-    good added that is a bool, a float, 0, m + 1 or a repeat; a certificate
-    agent set or added that is 0, n + 1 or a repeat."""
+    """The exit code verify must give, and a run of it on a valid instance
+    file and the text of an allocation file for it.  Its bundles partition
+    goods 1..m and its certificate rows state each bundle's value, until up
+    to two faults of each kind are drawn: a good added that is a bool, a
+    float, 0, m + 1 or a repeat; a certificate agent set or added that is 0,
+    n + 1 or a repeat.  The code is 2 when a fault survives: any added good,
+    or certificate agents that are not 1..n once each.  Otherwise it is 1
+    when a row states a value other than its bundle's or a threshold above
+    it, else 0."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
     rows = [[draw(st.integers(0, 10)) for _ in range(m)] for _ in range(n)]
     owners = [draw(st.integers(0, n - 1)) for _ in range(m)]
@@ -1183,7 +1206,9 @@ def fuzzed_verify_runs(draw):
          "threshold": draw(st.integers(0, 12))}
         for i, bundle in enumerate(bundles)
     ]
-    for _ in range(draw(st.integers(0, 2))):
+    values = [certificate["value"] for certificate in certificates]
+    added = draw(st.integers(0, 2))
+    for _ in range(added):
         bundle = bundles[draw(st.integers(0, n - 1))]
         good = draw(st.sampled_from(
             [True, False, 1.0, 2.5, 0, m + 1, *range(1, m + 1)]
@@ -1198,7 +1223,14 @@ def fuzzed_verify_runs(draw):
             row["agent"] = agent
     instance = {"n": n, "m": m, "scale": 1, "valuations": rows}
     allocation = {"bundles": bundles, "certificates": certificates}
-    return ["verify"], json.dumps(instance), json.dumps(allocation)
+    agents = sorted(row["agent"] for row in certificates)
+    if added or agents != list(range(1, n + 1)):
+        code = 2
+    else:
+        fails = [row["value"] != values[row["agent"] - 1]
+                 or row["threshold"] > row["value"] for row in certificates]
+        code = 1 if any(fails) else 0
+    return code, (["verify"], json.dumps(instance), json.dumps(allocation))
 
 
 def run_fuzzed(tmp_path, run) -> int:
@@ -1246,8 +1278,9 @@ def test_fuzzed_eps_on_valid_files_exits_zero_or_two(tmp_path, run):
     max_examples=200, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(run=fuzzed_verify_runs())
-def test_fuzzed_allocation_files_exit_zero_one_or_two(tmp_path, run):
+@given(case=fuzzed_verify_runs())
+def test_fuzzed_allocation_files_exit_zero_one_or_two(tmp_path, case):
     # Item 8 of ROADMAP: verify over goods and certificate agents that are
-    # no index, or repeat one.
-    assert run_fuzzed(tmp_path, run) in (0, 1, 2), run
+    # no index, or repeat one, gives the one exit code each file calls for.
+    code, run = case
+    assert run_fuzzed(tmp_path, run) == code, run

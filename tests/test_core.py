@@ -258,7 +258,7 @@ _INDEX_FIELDS = {
         lambda v: Allocation.checked([[v], [1]], 2), "good", 0, 1, PartitionError
     ),
     "verify_allocation": (
-        # Bundles as given, not hashed into frozensets by Allocation.of.
+        # Bundles as given, not sorted by Allocation.of.
         lambda v: verify_allocation(_SQUARE, Allocation(((v,), (1,))), [0, 0]),
         "good", 0, 1, PartitionError,
     ),
@@ -383,7 +383,7 @@ class TestAllocation:
 
     def test_checked_accepts_partition(self):
         alloc = Allocation.checked([[0, 2], [1]], 3)
-        assert alloc.bundles == (frozenset({0, 2}), frozenset({1}))
+        assert alloc.bundles == ((0, 2), (1,))
         assert len(alloc) == 2
 
     def test_checked_rejects_missing_good(self):
@@ -504,6 +504,13 @@ class TestVerifyAllocation:
         broken = Allocation.of([[0], [1, 2]])
         with pytest.raises(PartitionError):
             verify_allocation(self.inst, broken, [0, 0])
+
+    def test_good_listed_twice_in_a_bundle_is_refused(self):
+        # Allocation.of keeps the repeat, so the partition check sees it and
+        # no agent is checked against a bundle that hands a good out twice.
+        inst = Instance.from_rows([[1, 2, 3], [3, 2, 1]])
+        with pytest.raises(PartitionError, match="^good 0 appears twice in bundle 0$"):
+            verify_allocation(inst, Allocation.of([[0, 0, 1], [2]]), [0, 0])
 
     def test_threshold_count_must_match(self):
         with pytest.raises(InputError):

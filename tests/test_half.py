@@ -29,7 +29,7 @@ def test_big_good_peels_off_first():
     inst = Instance.from_rows([[10, 1, 1], [10, 1, 1]])
     trace = []
     alloc = apx_mms_half(inst, trace=trace)
-    assert alloc.bundles[0] == frozenset({0})
+    assert alloc.bundles[0] == (0,)
     assert trace[0]["agent"] == 0 and trace[0]["good"] == 0
     assert trace[0]["alpha"] == Fraction(12, 2)
 
@@ -56,7 +56,7 @@ def test_no_qualifying_pair_falls_back_to_round_robin():
 def test_last_agent_keeps_leftovers():
     inst = Instance.from_rows([[9, 1, 1]])
     alloc = apx_mms_half(inst)
-    assert alloc.bundles[0] == frozenset({0, 1, 2})
+    assert alloc.bundles[0] == (0, 1, 2)
 
 
 def test_deterministic():

@@ -278,6 +278,16 @@ def test_approximate_shares_are_not_kept_past_their_oracle(monkeypatch):
     assert searches[2:] == searches[:2]
 
 
+def test_one_ptas_query_is_one_search_whatever_its_form(monkeypatch):
+    # A list row at "1/10" and a tuple row at Fraction(1, 10) ask one
+    # question, so the oracle's memo answers the second.
+    share = ShareOracle("ptas").share
+    searches = record_searches(monkeypatch)
+    first = share([9, 7, 5, 3, 1], 2, "1/10")
+    assert share((9, 7, 5, 3, 1), 2, Fraction(1, 10)) is first
+    assert len(searches) == 1
+
+
 def test_xi_vector_takes_only_a_mode_string():
     inst = Instance.from_rows([[4, 3, 2, 1]])
     for bad_mode in ("fast", ShareOracle("exact")):

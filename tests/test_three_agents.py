@@ -55,7 +55,7 @@ def test_big_single_good_branch():
     step = trace[-1]
     assert step["branch"] == "b"
     assert step["agent"] == 0 and step["good"] == 0
-    assert alloc.bundles[0] == frozenset({0})
+    assert alloc.bundles[0] == (0,)
     assert_seven_eighths(inst, alloc)
 
 

@@ -71,7 +71,7 @@ def test_eps_domain():
 def test_single_agent_takes_everything():
     inst = Instance.from_rows([[3, 1, 4]])
     alloc = apx_mms(inst, Fraction(1, 10))
-    assert alloc.bundles == (frozenset({0, 1, 2}),)
+    assert alloc.bundles == ((0, 1, 2),)
 
 
 def test_two_agents_exact_reach_full_share():
@@ -162,7 +162,7 @@ def test_each_call_runs_one_level(monkeypatch, mode):
     for step, (agents, goods, (seated, x_plus, leftover)) in zip(trace, calls):
         assert (agents, goods, x_plus) == (step["agents"], step["goods"], step["x_plus"])
         assert sorted(seated) == sorted(set(agents) - set(x_plus))
-        assert set(seated.values()) <= set(map(frozenset, step["partition"]))
+        assert set(seated.values()) <= set(step["partition"])
         assert leftover == tuple(sorted(set(goods).difference(*seated.values())))
         assert all(alloc.bundles[i] == bundle for i, bundle in seated.items())
     # Each level's X+ and left-over goods are the next level's input.
