@@ -243,7 +243,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     allocation, certificates = load_allocation(args.allocation)
-    _require_partition([[g + 1 for g in b] for b in allocation], instance.m, 1)
+    bundles = [[g + 1 for g in b] for b in allocation]
+    _require_partition(bundles, instance.m, 1, instance.n)
     rows: dict[int, Certificate] = {}
     for cert in certificates:
         if not 0 <= cert.agent < instance.n:

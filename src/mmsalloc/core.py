@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -42,103 +43,40 @@ class GuaranteeError(RuntimeError):
 
 
 def record(cls):
-    """Make cls an immutable record of the fields its body annotates.
-
-    It behaves as a frozen dataclass does, without generating code: the
-    constructor takes each field by position or keyword, falling back to
-    the value the class body assigns it; assigning or deleting a field
-    raises AttributeError; records are equal when they are of one class and
-    their fields are equal, and hash as the tuple of their fields; the repr
-    reads ``Name(field=value, ...)``.  Fields live in the instance
-    ``__dict__``, in order.  A ``__post_init__`` the class defines is looked
-    up and called after every construction.  Every CLI command builds these
-    classes at start-up, where a frozen dataclass costs about a millisecond
-    each to generate and ``dataclasses`` imports ``inspect``.
+    """Make cls an immutable record of the fields its body annotates: a
+    subclass of their named tuple with no ``__dict__``, which equals only
+    records of its own class and hashes as the tuple of its fields.  A value
+    the body assigns a field is its default, so defaults trail.  A
+    ``__post_init__`` the class defines is looked up at each construction,
+    ``_make`` and ``_replace`` included, and returns the record to keep: to
+    convert a field it builds one by ``tuple.__new__``, which checks
+    nothing.  ``dataclasses`` would import ``inspect`` at start-up.
 
     >>> @record
     ... class Pair:
     ...     left: int
     ...     right: int = 0
-    >>> Pair(1), Pair(1) == Pair(left=1, right=0)
-    (Pair(left=1, right=0), True)
+    >>> Pair(1), Pair(1) == Pair(left=1, right=0), Pair(1) == (1, 0)
+    (Pair(left=1, right=0), True, False)
     """
     names = tuple(vars(cls).get("__annotations__", {}))
-    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
-    count = len(names)
-    post_init = "__post_init__" in vars(cls)
-
-    def __init__(self, *args, **kwargs):
-        if len(args) == count and not kwargs:
-            fields = zip(names, args)
-        elif not args and tuple(kwargs) == names:
-            fields = kwargs.items()
-        else:
-            fields = _bind(cls, defaults, args, kwargs).items()
-        for name, value in fields:
-            # One by one, so the instance keeps its compact attribute storage.
-            object.__setattr__(self, name, value)
-        if post_init:
-            self.__post_init__()
-
-    cls.__match_args__ = names
-    cls.__init__ = __init__
-    cls.__repr__ = _record_repr
-    cls.__eq__ = _record_eq
-    cls.__hash__ = _record_hash
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
-    return cls
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    defaults = [body.pop(name) for name in names if name in body]
+    base = namedtuple(cls.__name__, names, defaults=defaults)
+    body.update(__slots__=(), __eq__=_same, __ne__=_differ, __hash__=tuple.__hash__)
+    if "__post_init__" in body:
+        def __new__(cls, *args, **kwargs):
+            return cls.__post_init__(base.__new__(cls, *args, **kwargs))
+        body.update(__new__=__new__, _make=classmethod(lambda cls, it: cls(*it)))
+    return type(cls.__name__, (base,), body)
 
 
-def _bind(cls, defaults: dict, args: tuple, kwargs: dict) -> dict:
-    """A record's fields, in order, from constructor arguments that are not
-    simply every field by position or every field by keyword in order."""
-    names, name = cls.__match_args__, cls.__qualname__
-    if len(args) > len(names):
-        raise TypeError(
-            f"{name}() takes {len(names)} positional arguments "
-            f"but {len(args)} were given"
-        )
-    given = dict(zip(names, args))
-    for key, value in kwargs.items():
-        if key not in names:
-            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-        if key in given:
-            raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        given[key] = value
-    missing = [key for key in names if key not in given and key not in defaults]
-    if missing:
-        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-    return {key: given[key] if key in given else defaults[key] for key in names}
+def _same(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
 
-def _record_values(self) -> tuple:
-    return tuple(getattr(self, name) for name in self.__match_args__)
-
-
-def _record_repr(self) -> str:
-    fields = ", ".join(
-        f"{name}={getattr(self, name)!r}" for name in self.__match_args__
-    )
-    return f"{type(self).__qualname__}({fields})"
-
-
-def _record_eq(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _record_values(self) == _record_values(other)
-
-
-def _record_hash(self) -> int:
-    return hash(_record_values(self))
-
-
-def _record_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+def _differ(self, other) -> bool:
+    return not _same(self, other)
 
 
 _INT = frozenset((int,))
@@ -243,7 +181,7 @@ class Instance:
     scale: int
     valuations: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> Instance:
         check_count(self.n, "n", 1)
         check_count(self.m, "m", 0)
         check_count(self.scale, "scale", 1)
@@ -251,7 +189,6 @@ class Instance:
             rows = tuple(map(tuple, self.valuations))
         except TypeError:
             raise InputError("valuations must be a sequence of rows") from None
-        object.__setattr__(self, "valuations", rows)
         if len(rows) != self.n:
             raise InputError(
                 f"valuation matrix has {len(rows)} rows, expected n={self.n}"
@@ -262,6 +199,7 @@ class Instance:
                     f"valuation row {i} has {len(row)} entries, expected m={self.m}"
                 )
             check_values(row, "valuation[{i}][{j}]", i)
+        return tuple.__new__(Instance, (self.n, self.m, self.scale, rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], scale: int = 1) -> "Instance":
@@ -286,12 +224,16 @@ class Instance:
         return self.valuations[agent]
 
 
-def _require_partition(bundles: Sequence[Iterable], m: int, first: int = 0) -> None:
-    """Raise PartitionError unless bundles list each of m goods once, the
-    goods and bundles numbered from first (0 in code, 1 in files), naming
-    the first good that is out of range (by core.check_count, so before it
-    is hashed), that is listed twice or that is missing: the one judge of
-    a partition."""
+def _require_partition(
+    bundles: Sequence[Iterable], m: int, first: int = 0, n: Optional[int] = None
+) -> None:
+    """Raise PartitionError unless bundles, n of them if n is given, list
+    each of m goods once, goods and bundles numbered from first (0 in code,
+    1 in files), naming a wrong count of bundles, else the first good out
+    of range (by core.check_count, so before it is hashed), listed twice or
+    missing: the one judge of a partition."""
+    if n is not None and len(bundles) != n:
+        raise PartitionError(f"allocation has {len(bundles)} bundles, expected n={n}")
     check_count(m, "m", 0)
     seen: dict[int, int] = {}
     for i, bundle in enumerate(bundles, first):
@@ -343,6 +285,16 @@ class Allocation:
 
     def __len__(self) -> int:
         return len(self.bundles)
+
+    # A named tuple walks itself to pickle, list or replace its fields.
+    def __reduce__(self):
+        return type(self), (self.bundles,)
+
+    def _asdict(self) -> dict:
+        return {"bundles": self.bundles}
+
+    def _replace(self, **changes) -> Allocation:
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
@@ -401,11 +353,7 @@ def verify_allocation(
     >>> [row.agent for row in rows if not row.ok]
     [0]
     """
-    if len(allocation.bundles) != instance.n:
-        raise PartitionError(
-            f"allocation has {len(allocation.bundles)} bundles, expected n={instance.n}"
-        )
-    allocation.require_partition(instance.m)
+    _require_partition(allocation.bundles, instance.m, n=instance.n)
     thresholds = as_tuple(thresholds, "thresholds")
     if len(thresholds) != instance.n:
         raise InputError(f"got {len(thresholds)} thresholds for n={instance.n} agents")

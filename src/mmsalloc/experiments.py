@@ -50,7 +50,7 @@ class TrialConfig:
     algorithm: str = "rr"
     predicate: str = "proportional"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> TrialConfig:
         check_count(self.n, "n", 1)
         check_count(self.m, "m", 0)
         check_count(self.trials, "trials", 1)
@@ -64,6 +64,7 @@ class TrialConfig:
             raise InputError(
                 f"predicate must be one of {PREDICATES}, got {self.predicate!r}"
             )
+        return self
 
 
 @record

@@ -28,14 +28,13 @@ class PreferenceGraph:
     n_right: int
     adj: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> PreferenceGraph:
         check_count(self.n_left, "n_left", 0)
         check_count(self.n_right, "n_right", 0)
         adj = tuple(
             as_tuple(nbrs, f"neighbors of {i}")
             for i, nbrs in enumerate(as_tuple(self.adj, "adj"))
         )
-        object.__setattr__(self, "adj", adj)
         if len(adj) != self.n_left:
             raise InputError(
                 f"adjacency has {len(adj)} rows for {self.n_left} left vertices"
@@ -47,6 +46,7 @@ class PreferenceGraph:
                 if v <= prev:
                     raise InputError(f"neighbors of {i} must be strictly ascending")
                 prev = v
+        return tuple.__new__(PreferenceGraph, (self.n_left, self.n_right, adj))
 
 
 def build_preference_graph(

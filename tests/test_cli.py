@@ -925,6 +925,8 @@ class TestHostileFiles:
         code, _, err = self.verify(capsys, tmp_path, allocation)
         assert code == 2
         assert "allocation has 1 bundles, expected n=2" in err
+        # Reported with the other partition faults, before the note.
+        assert "checking the allocation file's own thresholds" not in err
 
     def test_good_listed_twice_in_one_bundle_exits_two(self, capsys, tmp_path):
         # A bundle used to be read as a set, so the repeat vanished and

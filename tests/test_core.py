@@ -22,7 +22,7 @@ import mmsalloc
 import mmsalloc.cli as cli
 import mmsalloc.core as core
 import mmsalloc.oracle as oracle
-from helpers import first_bad_value, instances
+from helpers import first_bad_value, instances, run_python
 from mmsalloc import (
     Allocation,
     Certificate,
@@ -721,21 +721,41 @@ class Span:
     label: str = "span"
 
 
+def _records():
+    """One of each record class of the package, and the test-local Span."""
+    from mmsalloc.experiments import TrialConfig, TrialStats
+    from mmsalloc.matching import PreferenceGraph, XPlusDecomposition
+
+    config = TrialConfig(n=2, m=4, trials=3, seed=1)
+    return {
+        "Instance": Instance.from_rows([[4, 3], [1, 1]]),
+        "Allocation": Allocation.of([[2, 0], [1]]),
+        "Certificate": Certificate(agent=1, value=3, threshold=Fraction(5, 2)),
+        "MaximinCertificate": oracle.mms_exact([4, 3, 2, 1], 2),
+        "PreferenceGraph": PreferenceGraph(2, 2, [[0, 1], [1]]),
+        "XPlusDecomposition": XPlusDecomposition((0,), (1,), ((1, 0),)),
+        "TrialConfig": config,
+        "TrialStats": TrialStats(config, 2, Fraction(1, 2)),
+        "Span": Span(1, 2),
+    }
+
+
 class TestRecord:
     def test_positional_keyword_and_default_construction(self):
         assert Span(1, 2, "x") == Span(stop=2, label="x", start=1)
         assert Span(1, 2) == Span(1, stop=2) == Span(1, 2, "span")
-        assert vars(Span(label="x", stop=2, start=1)) == {
-            "start": 1, "stop": 2, "label": "x",
-        }
-        assert Span.__match_args__ == ("start", "stop", "label")
+        span = Span(label="x", stop=2, start=1)
+        assert span._asdict() == {"start": 1, "stop": 2, "label": "x"}
+        assert Span._fields == Span.__match_args__ == ("start", "stop", "label")
+        assert span._replace(stop=5) == Span(1, 5, "x")
+        assert len(span) == 3 and span[1] == 2
 
     @pytest.mark.parametrize(
         "args,kwargs,fragment",
         [
-            ((1,), {}, "missing required arguments: stop"),
-            ((), {"label": "x"}, "missing required arguments: start, stop"),
-            ((1, 2, "x", 4), {}, "takes 3 positional arguments but 4 were given"),
+            ((1,), {}, "missing 1 required positional argument: 'stop'"),
+            ((), {"label": "x"}, "missing 2 required positional arguments: 'start' and 'stop'"),
+            ((1, 2, "x", 4), {}, "takes from 3 to 4 positional arguments but 5 were given"),
             ((1, 2), {"width": 3}, "unexpected keyword argument 'width'"),
             ((1, 2), {"start": 1}, "multiple values for argument 'start'"),
         ],
@@ -768,6 +788,7 @@ class TestRecord:
 
         assert Span(1, 2) != Other(1, 2)
         assert Span(1, 2) != (1, 2, "span")
+        assert not Span(1, 2) == (1, 2, "span") and not (1, 2, "span") == Span(1, 2)
 
     def test_repr_is_pinned(self):
         from mmsalloc.oracle import mms_exact
@@ -780,18 +801,43 @@ class TestRecord:
             "mode='exact', upper=5, eps=None)"
         )
 
-    def test_pickle_and_copy_round_trips(self):
+    @pytest.mark.parametrize("name", list(_records()))
+    def test_round_trips_and_frozen_fields(self, name):
         import copy
         import pickle
 
+        obj = _records()[name]
+        again = [pickle.loads(pickle.dumps(obj, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        again += [copy.copy(obj), copy.deepcopy(obj), obj._replace()]
+        again.append(type(obj)(**obj._asdict()))
+        for other in again:
+            assert other == obj and type(other) is type(obj)
+            assert other._asdict() == obj._asdict()
+        assert not hasattr(obj, "__dict__")
+        field = obj._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+    def test_an_allocation_walks_its_bundles(self):
+        alloc = Allocation.of([[2, 0], [1], []])
+        assert alloc.bundles == ((0, 2), (1,), ())
+        assert list(alloc) == list(alloc.bundles) and len(alloc) == 3
+        assert repr(alloc) == "Allocation(bundles=((0, 2), (1,), ()))"
+        assert alloc._replace(bundles=((0,),)) == Allocation.of([[0]])
+
+    def test_replace_and_make_run_the_checks(self):
+        from mmsalloc.experiments import TrialConfig
+
         inst = Instance.from_rows([[4, 3], [1, 1]])
-        cert = Certificate(agent=1, value=3, threshold=Fraction(5, 2))
-        for obj in (inst, cert, Span(1, 2)):
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                again = pickle.loads(pickle.dumps(obj, protocol))
-                assert again == obj and type(again) is type(obj)
-                assert list(vars(again)) == list(vars(obj))
-            assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+        assert inst._replace(valuations=[[1, 2], [3, 4]]).valuations == ((1, 2), (3, 4))
+        assert Instance._make([1, 1, 1, [[5]]]) == Instance.from_rows([[5]])
+        with pytest.raises(InputError, match="expected n=3"):
+            inst._replace(n=3)
+        with pytest.raises(InputError, match="trials must be at least 1"):
+            TrialConfig(2, 4, 3, 1)._replace(trials=0)
 
     def test_post_init_is_looked_up_at_each_construction(self, monkeypatch):
         calls = []
@@ -799,10 +845,27 @@ class TestRecord:
 
         def counted(self):
             calls.append(self.n)
-            original(self)
+            return original(self)
 
         monkeypatch.setattr(Instance, "__post_init__", counted)
-        Instance.from_rows([[1, 2]])
+        inst = Instance.from_rows([[1, 2]])
+        assert type(inst) is Instance and inst.valuations == ((1, 2),)
         with pytest.raises(InputError):
             Instance(n=2, m=1, scale=1, valuations=((1,),))
         assert calls == [1, 2]
+
+    def test_bench_tracer_times_each_instance_check(self):
+        # bench/run.py --trace 1 reports core.instance_init_ms from the span
+        # the tracer opens around Instance.__post_init__.  The worker imports
+        # cli before it installs the tracer.
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import tracer\n"
+            "from mmsalloc import Instance, cli\n"
+            "traced = tracer.Tracer(); tracer.install(traced)\n"
+            "inst = Instance.from_rows([[1, 2], [3, 4]])\n"
+            "assert type(inst) is Instance, inst\n"
+            "print(sorted({span[0] for span in traced.spans}))\n"
+        )
+        result = run_python(["-c", code, str(Path(__file__).parent.parent / "bench")])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['core.instance_init']\n"
