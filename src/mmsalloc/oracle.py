@@ -17,15 +17,15 @@ greedy split by moves and swaps toward a bar, U or (1-eps)*U.
   O(log gap) climbs.  The last cover found is the witness, the one the
   search at the answer finds; when the raised split beats the greedy one,
   the climb starts one below it, so its first candidate finds that cover.
-* :func:`mms_approx` returns the raised split as soon as its worst bundle
-  reaches (1-eps)*U: the share is at most U, so that certifies it.  Only
-  otherwise does it run the same search, from that split, on values rounded
-  down to a grain chosen so the rounding loss stays under half of eps times
-  the optimum.  Either way the certificate value is the true minimum of
-  the witness, so it is at least (1-eps) times the exact optimum and never
-  above it.  A query the raised split settles costs O(m log m) for m
-  goods, in validation, sort, greedy split and witness check: 42-51 us a
-  row of 105 goods at k = 10 on a 2-core Xeon under CPython 3.11.
+* :func:`mms_approx` runs the same search from the raised split and stops
+  it once the best split's worst bundle reaches (1-eps) times the bound:
+  U, lowered by each failed candidate, so never below the share.  A raised
+  split that reaches (1-eps)*U settles the query with no candidate.  The
+  certificate value is the witness's true minimum, so it is at least
+  (1-eps) times the exact optimum and never above it.  Such a query costs
+  O(m log m) for m goods, in validation, sort, greedy split and witness
+  check: 42-51 us a row of 105 goods at k = 10 on a 2-core Xeon under
+  CPython 3.11.
 
 Exact shares: one process memo, under :func:`mms_exact`, of the last 512
 distinct queries, keyed on the validated values and k, at most about 0.94
@@ -328,19 +328,21 @@ def _cover_search(
 
 
 def _search_maximin(
-    items: list[Item], k: int, lo: int, lo_witness: Optional[list[list[int]]]
+    vals: Sequence[int], items: list[Item], k: int, lo: int,
+    witness: Optional[list[list[int]]], hi: int, loss: Fraction,
 ) -> tuple[int, Optional[list[list[int]]]]:
-    """Largest t with a k-cover at floor t, from a known achievable lo.
+    """(lo, witness) for the best k-cover floor found from a known
+    achievable lo, once lo >= (1 - loss)*hi: the largest floor at loss 0.
 
-    The search climbs from lo up to the upper bound U: it probes lo + 1
-    until a probe fails or lo reaches U.  So a climb that ends below U ends
-    on its one failed probe.  After (U - lo).bit_length() climbs it
-    bisects what is left, so the probe count stays O(log(U - lo)).  Every
-    cover found, climbing or bisecting, lifts lo to that cover's own worst
-    bundle, and every failed probe t lowers U to t - 1.  All probes share
-    the fail memo the search makes itself.  The witness is the last cover
-    found (lo_witness when nothing beats lo); it is the cover the search
-    finds at the answer itself (see below), whatever the probes before it.
+    hi starts at the upper bound U, and each failed probe t lowers it to
+    t - 1, so it never falls below the share; each cover found lifts lo to
+    its own worst bundle in vals.  The stop rule, for loss = p/q, is
+    q*lo >= (q - p)*hi.  The search probes lo + 1 until a probe fails or
+    the rule holds, so an exact climb that ends below U ends on its one
+    failed probe; after (U - lo).bit_length() climbs it bisects, so the
+    probes stay O(log(U - lo)) and share one fail memo.  The witness is
+    the last cover found (the given one when none is); at loss 0 it is the
+    cover the search finds at the answer itself (see below).
     """
     # A cover found at floor t with worst bundle w is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
@@ -355,12 +357,10 @@ def _search_maximin(
     # - Feasibility only falls as the pool shrinks or the floor rises, so
     #   the earlier cover's remainder fails at w, and level by level the
     #   search at w makes the same choices as the one at t.
-    hi = _upper_bound(items, sum(v for v, _ in items), k)
-    value_of = {j: v for v, j in items}
+    p, q = loss.numerator, loss.denominator
     memo: dict = {}
-    witness = lo_witness
     climbs = (hi - lo).bit_length()
-    while lo < hi:
+    while q * lo < (q - p) * hi:
         t = lo + 1 if climbs > 0 else (lo + hi + 1) // 2
         climbs -= 1
         got = _cover_search(items, k, t, memo)
@@ -368,7 +368,7 @@ def _search_maximin(
             hi = t - 1
         else:
             witness = got
-            lo = min(sum(map(value_of.__getitem__, b)) for b in got)
+            lo = min(sum(map(vals.__getitem__, b)) for b in got)
     return lo, witness
 
 
@@ -386,78 +386,46 @@ def _checked_witness(
     return witness
 
 
-def _rounded_search(
-    vals: Sequence[int], items: list[Item], k: int, frac: Fraction,
-    bundles: list[list[int]],
-) -> tuple[int, list[list[int]]]:
-    """The maximin search on values rounded down, started from bundles: the
-    better of the split it finds and bundles, with its true worst bundle.
-
-    Values are rounded down to multiples of a grain u <= eps*G/(2m), where G
-    is the worst bundle of the given split (so G never exceeds the optimum)
-    and m counts the positive values.  An optimal bundle loses less than
-    m*u <= eps/2 times the optimum to rounding, hence the exact search on
-    rounded values yields a split whose true minimum is at least (1 - eps)
-    times the optimum.  Goods worth less than u go to its worst bundle.
-    """
-    p, q = frac.numerator, frac.denominator
-    value = min(sum(vals[j] for j in b) for b in bundles)
-    grain = max(1, (p * value) // (2 * len(items) * q))
-    rounded = [(v // grain, j) for v, j in items if v >= grain]
-    dust = [j for v, j in items if v < grain]
-    start = [[j for j in b if vals[j] >= grain] for b in bundles]
-    lo = min(sum(vals[j] // grain for j in b) for b in start)
-    _, found = _search_maximin(rounded, k, lo, start)
-    sums = [sum(vals[j] for j in b) for b in found]
-    if dust:
-        dump = sums.index(min(sums))
-        found[dump].extend(dust)
-        sums[dump] += sum(vals[j] for j in dust)
-    if min(sums) > value:
-        return min(sums), found
-    return value, bundles
-
-
 def _maximin(
     vals: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
 ) -> MaximinCertificate:
     """The maximin certificate over k bundles of vals, values that
-    :func:`_validated_values` has passed, exact in ``exact`` mode and within
-    a factor (1 - eps) in ``ptas`` mode.  The exact search climbs from one
-    below the raised split's value when that beats greedy, else from it.
-    Its witness is the greedy split when that attains the share, and
-    otherwise the cover found at the share."""
-    frac = None if mode == "exact" else _as_eps(eps)
-    if frac is None and len(vals) > EXACT_ITEM_CAP:
+    :func:`_validated_values` has passed, from one search stopped at
+    (1 - loss) times its bound: loss 0, the exact share, in ``exact`` mode
+    and eps in ``ptas`` mode.  Ptas mode starts at the raised split, its
+    witness until a cover beats it.  Exact mode starts one below the raised
+    split's value when that beats greedy, else at greedy, and its witness
+    is the greedy split when that attains the share, else the cover found
+    at the share."""
+    loss = Fraction(0) if mode == "exact" else _as_eps(eps)
+    if not loss and len(vals) > EXACT_ITEM_CAP:
         raise InputError(
             f"{len(vals)} goods exceeds the exact search cap of "
             f"{EXACT_ITEM_CAP}; use mms_approx"
         )
     items = _desc_items(vals)
-    upper = bar = _upper_bound(items, sum(vals), k)
-    if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        bar = -(-(q - p) * upper // q)  # the least value with q*value >= (q-p)*U
+    upper = _upper_bound(items, sum(vals), k)
+    p, q = loss.numerator, loss.denominator
+    bar = -(-(q - p) * upper // q)  # the least value with q*value >= (q-p)*U
     loads, greedy = _lpt(items, k)
     floor = min(loads)
     # The exact search may still need the greedy split as its witness.
-    best = greedy if frac is not None else [list(b) for b in greedy]
+    best = greedy if loss else [list(b) for b in greedy]
     _raise_worst(vals, loads, best, bar)
-    value = min(loads)
-    if frac is None:
-        start, witness = (value - 1, None) if value > floor else (value, greedy)
-        value, best = _search_maximin(items, k, start, witness)
-        if best is None:
-            raise GuaranteeError(f"no cover found at the raised value {value + 1}")
-    elif value < bar:
-        value, best = _rounded_search(vals, items, k, frac, best)
+    lo = min(loads)
+    witness = best if loss else greedy
+    if not loss and lo > floor:
+        lo, witness = lo - 1, None
+    value, best = _search_maximin(vals, items, k, lo, witness, upper, loss)
+    if best is None:
+        raise GuaranteeError(f"no cover found at the raised value {value + 1}")
 
     if value > upper:
         raise GuaranteeError(f"share {value} exceeds the upper bound {upper}")
     if len(items) < len(vals):
         best[0].extend(j for j, v in enumerate(vals) if v == 0)
     witness = _checked_witness(vals, best, value)
-    return MaximinCertificate(value, k, witness, mode, upper, frac)
+    return MaximinCertificate(value, k, witness, mode, upper, loss or None)
 
 
 def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
@@ -483,8 +451,9 @@ def mms_approx(
     values: Sequence[int], k: int, eps: RationalLike
 ) -> MaximinCertificate:
     """Maximin over k bundles to within a factor (1 - eps), with a witness
-    and ``upper`` = U.  The certificate value is the witness's true
-    minimum, so it never exceeds the optimum either.
+    and ``upper`` = U: the exact search, stopped at (1 - eps) times its
+    bound.  The certificate value is the witness's true minimum, so it
+    never exceeds the optimum either.
 
     >>> mms_approx([1, 1, 1, 1], 2, Fraction(1, 10)).value
     2

@@ -446,13 +446,16 @@ def test_lpt_heap_matches_linear_scan():
 # ---------------------------------------------------------------------------
 
 
-def _bisection_search(items, k, lo, lo_witness):
-    """Plain bisection between lo and the averaging bound: the reference the
-    climbing oracle._search_maximin must agree with exactly, value and
-    witness."""
+def _bisection_search(vals, items, k, lo, lo_witness, hi=None, loss=Fraction(0)):
+    """Plain bisection between lo and the averaging bound, in place of the
+    caller's hi, stopped by the same rule as oracle._search_maximin: the
+    reference the climbing search must agree with exactly, value and
+    witness, at loss 0.  The value is the witness's worst bundle, which a
+    bisection stopped early can find above its floor."""
     hi = sum(v for v, _ in items) // k
+    p, q = loss.numerator, loss.denominator
     witness = lo_witness
-    while lo < hi:
+    while q * lo < (q - p) * hi:
         mid = (lo + hi + 1) // 2
         got = oracle._cover_search(items, k, mid, {})
         if got is None:
@@ -460,6 +463,8 @@ def _bisection_search(items, k, lo, lo_witness):
         else:
             lo = mid
             witness = got
+    if witness is not None:
+        lo = min(sum(map(vals.__getitem__, b)) for b in witness)
     return lo, witness
 
 
@@ -474,9 +479,9 @@ def _with_probe_counts(query, *args):
     gaps, probes = [], 0
     search, cover_search = oracle._search_maximin, oracle._cover_search
 
-    def counted_search(items, k, lo, lo_witness):
+    def counted_search(vals, items, k, lo, lo_witness, hi, loss):
         gaps.append(sum(v for v, _ in items) // k - lo)
-        return search(items, k, lo, lo_witness)
+        return search(vals, items, k, lo, lo_witness, hi, loss)
 
     def counted_cover_search(pool, k, t, fail_memo):
         nonlocal probes
@@ -517,34 +522,47 @@ def test_exact_search_matches_bisection_and_exhaustive(values, k):
 
 def _approx_rows():
     # Rows on which greedy misses the averaging bound.  mms_approx settles
-    # them by its certificate, so the tests below run the rounded search on
-    # them directly.
+    # them by its raised split, so the tests below run its search on them
+    # directly, from the greedy split.
     rng = random.Random(3)
     for m, k in ((40, 4), (60, 5), (90, 5), (105, 10)):
         yield [rng.randint(0, 10**6) for _ in range(m)], k
 
 
-def _rounded_search_from_greedy(values, k, eps):
-    """The rounded search of mms_approx, started from the greedy split."""
+def _stopped_search_from_greedy(values, k, eps):
+    """The search of mms_approx at eps, started from the greedy split."""
     items = oracle._desc_items(values)
-    _, bundles = oracle._lpt(items, k)
-    return oracle._rounded_search(values, items, k, eps, bundles)
+    loads, bundles = oracle._lpt(items, k)
+    upper = oracle._upper_bound(items, sum(values), k)
+    return oracle._search_maximin(
+        values, items, k, min(loads), bundles, upper, loss=eps
+    )
 
 
-# (search gaps, probes) of each row above, by (m, k).
-_APPROX_PROBES = {(40, 4): ([2], 2), (60, 5): ([4], 4), (90, 5): ([1], 1),
-                  (105, 10): ([6], 5)}
+# Probes of the search on each row above at eps 1/10 and 1/700, by (m, k).
+# Greedy already lies within 1/10 of U on every row, so at 1/10 the search
+# makes no probe and its witness is the greedy split.
+_APPROX_PROBES = {(40, 4): (0, 16), (60, 5): (0, 15), (90, 5): (0, 15),
+                  (105, 10): (0, 17)}
 
 
 @pytest.mark.parametrize("values,k", list(_approx_rows()))
 def test_approx_search_matches_bisection(values, k):
-    (value, _), gaps, probes = _assert_same_as_bisection(
-        _rounded_search_from_greedy, values, k, Fraction(1, 10)
-    )
-    # The rounded share meets the rounded U, so every probe of the one
-    # climb finds a cover, and the climb ends at U with no failed probe.
-    assert (gaps, probes) == _APPROX_PROBES[len(values), k]
-    assert value <= sum(values) // k
+    counts = []
+    for eps in (Fraction(1, 10), Fraction(1, 700)):
+        (value, witness), gaps, probes = _with_probe_counts(
+            _stopped_search_from_greedy, values, k, eps
+        )
+        assert min(sum(values[j] for j in b) for b in witness) == value
+        assert value <= sum(values) // k
+        assert probes <= 2 * max(gaps).bit_length() + 2
+        counts.append(probes)
+        # Bisection stops by the same rule.  Each value is within (1 - eps)
+        # of the share, which no value exceeds, so the two are within it too.
+        with patch.object(oracle, "_search_maximin", _bisection_search):
+            other, _ = _stopped_search_from_greedy(values, k, eps)
+        assert (1 - eps) * other <= value and (1 - eps) * value <= other
+    assert tuple(counts) == _APPROX_PROBES[len(values), k]
 
 
 def _heavy_rows(m, k, count, seed=5):
@@ -568,31 +586,38 @@ _HEAVY = [(row, k) for m, k in ((8, 4), (12, 6), (16, 8)) for row in _heavy_rows
 
 @pytest.mark.parametrize("values,k", _HEAVY)
 def test_approx_search_from_the_witness_matches_bisection(values, k):
-    cert, gaps, _ = _assert_same_as_bisection(
-        mms_approx, values, k, Fraction(1, 10)
-    )
+    # Climbing and bisection stop at different floors, each within
+    # (1 - eps) of the exact share.
+    exact = mms_exact(values, k).value
+    cert, gaps, _ = _with_probe_counts(mms_approx, values, k, Fraction(1, 10))
     assert len(gaps) == 1
-    assert 9 * mms_exact(values, k).value <= 10 * cert.value <= 10 * cert.upper
+    with patch.object(oracle, "_search_maximin", _bisection_search):
+        other = mms_approx(values, k, Fraction(1, 10))
+    for value in (cert.value, other.value):
+        assert 9 * exact <= 10 * value <= 10 * exact
 
 
-def test_rounded_search_probes_only_in_its_climb():
-    # The rounded search hands its rounded split to the maximin search and
-    # probes nothing of its own.  The rounded U lies above the rounded share
-    # on every one of these rows, so a probe there first would fail and
-    # cost each row one more cover search.
+def test_stopped_search_probes_only_in_its_climb():
+    # mms_approx hands its raised split to the search, which climbs from it
+    # and stops once the best split found reaches 9/10 of hi, U lowered by
+    # each failed probe.  On these rows it stops within its climbs, before
+    # any bisection.
     counts = []
     for values, k in _HEAVY:
-        _, _, probes = _assert_same_as_bisection(
+        cert, (gap,), probes = _with_probe_counts(
             mms_approx, values, k, Fraction(1, 10)
         )
+        start = sum(values) // k - gap
+        assert probes <= (cert.upper - start).bit_length()
         counts.append(probes)
-    assert counts == [1, 1, 4, 10, 8, 1, 6, 1, 1]
+    assert counts == [1, 1, 3, 6, 2, 1, 2, 1, 1]
 
 
-def _probes_with_slowest_climb(opt, n=2000):
-    """The floors _search_maximin probes on n unit items and k = 2, when
-    covers exist up to opt only and each cover found has its worst bundle
-    exactly at the probed floor, so that every climb gains just 1."""
+def _probes_with_slowest_climb(opt, loss=Fraction(0), n=2000):
+    """(value, probes) of _search_maximin at loss on n unit items and
+    k = 2, when covers exist up to opt only and each cover found has its
+    worst bundle exactly at the probed floor, so that every climb gains
+    just 1."""
     probes = []
 
     def cover_search(pool, k, t, fail_memo):
@@ -604,21 +629,37 @@ def _probes_with_slowest_climb(opt, n=2000):
     items = [(1, j) for j in range(n)]
     with patch.object(oracle, "_cover_search", cover_search):
         value, witness = oracle._search_maximin(
-            items, 2, 0, [[], list(range(n))]
+            [1] * n, items, 2, 0, [[], list(range(n))], n // 2, loss
         )
-    assert value == opt and witness == [list(range(opt)), list(range(opt, n))]
-    return probes
+    assert value == max(t for t in probes if t <= opt)
+    assert witness == [list(range(value)), list(range(value, n))]
+    return value, probes
 
 
 def test_climb_stops_at_the_first_failed_probe():
-    assert _probes_with_slowest_climb(5) == [1, 2, 3, 4, 5, 6]
+    assert _probes_with_slowest_climb(5) == (5, [1, 2, 3, 4, 5, 6])
 
 
 def test_climbs_are_capped_then_bisection_finishes():
-    probes = _probes_with_slowest_climb(900)
+    value, probes = _probes_with_slowest_climb(900)
+    assert value == 900
     # Ten climbs (the bit length of the gap 1000), then bisection.
     assert probes[:10] == list(range(1, 11))
     assert len(probes) <= 2 * (1000).bit_length() + 2
+
+
+def test_search_stops_once_within_its_loss():
+    value, probes = _probes_with_slowest_climb(900, Fraction(1, 10))
+    # Ten climbs, then bisection until 10*lo >= 9*hi: 877 is the first
+    # floor found with 10*877 >= 9*938, once the probe at 939 fails.
+    assert probes == list(range(1, 11)) + [505, 753, 877, 939]
+    assert value == 877
+    # The rule held after no earlier probe.
+    lo, hi = 0, 1000
+    for t in probes:
+        assert 10 * lo < 9 * hi
+        lo, hi = (t, hi) if t <= 900 else (lo, t - 1)
+    assert 10 * lo >= 9 * hi
 
 
 def test_witness_is_the_cover_found_at_the_answer():
@@ -633,6 +674,7 @@ def test_witness_is_the_cover_found_at_the_answer():
         k = rng.randint(2, 4)
         items = oracle._desc_items(values)
         loads, bundles = oracle._lpt(items, k)
+        upper = oracle._upper_bound(items, sum(values), k)
         found = []
 
         def recorded(pool, k, t, fail_memo):
@@ -643,12 +685,13 @@ def test_witness_is_the_cover_found_at_the_answer():
 
         with patch.object(oracle, "_cover_search", recorded):
             value, witness = oracle._search_maximin(
-                items, k, min(loads), bundles
+                values, items, k, min(loads), bundles, upper, Fraction(0)
             )
         if found and value not in found:
             below += 1
             assert witness == search(items, k, value, {})
-        assert (value, witness) == _bisection_search(items, k, min(loads), bundles)
+        assert (value, witness) == \
+            _bisection_search(values, items, k, min(loads), bundles)
     assert below >= 100
 
 
@@ -666,10 +709,13 @@ def _mms_exact_from_greedy(values, k):
     if k == 1:
         return total, (tuple(range(len(values))),), total
     loads, bundles = oracle._lpt(items, k)
-    value, best = oracle._search_maximin(items, k, min(loads), bundles)
+    upper = oracle._upper_bound(items, total, k)
+    value, best = oracle._search_maximin(
+        values, items, k, min(loads), bundles, upper, Fraction(0)
+    )
     best[0].extend(j for j, v in enumerate(values) if v == 0)
     witness = tuple(tuple(sorted(bundle)) for bundle in best)
-    return value, witness, oracle._upper_bound(items, total, k)
+    return value, witness, upper
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -971,13 +1017,15 @@ def _upper_by_definition(values, k):
     return min((sum(values) - sum(desc[:j])) // (k - j) for j in range(k))
 
 
-_eps = st.sampled_from(
-    (Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(9, 10))
-)
+# 3/40 is the eps' that solve --algo twothirds --eps 1/10 asks its shares at.
+_eps = st.sampled_from((
+    Fraction(1, 100), Fraction(3, 40), Fraction(1, 10), Fraction(1, 3),
+    Fraction(9, 10),
+))
 
 
-# Large goods mixed with goods worth 1-3, which fall below the rounding
-# grain of the approximate search and go to its worst bundle as dust.
+# Large goods mixed with goods worth 1-3, which decide the last few units
+# of the share, where the raised split often falls short.
 _dusty_values = st.lists(
     st.one_of(st.integers(100, 400), st.integers(1, 3)), min_size=3, max_size=9
 )
@@ -985,9 +1033,12 @@ _dusty_values = st.lists(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=st.one_of(_values, _dusty_values), k=st.integers(1, 4), eps=_eps)
-@example(values=[200, 200, 100, 1], k=2, eps=Fraction(1, 10))  # grain 2, share 201
-# Grain 4: good 1 is dust, and the rounded search's split with it beats the
-# raised split's 7188, at the exact share 7218.
+# The raised split's 201 misses the bar 225 of U = 250; the search's one
+# probe, at 202, fails, which proves 201 the share.
+@example(values=[200, 200, 100, 1], k=2, eps=Fraction(1, 10))
+# The raised split's 7188 misses the bar 7439; the search climbs to the
+# exact share 7218, whose worst bundle holds the good worth 1, and stops
+# when its probe at 7219 fails.
 @example(
     values=[4076, 1, 3945, 1371, 2823, 4699, 3141, 2488], k=3, eps=Fraction(1, 100)
 )
@@ -1033,7 +1084,7 @@ def test_raised_witness_settles_rows_greedy_misses():
         < 9 * oracle._upper_bound(oracle._desc_items(row), sum(row), 10)
     ]
     assert missed
-    with patch.object(oracle, "_rounded_search", side_effect=AssertionError):
+    with patch.object(oracle, "_cover_search", side_effect=AssertionError):
         for row in missed:
             cert = mms_approx(row, 10, Fraction(1, 10))
             assert 10 * cert.value >= 9 * cert.upper
@@ -1198,13 +1249,14 @@ def test_approx_finishes_with_three_goods_per_bundle(m, k):
 # ---------------------------------------------------------------------------
 
 
-def _overstated(items, k, lo, lo_witness):
-    value, witness = _bisection_search(items, k, lo, lo_witness)
+def _overstated(*args):
+    value, witness = _bisection_search(*args)
     return value + 1, witness
 
 
-def _every_item_in_every_bundle(items, k, lo, lo_witness):
-    return lo, [[j for _, j in items] for _ in range(k)]
+def _every_item_in_every_bundle(vals, items, k, lo, lo_witness, hi, loss):
+    # Each bundle is worth the whole row, which no share can reach.
+    return sum(vals), [[j for _, j in items] for _ in range(k)]
 
 
 def test_exact_witness_check_raises(monkeypatch):
@@ -1225,7 +1277,7 @@ def test_approx_upper_bound_check_raises(monkeypatch):
     # U is 7 here but the share is 5, so no split meets the bar of 9/10 of
     # U and the search is asked to improve greedy's 5 | 10.
     monkeypatch.setattr(oracle, "_search_maximin", _every_item_in_every_bundle)
-    with pytest.raises(GuaranteeError):
+    with pytest.raises(GuaranteeError, match="exceeds the upper bound 7"):
         mms_approx([5, 5, 5], 2, Fraction(1, 10))
 
 
