@@ -17,7 +17,7 @@ import sys
 #: Each module of the package, mapped to the public names it defines.
 _PUBLIC = {
     "core": (
-        "Allocation", "Certificate", "GuaranteeError", "InputError", "Instance",
+        "Certificate", "GuaranteeError", "InputError", "Instance",
         "PartitionError", "allocation_from_json", "allocation_to_json",
         "bundle_value", "instance_from_json", "instance_to_json",
         "load_allocation", "load_instance", "save_instance", "verify_allocation",

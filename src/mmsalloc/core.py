@@ -5,6 +5,9 @@ All values are non-negative integers on a per-instance grid: an instance with
 solver makes happens on integers or on :class:`fractions.Fraction`, never on
 floats, so results are exact and reproducible bit for bit.
 
+An allocation is a :data:`Partition`, as a maximin witness is: one ascending
+tuple of goods per agent.  :func:`verify_allocation` judges any bundles.
+
 Agents and goods are indexed from 0 in code.  The JSON file formats index
 goods (and agents in certificate rows) from 1; the loaders and dumpers here do
 the translation.
@@ -146,7 +149,7 @@ def check_count(value, name: str, least: Optional[int], most: Optional[int] = No
     that is None left open: the one rule of every size, count, seed and
     index.  A seed for random.Random starts at 0, as it reads -s as s.  Each
     index is checked from 0 to its size - 1 where a caller hands it in:
-    Instance.row, bundle_value, require_partition, matching and orders."""
+    Instance.row, bundle_value, _require_partition, matching and orders."""
     if not is_int(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
@@ -224,6 +227,21 @@ class Instance:
         return self.valuations[agent]
 
 
+#: An allocation or a witness: one ascending tuple of goods per bundle.
+Partition = tuple[tuple[int, ...], ...]
+
+
+def partition(bundles: Iterable[Iterable[int]]) -> Partition:
+    """Each bundle as the ascending tuple of the goods it lists, a repeat
+    kept, with nothing checked: the one normaliser of solver output,
+    witnesses and allocation files.
+
+    >>> partition([{2, 0}, [1]])
+    ((0, 2), (1,))
+    """
+    return tuple(map(tuple, map(sorted, bundles)))
+
+
 def _require_partition(
     bundles: Sequence[Iterable], m: int, first: int = 0, n: Optional[int] = None
 ) -> None:
@@ -231,10 +249,9 @@ def _require_partition(
     each of m goods once, goods and bundles numbered from first (0 in code,
     1 in files), naming a wrong count of bundles, else the first good out
     of range (by core.check_count, so before it is hashed), listed twice or
-    missing: the one judge of a partition."""
+    missing: the one judge of a partition.  m comes from a checked Instance."""
     if n is not None and len(bundles) != n:
         raise PartitionError(f"allocation has {len(bundles)} bundles, expected n={n}")
-    check_count(m, "m", 0)
     seen: dict[int, int] = {}
     for i, bundle in enumerate(bundles, first):
         for g in bundle:
@@ -250,51 +267,6 @@ def _require_partition(
     if len(seen) != m:
         missing = sorted(set(range(first, m + first)) - seen.keys())
         raise PartitionError(f"goods missing from allocation: {missing}")
-
-
-@record
-class Allocation:
-    """An ordered tuple of bundles, one per agent; ``bundles[i]`` holds agent
-    i's good indices as an ascending tuple."""
-
-    bundles: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":
-        """The unchecked constructor: each bundle becomes the ascending tuple
-        of the goods it lists, a repeat kept, with nothing checked.  Use
-        :meth:`checked` for a caller's bundles."""
-        return cls(tuple(tuple(sorted(b)) for b in bundles))
-
-    @classmethod
-    def checked(cls, bundles: Iterable[Iterable[int]], m: int) -> "Allocation":
-        """Build an allocation and verify it partitions goods 0..m-1.  A
-        bundle that is no sequence raises InputError naming it; a good that
-        is no index below m, or that is listed twice, raises PartitionError
-        naming it, before any good is hashed."""
-        rows = as_tuple(bundles, "bundles")
-        rows = [as_tuple(bundle, f"bundle {i}") for i, bundle in enumerate(rows)]
-        _require_partition(rows, m)
-        return cls.of(rows)
-
-    def require_partition(self, m: int) -> None:
-        _require_partition(self.bundles, m)
-
-    def __iter__(self):
-        return iter(self.bundles)
-
-    def __len__(self) -> int:
-        return len(self.bundles)
-
-    # A named tuple walks itself to pickle, list or replace its fields.
-    def __reduce__(self):
-        return type(self), (self.bundles,)
-
-    def _asdict(self) -> dict:
-        return {"bundles": self.bundles}
-
-    def _replace(self, **changes) -> Allocation:
-        return type(self)(**{**self._asdict(), **changes})
 
 
 def bundle_value(instance: Instance, agent: int, goods: Iterable[int]) -> int:
@@ -333,31 +305,34 @@ class Certificate:
 
 def verify_allocation(
     instance: Instance,
-    allocation: Allocation,
+    allocation: Sequence[Iterable[int]],
     thresholds: Sequence[Number],
 ) -> tuple[Certificate, ...]:
     """Check every agent's bundle against a per-agent value threshold, and
     return one certificate row per agent, in agent order.
 
-    Structural problems (wrong bundle count, a good out of range, listed
-    twice or missing) raise :class:`PartitionError` before any value
-    comparison.  Thresholds may be
+    The allocation, and each of its bundles, is any sequence; one that is
+    no sequence raises :class:`InputError` naming it.  Structural problems
+    (wrong bundle count, a good out of range, listed twice or missing) raise
+    :class:`PartitionError` before any value comparison.  Thresholds may be
     integers or Fractions; comparisons are exact.  A threshold that is no
     rational raises :class:`InputError` naming its agent.
 
     >>> inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
-    >>> alloc = Allocation.of([{0, 2}, {1, 3}])
+    >>> alloc = ((0, 2), (1, 3))
     >>> all(row.ok for row in verify_allocation(inst, alloc, [5, 2]))
     True
     >>> rows = verify_allocation(inst, alloc, [7, 2])
     >>> [row.agent for row in rows if not row.ok]
     [0]
     """
-    _require_partition(allocation.bundles, instance.m, n=instance.n)
+    listed = as_tuple(allocation, "allocation")
+    bundles = [as_tuple(b, f"bundle {i}") for i, b in enumerate(listed)]
+    _require_partition(bundles, instance.m, n=instance.n)
     thresholds = as_tuple(thresholds, "thresholds")
     if len(thresholds) != instance.n:
         raise InputError(f"got {len(thresholds)} thresholds for n={instance.n} agents")
-    label, bundles = "threshold of agent {i}", allocation.bundles
+    label = "threshold of agent {i}"
     return tuple(
         Certificate(i, bundle_value(instance, i, bundles[i]), as_rational(t, label, i))
         for i, t in enumerate(thresholds)
@@ -452,11 +427,11 @@ def save_instance(instance: Instance, path: str) -> None:
 
 
 def allocation_payload(
-    allocation: Allocation, certificates: Sequence[Certificate] = ()
+    allocation: Partition, certificates: Sequence[Certificate] = ()
 ) -> dict:
     """The allocation file's JSON object, with 1-based goods and agents."""
     return {
-        "bundles": [[g + 1 for g in bundle] for bundle in allocation.bundles],
+        "bundles": [[g + 1 for g in bundle] for bundle in allocation],
         "certificates": [
             {"agent": c.agent + 1, "value": c.value, "threshold": c.threshold_int}
             for c in certificates
@@ -465,12 +440,12 @@ def allocation_payload(
 
 
 def allocation_to_json(
-    allocation: Allocation, certificates: Sequence[Certificate] = ()
+    allocation: Partition, certificates: Sequence[Certificate] = ()
 ) -> str:
     return json.dumps(allocation_payload(allocation, certificates), indent=2) + "\n"
 
 
-def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]]:
+def allocation_from_json(text: str) -> tuple[Partition, tuple[Certificate, ...]]:
     payload = _decode(text, "allocation")
     if not isinstance(payload, dict) or "bundles" not in payload:
         raise InputError("allocation file must be a JSON object with a 'bundles' key")
@@ -496,9 +471,9 @@ def allocation_from_json(text: str) -> tuple[Allocation, tuple[Certificate, ...]
             raise InputError(f"malformed certificate row: {row!r}")
         agent, value, threshold = fields
         certs.append(Certificate(agent - 1, value, Fraction(threshold)))
-    return Allocation.of([g - 1 for g in b] for b in raw_bundles), tuple(certs)
+    return partition([g - 1 for g in b] for b in raw_bundles), tuple(certs)
 
 
-def load_allocation(path: str) -> tuple[Allocation, tuple[Certificate, ...]]:
+def load_allocation(path: str) -> tuple[Partition, tuple[Certificate, ...]]:
     """Read an allocation file and its certificate rows."""
     return allocation_from_json(_read(path, "allocation"))

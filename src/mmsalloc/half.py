@@ -17,13 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, Instance
+from .core import Instance, Partition, partition
 from .round_robin import _take_turns
 
 
 def apx_mms_half(
     instance: Instance, trace: Optional[list] = None
-) -> Allocation:
+) -> Partition:
     """Allocate with the singleton-stripping strategy described above.
 
     When several (agent, good) pairs qualify in phase 1, the lowest agent
@@ -67,4 +67,4 @@ def apx_mms_half(
         last_exit = i
     for a, extra in _take_turns(rows, tuple(active) or (last_exit,), pool).items():
         bundles[a].extend(extra)
-    return Allocation.of(bundles[i] for i in instance.agents)
+    return partition(bundles[i] for i in instance.agents)

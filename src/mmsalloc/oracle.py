@@ -49,8 +49,8 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    GuaranteeError, InputError, Instance, as_rational, as_tuple, check_count,
-    check_values, record,
+    GuaranteeError, InputError, Instance, Partition, as_rational, as_tuple,
+    check_count, check_values, partition, record,
 )
 
 #: Exact search refuses instances with more goods than this.  Beyond it, use
@@ -72,7 +72,7 @@ class MaximinCertificate:
 
     value: int
     k: int
-    witness: tuple[tuple[int, ...], ...]
+    witness: Partition
     mode: str
     upper: int
     eps: Optional[Fraction] = None
@@ -374,10 +374,10 @@ def _search_maximin(
 
 def _checked_witness(
     vals: Sequence[int], bundles: list[list[int]], value: int
-) -> tuple[tuple[int, ...], ...]:
+) -> Partition:
     """The bundles as a witness, each sorted into a tuple, checked to have
     its worst bundle at value."""
-    witness = tuple(map(tuple, map(sorted, bundles)))
+    witness = partition(bundles)
     worst = min(sum(map(vals.__getitem__, b)) for b in bundles)
     if worst != value:
         raise GuaranteeError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .core import Allocation, InputError, Instance, as_tuple, check_count
+from .core import InputError, Instance, Partition, as_tuple, check_count, partition
 
 
 def _take_turns(
@@ -52,7 +52,7 @@ def _take_turns(
 
 def greedy_round_robin(
     instance: Instance, order: Optional[Sequence[int]] = None
-) -> Allocation:
+) -> Partition:
     """Allocate all goods by round-robin picking in ``order`` (default: agents
     in ascending index order).
 
@@ -72,10 +72,10 @@ def greedy_round_robin(
             )
     rows = [instance.row(i) for i in instance.agents]
     bundles = _take_turns(rows, order, instance.goods)
-    return Allocation.of(bundles[i] for i in instance.agents)
+    return partition(bundles[i] for i in instance.agents)
 
 
-def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
+def modified_greedy_round_robin(instance: Instance, seed: int) -> Partition:
     """Round-robin with a scarcity phase.
 
     While the remaining goods number fewer than twice the remaining agents, a
@@ -102,4 +102,4 @@ def modified_greedy_round_robin(instance: Instance, seed: int) -> Allocation:
             final[a].append(g)
     for a, bundle in _take_turns(rows, tuple(active), pool).items():
         final[a].extend(bundle)
-    return Allocation.of(final[i] for i in instance.agents)
+    return partition(final[i] for i in instance.agents)

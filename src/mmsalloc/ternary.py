@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import (
-    Allocation, GuaranteeError, InputError, Instance, as_tuple, check_count,
+    GuaranteeError, InputError, Instance, Partition, _require_partition, as_tuple,
+    check_count, partition,
 )
 
 _NOT_TERNARY = "values must be 0, 1, or 2 in scaled units"
@@ -121,14 +122,14 @@ def _lift_ternary(
     return out
 
 
-def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocation:
+def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Partition:
     """Allocate an instance whose values are all 0, 1, or 2 so that every
     agent receives at least her exact maximin share.
 
     Raises InputError when any value lies outside {0, 1, 2}.
 
     >>> alloc = exact_mms_012(Instance.from_rows([[2, 2, 1, 1]] * 2))
-    >>> sorted(sum(2 if g < 2 else 1 for g in b) for b in alloc.bundles)
+    >>> sorted(sum(2 if g < 2 else 1 for g in b) for b in alloc)
     [3, 3]
     """
     n, m = instance.n, instance.m
@@ -224,4 +225,5 @@ def exact_mms_012(instance: Instance, trace: Optional[list] = None) -> Allocatio
                 "seats": tuple(seat),
             }
         )
-    return Allocation.checked(bundles, m)
+    _require_partition(bundles, m)
+    return partition(bundles)

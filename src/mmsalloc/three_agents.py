@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Allocation, GuaranteeError, InputError, Instance
+from .core import GuaranteeError, InputError, Instance, Partition, partition
 from .oracle import RationalLike, ShareOracle, _as_eps
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
@@ -48,7 +48,7 @@ def apx_3_mms(
     eps: RationalLike,
     oracle_mode: str = "ptas",
     trace: Optional[list] = None,
-) -> Allocation:
+) -> Partition:
     """Allocate a three-agent instance with per-agent guarantee
     (7/8 - eps) times her maximin value ((7/8) times it in exact mode).
 
@@ -86,7 +86,7 @@ def apx_3_mms(
                          "chooser": chooser, "halves": halves}
                     )
                 bundles = {i: [g], chooser: halves[pick], cutter: halves[1 - pick]}
-                return Allocation.of(bundles[a] for a in range(3))
+                return partition(bundles[a] for a in range(3))
 
     # Branch c: agent 0 partitions; try to seat agents 1 and 2 directly.
     # Agent 0's row covers every good, so her positions are the goods.
@@ -102,7 +102,7 @@ def apx_3_mms(
                 trace.append(
                     {"branch": "c", "a_sets": a_sets, "seats": (j0, j1, j2)}
                 )
-            return Allocation.of([a_sets[j0], a_sets[j1], a_sets[j2]])
+            return partition([a_sets[j0], a_sets[j1], a_sets[j2]])
 
     # Branch d: exactly two of the sets are bad for agent 1; she cuts her
     # good set with each bad set, keeps the better split, and agent 2 chooses.
@@ -124,4 +124,4 @@ def apx_3_mms(
              "halves": halves}
         )
     bundles = {0: a_sets[bad[1 - x]], 2: halves[pick], 1: halves[1 - pick]}
-    return Allocation.of(bundles[a] for a in range(3))
+    return partition(bundles[a] for a in range(3))

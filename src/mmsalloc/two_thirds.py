@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .core import Allocation, GuaranteeError, Instance, check_count
+from .core import GuaranteeError, Instance, Partition, check_count, partition
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
 from .oracle import MaximinCertificate, RationalLike, ShareOracle, _as_eps
 
@@ -116,7 +116,7 @@ def apx_mms(
     eps: RationalLike,
     oracle_mode: str = "ptas",
     trace: Optional[list] = None,
-) -> Allocation:
+) -> Partition:
     """Allocate all goods with per-agent guarantee (2/3 - eps) times her
     maximin value, or rho(n) times it when the oracle is exact.
 
@@ -138,7 +138,7 @@ def apx_mms(
     eps = _as_eps(eps, Fraction(1, 3))
     oracle = ShareOracle(oracle_mode)
     if instance.n == 1:
-        return Allocation.of([tuple(instance.goods)])
+        return partition([tuple(instance.goods)])
     eps_prime = oracle.loss(3 * eps / 4)
     factor = (1 - eps_prime) * rho(instance.n)
     thresholds = tuple(
@@ -153,4 +153,4 @@ def apx_mms(
             instance, agents, goods, thresholds, level_oracle, trace
         )
         bundles.update(seated)
-    return Allocation.of(bundles[i] for i in instance.agents)
+    return partition(bundles[i] for i in instance.agents)

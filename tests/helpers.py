@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from mmsalloc import Allocation, Instance, bundle_value
+from mmsalloc import Instance, bundle_value
+from mmsalloc.core import Partition, _require_partition
 
 
 def first_bad_value(row: Sequence) -> Optional[tuple[int, str]]:
@@ -83,14 +84,26 @@ def instances(agents, max_goods: int = 8, values=_VALUES):
     ).map(Instance.from_rows)
 
 
-def assert_shares_met(instance: Instance, allocation: Allocation, factor) -> None:
+def assert_shares_met(instance: Instance, allocation: Partition, factor) -> None:
     """The allocation partitions the goods and gives every agent at least
     factor times its maximin share, found by exhaustive_mms."""
-    allocation.require_partition(instance.m)
+    _require_partition(allocation, instance.m)
     for i in instance.agents:
         share = exhaustive_mms(instance.row(i), instance.n)
-        got = bundle_value(instance, i, allocation.bundles[i])
+        got = bundle_value(instance, i, allocation[i])
         assert got >= Fraction(factor) * share, (i, got, share, factor)
+
+
+def is_partition(bundles: Sequence[Sequence], m: int, n: int) -> bool:
+    """Whether n bundles, each a list of what it holds, list each of goods
+    0..m-1 once, by plain counting: the reference partition check.  A bool
+    or a float is no good, even when it equals one."""
+    goods = [g for bundle in bundles for g in bundle]
+    return (
+        len(bundles) == n
+        and all(type(g) is int for g in goods)
+        and sorted(goods) == list(range(m))
+    )
 
 
 def random_instance(

@@ -37,6 +37,7 @@ from mmsalloc import (
     rho,
     run_existence_trials,
 )
+from mmsalloc.core import _require_partition
 from mmsalloc.cli import main
 
 SUITE = random_suite(count=300, seed=90125)
@@ -74,10 +75,10 @@ def test_criterion_02_round_robin_additive_floor_and_envy():
         alloc = greedy_round_robin(inst)
         v_max = max((v for row in inst.valuations for v in row), default=0)
         for i in inst.agents:
-            own = bundle_value(inst, i, alloc.bundles[i])
+            own = bundle_value(inst, i, alloc[i])
             assert inst.n * own >= sum(inst.row(i)) - inst.n * v_max
             for j in inst.agents:
-                other = bundle_value(inst, i, alloc.bundles[j])
+                other = bundle_value(inst, i, alloc[j])
                 assert own >= other - v_max
     report(
         "criterion 2: round robin keeps the additive floor and bounded "
@@ -91,7 +92,7 @@ def test_criterion_03_binary_values_get_the_full_share():
         alloc = greedy_round_robin(inst)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            assert bundle_value(inst, i, alloc.bundles[i]) >= share
+            assert bundle_value(inst, i, alloc[i]) >= share
     report(
         f"criterion 3: round robin reaches the full share on {len(suite)} "
         "two-valued instances"
@@ -103,7 +104,7 @@ def test_criterion_04_half_guarantee():
         alloc = apx_mms_half(inst)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            assert 2 * bundle_value(inst, i, alloc.bundles[i]) >= share
+            assert 2 * bundle_value(inst, i, alloc[i]) >= share
     report(
         f"criterion 4: singleton stripping reaches half the share on all "
         f"{len(SUITE)} suite instances"
@@ -122,7 +123,7 @@ def test_criterion_05_recursive_matching_guarantee_and_balance():
             trace = []
             alloc = apx_mms(inst, eps, oracle_mode=mode, trace=trace)
             for i in inst.agents:
-                assert bundle_value(inst, i, alloc.bundles[i]) >= bound[i]
+                assert bundle_value(inst, i, alloc[i]) >= bound[i]
             for level in trace:
                 gone = set(inst.goods) - set(level["goods"])
                 for i in level["agents"]:
@@ -194,7 +195,7 @@ def test_criterion_07_three_agent_seven_eighths_and_branches():
         hits[trace[-1]["branch"]] += 1
         for i in inst.agents:
             share = mms_exact(inst.row(i), 3).value
-            assert 8 * bundle_value(inst, i, alloc.bundles[i]) >= 7 * share
+            assert 8 * bundle_value(inst, i, alloc[i]) >= 7 * share
     assert all(hits.values()), hits
     report(
         "criterion 7: three-agent allocation reaches 7/8 of the share on "
@@ -208,7 +209,7 @@ def test_criterion_08_ternary_exactness_and_scaling():
         alloc = exact_mms_012(inst)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            assert bundle_value(inst, i, alloc.bundles[i]) >= share
+            assert bundle_value(inst, i, alloc[i]) >= share
 
     n, m = 500, 50000
     rng = random.Random(98765)
@@ -218,7 +219,7 @@ def test_criterion_08_ternary_exactness_and_scaling():
     alloc = exact_mms_012(big)
     elapsed = time.perf_counter() - started
     assert elapsed < 5
-    alloc.require_partition(m)
+    _require_partition(alloc, m)
     report(
         "criterion 8: three-valued solver is exact on 200 instances and "
         f"allocates n=500, m=50000 in {elapsed:.2f}s"

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmsalloc import (
-    Allocation, Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012,
+    Instance, apx_3_mms, apx_mms, apx_mms_half, exact_mms_012,
     gen_uniform_instance, half, instance_to_json,
 )
 from mmsalloc.cli import main
@@ -117,7 +117,7 @@ class TestSolve:
         # nothing and writes no file.
         monkeypatch.setattr(
             half, "apx_mms_half",
-            lambda inst, trace=None: Allocation.of([(), inst.goods]),
+            lambda inst, trace=None: ((), tuple(inst.goods)),
         )
         target = tmp_path / "alloc.json"
         code, out, err = run_cli(
@@ -1051,6 +1051,40 @@ class TestHostileFiles:
         code, _, err = self.verify(capsys, tmp_path, allocation)
         assert code == 2
         assert "good index True" in err
+
+    def test_valuations_that_are_no_list_of_lists_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        payload = {"n": 2, "m": 2, "scale": 1, "valuations": [[1, 2], 5]}
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, ["solve", "--algo", "rr", "--instance", str(path)]
+        )
+        message = "instance valuations must be a list of lists"
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    NO_BUNDLES = "allocation file must be a JSON object with a 'bundles' key"
+
+    @pytest.mark.parametrize("allocation, message", [
+        pytest.param([], NO_BUNDLES, id="list"),
+        pytest.param({"certificates": []}, NO_BUNDLES, id="no-bundles"),
+        pytest.param(
+            dict(ALLOCATION, bundles=[[1], 2]),
+            "allocation bundles must be a list of lists", id="int-bundle",
+        ),
+        pytest.param(
+            dict(ALLOCATION, certificates=[{"agent": 1, "value": 1}]),
+            "malformed certificate row: {'agent': 1, 'value': 1}", id="short-row",
+        ),
+        pytest.param(
+            dict(ALLOCATION, certificates=[5]), "malformed certificate row: 5",
+            id="int-row",
+        ),
+    ])
+    def test_malformed_allocation_file_exits_two(
+        self, capsys, tmp_path, allocation, message
+    ):
+        code, out, err = self.verify(capsys, tmp_path, allocation)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
     def test_certificates_that_are_no_list_exit_two(self, capsys, tmp_path):
         allocation = dict(self.ALLOCATION, certificates=5)

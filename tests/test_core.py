@@ -22,9 +22,8 @@ import mmsalloc
 import mmsalloc.cli as cli
 import mmsalloc.core as core
 import mmsalloc.oracle as oracle
-from helpers import first_bad_value, instances, run_python
+from helpers import first_bad_value, instances, is_partition, run_python
 from mmsalloc import (
-    Allocation,
     Certificate,
     InputError,
     Instance,
@@ -199,7 +198,6 @@ _COUNT_FIELDS = {
         ),
         {"n_left": 0, "n_right": 0},
     ),
-    "Allocation.checked": (lambda m: Allocation.checked([[0], [1]], m), {"m": 0}),
     "color_rows": (lambda k: mmsalloc.ternary.color_rows(k, []), {"k": 0}),
     "trial_seed": (
         lambda **f: mmsalloc.experiments.trial_seed(**{"seed": 0, "t": 0, **f}),
@@ -254,12 +252,8 @@ _INDEX_FIELDS = {
     "bundle_value-good": (
         lambda v: bundle_value(_SQUARE, 0, [v]), "good", 0, 1, InputError
     ),
-    "Allocation.checked": (
-        lambda v: Allocation.checked([[v], [1]], 2), "good", 0, 1, PartitionError
-    ),
     "verify_allocation": (
-        # Bundles as given, not sorted by Allocation.of.
-        lambda v: verify_allocation(_SQUARE, Allocation(((v,), (1,))), [0, 0]),
+        lambda v: verify_allocation(_SQUARE, [[v], [1]], [0, 0]),
         "good", 0, 1, PartitionError,
     ),
     "greedy_round_robin": (
@@ -341,9 +335,6 @@ _NOT_CONTAINERS = {
         lambda: mmsalloc.PreferenceGraph(1, 1, None),
         "adj must be a sequence, got None",
     ),
-    "Allocation.checked": (
-        lambda: Allocation.checked([5], 1), "bundle 0 must be a sequence, got 5"
-    ),
     "bundle_value": (
         lambda: bundle_value(_SQUARE, 0, None), "goods must be a sequence, got None"
     ),
@@ -352,8 +343,16 @@ _NOT_CONTAINERS = {
         "bundle 0 must be a sequence, got 5",
     ),
     "verify_allocation": (
-        lambda: verify_allocation(_SQUARE, Allocation.of([[0], [1]]), None),
+        lambda: verify_allocation(_SQUARE, [[0], [1]], None),
         "thresholds must be a sequence, got None",
+    ),
+    "verify_allocation-allocation": (
+        lambda: verify_allocation(_SQUARE, None, [0, 0]),
+        "allocation must be a sequence, got None",
+    ),
+    "verify_allocation-bundle": (
+        lambda: verify_allocation(_SQUARE, [5, [0, 1]], [0, 0]),
+        "bundle 0 must be a sequence, got 5",
     ),
     "color_rows-edges": (
         lambda: mmsalloc.ternary.color_rows(2, None), "edges must be a sequence, got None"
@@ -377,26 +376,108 @@ def test_every_index_container_is_a_sequence(entry):
 
 
 class TestAllocation:
+    # An allocation is a bare partition; verify_allocation checks a caller's.
+    def _checked(self, bundles, m):
+        inst = Instance.from_rows([[1] * m] * len(bundles))
+        return verify_allocation(inst, bundles, [0] * len(bundles))
+
     def test_checked_rejects_a_good_listed_twice_in_a_bundle(self):
         with pytest.raises(PartitionError, match="^good 0 appears twice in bundle 0$"):
-            Allocation.checked([[0, 0], [1]], 2)
+            self._checked([[0, 0], [1]], 2)
 
     def test_checked_accepts_partition(self):
-        alloc = Allocation.checked([[0, 2], [1]], 3)
-        assert alloc.bundles == ((0, 2), (1,))
-        assert len(alloc) == 2
+        rows = self._checked([[0, 2], [1]], 3)
+        assert [row.value for row in rows] == [2, 1]
 
     def test_checked_rejects_missing_good(self):
-        with pytest.raises(PartitionError):
-            Allocation.checked([[0], [1]], 3)
+        with pytest.raises(PartitionError, match=r"^goods missing from allocation: \[2\]$"):
+            self._checked([[0], [1]], 3)
 
     def test_checked_rejects_duplicate_good(self):
-        with pytest.raises(PartitionError):
-            Allocation.checked([[0, 1], [1, 2]], 3)
+        with pytest.raises(PartitionError, match="^good 1 appears in bundles 0 and 1$"):
+            self._checked([[0, 1], [1, 2]], 3)
 
     def test_checked_rejects_out_of_range_good(self):
-        with pytest.raises(PartitionError):
-            Allocation.checked([[0], [3]], 2)
+        with pytest.raises(PartitionError, match="^good must be at most 1, got 3$"):
+            self._checked([[0], [3]], 2)
+
+
+#: Containers a caller may hand verify_allocation a bundle in, each built
+#: from the goods it lists; None and 5 are no container.
+_CONTAINERS = {
+    "list": list, "tuple": tuple, "set": set,
+    "generator": lambda goods: (g for g in goods),
+    "None": lambda goods: None, "int": lambda goods: 5,
+}
+
+
+@st.composite
+def caller_allocations(draw):
+    """An instance of n <= 4 agents and m <= 8 goods, and an allocation for
+    it as a caller might hand one in: the bundles of a drawn partition,
+    each a list, tuple, set or generator, with up to two goods added that
+    are a bool, a float, out of range or a repeat, a bundle that is no
+    container, or a bundle too few or too many mixed in."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    rows = [[draw(st.integers(0, 9)) for _ in range(m)] for _ in range(n)]
+    owners = [draw(st.integers(0, n - 1)) for _ in range(m)]
+    goods = [[g for g in range(m) if owners[g] == i] for i in range(n)]
+    count = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    goods = (goods + [[]])[:count]
+    for _ in range(draw(st.integers(0, 2)) if goods else 0):
+        bundle = goods[draw(st.integers(0, len(goods) - 1))]
+        good = draw(st.sampled_from([True, False, 0.0, 1.0, -1, m, *range(m)]))
+        bundle.insert(draw(st.integers(0, len(bundle))), good)
+    sound = ["list", "tuple", "set", "generator"] * 4
+    kinds = [draw(st.sampled_from(sound + ["None", "int"])) for _ in goods]
+    return Instance.from_rows(rows), goods, kinds
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=caller_allocations(), outer=st.sampled_from([list, tuple, iter]))
+def test_verify_allocation_judges_any_caller_containers(case, outer):
+    # verify_allocation takes any sequence of bundles, each any sequence of
+    # goods.  It values a partition as a plain sum does, and refuses just
+    # what the reference partition check refuses: a bundle that is no
+    # container with InputError, else a fault with PartitionError.
+    inst, goods, kinds = case
+    bundles = [_CONTAINERS[kind](listed) for kind, listed in zip(kinds, goods)]
+    held = [list(set(g)) if kind == "set" else g for kind, g in zip(kinds, goods)]
+    thresholds = list(range(inst.n))
+    if any(kind in ("None", "int") for kind in kinds):
+        error = InputError
+    elif not is_partition(held, inst.m, inst.n):
+        error = PartitionError
+    else:
+        rows = verify_allocation(inst, outer(bundles), thresholds)
+        assert rows == tuple(
+            Certificate(i, sum(inst.valuations[i][g] for g in held[i]), Fraction(i))
+            for i in inst.agents
+        )
+        return
+    with pytest.raises(InputError) as caught:
+        verify_allocation(inst, outer(bundles), thresholds)
+    assert type(caught.value) is error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(inst=instances(st.just(3), max_goods=8, values=st.integers(0, 2)))
+@pytest.mark.parametrize("solve", [
+    mmsalloc.greedy_round_robin,
+    lambda inst: mmsalloc.modified_greedy_round_robin(inst, seed=1),
+    mmsalloc.apx_mms_half,
+    lambda inst: mmsalloc.apx_mms(inst, "1/10", oracle_mode="exact"),
+    lambda inst: mmsalloc.apx_3_mms(inst, "1/10", oracle_mode="exact"),
+    mmsalloc.exact_mms_012,
+], ids=["rr", "rr-modified", "half", "twothirds", "three78", "ternary"])
+def test_every_solver_returns_one_partition_form(solve, inst):
+    # One bundle form from solver to file: a tuple of n tuples of goods,
+    # each ascending, that verify_allocation accepts.
+    alloc = solve(inst)
+    assert type(alloc) is tuple and len(alloc) == inst.n
+    for bundle in alloc:
+        assert type(bundle) is tuple and list(bundle) == sorted(set(bundle))
+    assert len(verify_allocation(inst, alloc, [0] * inst.n)) == inst.n
 
 
 def test_public_names_resolve():
@@ -406,6 +487,7 @@ def test_public_names_resolve():
     deleted = {
         "AgentCheck", "RecursionState", "lift_allocation", "profile_rows",
         "sort_reduce", "proportional_upper_bound", "VerificationReport",
+        "Allocation",
     }
     assert not deleted & set(mmsalloc.__all__)
     assert not [name for name in deleted if hasattr(mmsalloc, name)]
@@ -473,7 +555,7 @@ def test_bundle_value_is_exact_sum():
 class TestVerifyAllocation:
     def setup_method(self):
         self.inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1]])
-        self.alloc = Allocation.of([[0, 3], [1, 2]])
+        self.alloc = ((0, 3), (1, 2))
 
     def test_passing_report(self):
         rows = verify_allocation(self.inst, self.alloc, [5, 2])
@@ -501,16 +583,16 @@ class TestVerifyAllocation:
         assert not all(row.ok for row in rows)
 
     def test_structural_error_beats_value_check(self):
-        broken = Allocation.of([[0], [1, 2]])
+        broken = ((0,), (1, 2))
         with pytest.raises(PartitionError):
             verify_allocation(self.inst, broken, [0, 0])
 
     def test_good_listed_twice_in_a_bundle_is_refused(self):
-        # Allocation.of keeps the repeat, so the partition check sees it and
+        # core.partition keeps the repeat, so the partition check sees it and
         # no agent is checked against a bundle that hands a good out twice.
         inst = Instance.from_rows([[1, 2, 3], [3, 2, 1]])
         with pytest.raises(PartitionError, match="^good 0 appears twice in bundle 0$"):
-            verify_allocation(inst, Allocation.of([[0, 0, 1], [2]]), [0, 0])
+            verify_allocation(inst, core.partition([[0, 0, 1], [2]]), [0, 0])
 
     def test_threshold_count_must_match(self):
         with pytest.raises(InputError):
@@ -646,7 +728,7 @@ class TestJsonFormats:
             instance_from_json('{"n": 1, "m": 1, "valuations": [[1]]}')
 
     def test_allocation_round_trip_with_certificates(self):
-        alloc = Allocation.of([[0, 2], [1]])
+        alloc = ((0, 2), (1,))
         certs = (
             Certificate(agent=0, value=7, threshold=Fraction(13, 2)),
             Certificate(agent=1, value=3, threshold=Fraction(3)),
@@ -676,14 +758,14 @@ class TestJsonFormats:
         save_instance(inst, str(ipath))
         assert load_instance(str(ipath)) == inst
 
-        alloc = Allocation.of([[0], [1]])
+        alloc = ((0,), (1,))
         apath = tmp_path / "alloc.json"
         apath.write_text(allocation_to_json(alloc))
         again, certs = load_allocation(str(apath))
         assert again == alloc and certs == ()
 
     def test_allocation_json_goods_are_one_based(self):
-        text = allocation_to_json(Allocation.of([[0]]))
+        text = allocation_to_json(((0,),))
         assert json.loads(text)["bundles"] == [[1]]
 
 
@@ -729,7 +811,6 @@ def _records():
     config = TrialConfig(n=2, m=4, trials=3, seed=1)
     return {
         "Instance": Instance.from_rows([[4, 3], [1, 1]]),
-        "Allocation": Allocation.of([[2, 0], [1]]),
         "Certificate": Certificate(agent=1, value=3, threshold=Fraction(5, 2)),
         "MaximinCertificate": oracle.mms_exact([4, 3, 2, 1], 2),
         "PreferenceGraph": PreferenceGraph(2, 2, [[0, 1], [1]]),
@@ -822,11 +903,14 @@ class TestRecord:
             delattr(obj, field)
 
     def test_an_allocation_walks_its_bundles(self):
-        alloc = Allocation.of([[2, 0], [1], []])
-        assert alloc.bundles == ((0, 2), (1,), ())
-        assert list(alloc) == list(alloc.bundles) and len(alloc) == 3
-        assert repr(alloc) == "Allocation(bundles=((0, 2), (1,), ()))"
-        assert alloc._replace(bundles=((0,),)) == Allocation.of([[0]])
+        # An allocation is no record but a bare partition: core.partition
+        # makes each bundle an ascending tuple, a repeat kept, and checks
+        # nothing.
+        alloc = core.partition(iter([{2, 0}, (g for g in [1]), [], [3, 1, 3]]))
+        assert alloc == ((0, 2), (1,), (), (1, 3, 3))
+        assert type(alloc) is tuple and all(type(b) is tuple for b in alloc)
+        assert list(alloc) == [(0, 2), (1,), (), (1, 3, 3)] and len(alloc) == 4
+        assert core.partition([]) == () and core.partition([[True]]) == ((True,),)
 
     def test_replace_and_make_run_the_checks(self):
         from mmsalloc.experiments import TrialConfig

@@ -99,7 +99,7 @@ class TestTrials:
             )
             alloc = greedy_round_robin(inst)
             ok = all(
-                config.n * bundle_value(inst, i, alloc.bundles[i])
+                config.n * bundle_value(inst, i, alloc[i])
                 >= sum(inst.row(i))
                 for i in inst.agents
             )
@@ -116,7 +116,7 @@ class TestTrials:
             )
             alloc = greedy_round_robin(inst)
             ok = all(
-                bundle_value(inst, i, alloc.bundles[i])
+                bundle_value(inst, i, alloc[i])
                 >= mms_exact(inst.row(i), config.n).value
                 for i in inst.agents
             )

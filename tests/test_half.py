@@ -10,6 +10,7 @@ import mmsalloc.half as half_mod
 from helpers import assert_shares_met, instances, random_suite
 
 from mmsalloc import Instance, apx_mms_half, bundle_value, mms_exact
+from mmsalloc.core import _require_partition
 
 
 def test_module_doctests():
@@ -19,17 +20,17 @@ def test_module_doctests():
 def test_half_guarantee_on_random_instances():
     for inst in random_suite(count=80, seed=5577):
         alloc = apx_mms_half(inst)
-        alloc.require_partition(inst.m)
+        _require_partition(alloc, inst.m)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            assert 2 * bundle_value(inst, i, alloc.bundles[i]) >= share
+            assert 2 * bundle_value(inst, i, alloc[i]) >= share
 
 
 def test_big_good_peels_off_first():
     inst = Instance.from_rows([[10, 1, 1], [10, 1, 1]])
     trace = []
     alloc = apx_mms_half(inst, trace=trace)
-    assert alloc.bundles[0] == (0,)
+    assert alloc[0] == (0,)
     assert trace[0]["agent"] == 0 and trace[0]["good"] == 0
     assert trace[0]["alpha"] == Fraction(12, 2)
 
@@ -56,7 +57,7 @@ def test_no_qualifying_pair_falls_back_to_round_robin():
 def test_last_agent_keeps_leftovers():
     inst = Instance.from_rows([[9, 1, 1]])
     alloc = apx_mms_half(inst)
-    assert alloc.bundles[0] == (0, 1, 2)
+    assert alloc[0] == (0, 1, 2)
 
 
 def test_deterministic():

@@ -24,6 +24,17 @@ def test_module_doctests():
     assert doctest.testmod(matching_mod).failed == 0
 
 
+@pytest.mark.parametrize("adj, message", [
+    ([[0], [0]], "adjacency has 2 rows for 1 left vertices"),
+    ([[1, 0]], "neighbors of 0 must be strictly ascending"),
+    ([[0, 0]], "neighbors of 0 must be strictly ascending"),
+])
+def test_preference_graph_refuses_a_malformed_adjacency(adj, message):
+    with pytest.raises(InputError) as caught:
+        PreferenceGraph(1, 2, adj)
+    assert str(caught.value) == message
+
+
 def random_graph(rng, n_left, n_right, density):
     adj = tuple(
         tuple(j for j in range(n_right) if rng.random() < density)

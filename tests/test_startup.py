@@ -228,9 +228,10 @@ def test_each_command_executes_only_the_modules_it_runs(tmp_path, command):
 
 
 #: ``mmsalloc.__all__`` as it stood when ``import mmsalloc`` executed
-#: ``core`` and ``oracle`` and kept three lists of names.
+#: ``core`` and ``oracle`` and kept three lists of names, less the deleted
+#: ``Allocation``: an allocation is a bare partition tuple.
 PUBLIC_NAMES = [
-    "Allocation", "Certificate", "EXACT_ITEM_CAP", "GuaranteeError",
+    "Certificate", "EXACT_ITEM_CAP", "GuaranteeError",
     "InputError", "Instance", "MaximinCertificate", "PartitionError",
     "PreferenceGraph", "ShareOracle", "TrialConfig", "TrialStats",
     "XPlusDecomposition", "allocation_from_json", "allocation_to_json",

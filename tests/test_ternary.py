@@ -12,7 +12,6 @@ import mmsalloc.ternary as ternary_mod
 from helpers import assert_shares_met, instances, ternary_suite
 
 from mmsalloc import (
-    Allocation,
     GuaranteeError,
     InputError,
     Instance,
@@ -20,6 +19,7 @@ from mmsalloc import (
     exact_mms_012,
     mms_exact,
 )
+from mmsalloc.core import _require_partition
 from mmsalloc.cli import main
 
 
@@ -84,11 +84,11 @@ class TestLift:
             reduced = Instance.from_rows([sorted(row, reverse=True) for row in rows])
             sorted_alloc = exact_mms_012(reduced)
             lifted = ternary_mod._lift_ternary(
-                [bytes(row) for row in rows], sorted_alloc.bundles, m
+                [bytes(row) for row in rows], sorted_alloc, m
             )
-            Allocation.checked(lifted, m)
+            _require_partition(lifted, m)
             for i in inst.agents:
-                before = bundle_value(reduced, i, sorted_alloc.bundles[i])
+                before = bundle_value(reduced, i, sorted_alloc[i])
                 after = bundle_value(inst, i, lifted[i])
                 assert after >= before
 
@@ -120,10 +120,10 @@ class TestExactTernary:
     def test_reaches_share_on_random_suite(self):
         for inst in ternary_suite(count=80, seed=271828):
             alloc = exact_mms_012(inst)
-            alloc.require_partition(inst.m)
+            _require_partition(alloc, inst.m)
             for i in inst.agents:
                 share = mms_exact(inst.row(i), inst.n).value
-                assert bundle_value(inst, i, alloc.bundles[i]) >= share
+                assert bundle_value(inst, i, alloc[i]) >= share
 
     def test_binary_values_also_exact(self):
         rng = random.Random(1618)
@@ -135,12 +135,12 @@ class TestExactTernary:
             alloc = exact_mms_012(inst)
             for i in inst.agents:
                 share = mms_exact(inst.row(i), n).value
-                assert bundle_value(inst, i, alloc.bundles[i]) >= share
+                assert bundle_value(inst, i, alloc[i]) >= share
 
     def test_identical_rows_split_evenly(self):
         inst = Instance.from_rows([[2, 2, 1, 1]] * 2)
         alloc = exact_mms_012(inst)
-        values = sorted(bundle_value(inst, i, alloc.bundles[i]) for i in inst.agents)
+        values = sorted(bundle_value(inst, i, alloc[i]) for i in inst.agents)
         assert values == [3, 3]
 
     def test_no_goods(self):
@@ -153,7 +153,7 @@ class TestExactTernary:
     def test_fewer_goods_than_agents(self):
         inst = Instance.from_rows([[2], [1], [1]])
         alloc = exact_mms_012(inst)
-        alloc.require_partition(1)
+        _require_partition(alloc, 1)
 
     def test_rejects_values_above_two(self):
         # 255 is the last value bytes() takes, 256 the first it refuses, and
@@ -177,7 +177,7 @@ class TestExactTernary:
         trace = []
         alloc = exact_mms_012(inst, trace=trace)
         assert trace[0]["sorted_applied"] is False
-        alloc.require_partition(4)
+        _require_partition(alloc, 4)
 
     def test_deterministic(self):
         for inst in ternary_suite(count=20, seed=57721):

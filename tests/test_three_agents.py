@@ -23,6 +23,7 @@ from mmsalloc import (
     bundle_value,
     mms_exact,
 )
+from mmsalloc.core import _require_partition
 
 BIG_GOOD_ROWS = [[7, 1, 1, 1, 1, 1, 1, 1]] * 3
 UNIFORM_ROWS = [[1] * 9] * 3
@@ -47,7 +48,7 @@ def run_traced(rows):
 def assert_seven_eighths(inst, alloc):
     for i in inst.agents:
         share = mms_exact(inst.row(i), 3).value
-        assert 8 * bundle_value(inst, i, alloc.bundles[i]) >= 7 * share
+        assert 8 * bundle_value(inst, i, alloc[i]) >= 7 * share
 
 
 def test_big_single_good_branch():
@@ -55,7 +56,7 @@ def test_big_single_good_branch():
     step = trace[-1]
     assert step["branch"] == "b"
     assert step["agent"] == 0 and step["good"] == 0
-    assert alloc.bundles[0] == (0,)
+    assert alloc[0] == (0,)
     assert_seven_eighths(inst, alloc)
 
 
@@ -93,7 +94,7 @@ def test_repartition_kept_half_beats_discarded():
 def test_guarantee_on_generated_suite():
     for inst in three_agent_suite(count=60, seed=515151):
         alloc = apx_3_mms(inst, Fraction(1, 10), oracle_mode="exact")
-        alloc.require_partition(inst.m)
+        _require_partition(alloc, inst.m)
         assert_seven_eighths(inst, alloc)
 
 
@@ -101,10 +102,10 @@ def test_ptas_mode_guarantee():
     eps = Fraction(1, 16)
     for inst in three_agent_suite(count=30, seed=626262):
         alloc = apx_3_mms(inst, eps, oracle_mode="ptas")
-        alloc.require_partition(inst.m)
+        _require_partition(alloc, inst.m)
         for i in inst.agents:
             share = mms_exact(inst.row(i), 3).value
-            got = bundle_value(inst, i, alloc.bundles[i])
+            got = bundle_value(inst, i, alloc[i])
             assert got >= (Fraction(7, 8) - eps) * share
 
 

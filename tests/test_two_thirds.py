@@ -27,6 +27,7 @@ from mmsalloc import (
     mms_exact,
     rho,
 )
+from mmsalloc.core import _require_partition
 from mmsalloc.cli import main
 
 
@@ -71,7 +72,7 @@ def test_eps_domain():
 def test_single_agent_takes_everything():
     inst = Instance.from_rows([[3, 1, 4]])
     alloc = apx_mms(inst, Fraction(1, 10))
-    assert alloc.bundles == ((0, 1, 2),)
+    assert alloc == ((0, 1, 2),)
 
 
 def test_two_agents_exact_reach_full_share():
@@ -82,17 +83,17 @@ def test_two_agents_exact_reach_full_share():
         alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
         for i in inst.agents:
             share = mms_exact(inst.row(i), 2).value
-            assert bundle_value(inst, i, alloc.bundles[i]) >= share
+            assert bundle_value(inst, i, alloc[i]) >= share
 
 
 def test_exact_mode_guarantee_on_random_instances():
     for inst in random_suite(count=60, seed=9219):
         alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact")
-        alloc.require_partition(inst.m)
+        _require_partition(alloc, inst.m)
         factor = rho(inst.n) if inst.n >= 2 else Fraction(1)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            got = bundle_value(inst, i, alloc.bundles[i])
+            got = bundle_value(inst, i, alloc[i])
             assert got >= factor * share
 
 
@@ -100,10 +101,10 @@ def test_ptas_mode_guarantee_on_random_instances():
     eps = Fraction(1, 20)
     for inst in random_suite(count=30, seed=10307):
         alloc = apx_mms(inst, eps, oracle_mode="ptas")
-        alloc.require_partition(inst.m)
+        _require_partition(alloc, inst.m)
         for i in inst.agents:
             share = mms_exact(inst.row(i), inst.n).value
-            got = bundle_value(inst, i, alloc.bundles[i])
+            got = bundle_value(inst, i, alloc[i])
             assert got >= (Fraction(2, 3) - eps) * share
 
 
@@ -126,7 +127,7 @@ def test_trace_structure():
     inst = Instance.from_rows([[4, 3, 2, 1], [1, 1, 1, 1], [2, 2, 2, 2]])
     trace = []
     alloc = apx_mms(inst, Fraction(1, 10), oracle_mode="exact", trace=trace)
-    alloc.require_partition(inst.m)
+    _require_partition(alloc, inst.m)
     assert trace, "at least one level must be traced"
     top = trace[0]
     assert top["agents"] == (0, 1, 2)
@@ -164,7 +165,7 @@ def test_each_call_runs_one_level(monkeypatch, mode):
         assert sorted(seated) == sorted(set(agents) - set(x_plus))
         assert set(seated.values()) <= set(step["partition"])
         assert leftover == tuple(sorted(set(goods).difference(*seated.values())))
-        assert all(alloc.bundles[i] == bundle for i, bundle in seated.items())
+        assert all(alloc[i] == bundle for i, bundle in seated.items())
     # Each level's X+ and left-over goods are the next level's input.
     assert calls[1][:2] == calls[0][2][1:]
     assert calls[1][2][1:] == ((), ())
