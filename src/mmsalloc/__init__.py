@@ -23,8 +23,8 @@ _PUBLIC = {
         "load_allocation", "load_instance", "save_instance", "verify_allocation",
     ),
     "oracle": (
-        "EXACT_ITEM_CAP", "MaximinCertificate", "ShareOracle", "greedy_floor",
-        "mms_approx", "mms_exact", "xi_vector",
+        "EXACT_ITEM_CAP", "MaximinCertificate", "greedy_floor", "mms_approx",
+        "mms_exact", "share", "xi_vector",
     ),
     "experiments": (
         "TrialConfig", "TrialStats", "gen_uniform_instance", "report_text",

@@ -5,12 +5,14 @@ allocation is checked against per-agent thresholds built from the instance,
 and a violation exits with status 1 instead of emitting the result.  Exact
 shares: one process memo, under :func:`mms_exact`, so the thresholds search
 no share the solver asked, nor does a later command of the same process
-(each run of this program starts with the memo empty).  Approximate shares:
-the oracle of the one solve; the thresholds ask none.  When the exact oracle
-is out of reach (too many goods) the thresholds fall back to a fast
-certified lower bound on each maximin share, so the check stays sound.  Exit
-codes: 0 success, 1 guarantee violation, 2 input error.  Good and agent
-indices are 1-based in all files and printed artifacts.  ``solve --trace``
+(each run of this program starts with the memo empty).  Approximate shares
+keep no memo; the thresholds ask none.  When the exact oracle is out of
+reach (more than ``EXACT_ITEM_CAP`` goods) the thresholds fall back to the
+greedy floor, a certified lower bound on each maximin share, so the check
+stays sound.  ``--oracle`` is passed on as a mode string, which
+``oracle._accuracy`` alone reads.  Exit codes: 0 success, 1 guarantee
+violation, 2 input error.  Good and agent indices are 1-based in all files
+and printed artifacts.  ``solve --trace``
 prints each solver's own trace steps through one rule that holds for every
 solver (:func:`_one_based`).  The library builds each result as text, and
 :func:`_emit` alone writes it, to the ``--out`` file or to stdout.  ``gen``
@@ -54,7 +56,7 @@ from .core import (
     load_instance,
     verify_allocation,
 )
-from .oracle import ShareOracle
+from .oracle import EXACT_ITEM_CAP, _accuracy, greedy_floor, mms_approx, mms_exact
 
 ALGORITHMS = ("rr", "rr-modified", "half", "twothirds", "three78", "ternary")
 _EPS_ALGOS = ("twothirds", "three78")
@@ -73,15 +75,19 @@ def _solve_thresholds(
         return out
     if algo == "rr-modified":
         return [Fraction(0)] * n
-    oracle = ShareOracle(mode)
-    base = [oracle.lower(instance.row(i), n) for i in instance.agents]
+    # The exact share where the search is in reach, the greedy floor beyond.
+    if instance.m <= EXACT_ITEM_CAP:
+        base = [mms_exact(instance.row(i), n).value for i in instance.agents]
+    else:
+        base = [greedy_floor(instance.row(i), n) for i in instance.agents]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds" and n > 1:
-        factor = Fraction(2, 3) - eps if oracle.loss(eps) else two_thirds.rho(n)
+        loss = _accuracy(mode, eps)
+        factor = two_thirds.rho(n) if loss is None else Fraction(2, 3) - loss
         return [factor * b for b in base]
     if algo == "three78":
-        return [(Fraction(7, 8) - oracle.loss(eps)) * b for b in base]
+        return [(Fraction(7, 8) - (_accuracy(mode, eps) or 0)) * b for b in base]
     # ternary, and twothirds with one agent, who takes every good
     return [Fraction(b) for b in base]
 
@@ -220,8 +226,10 @@ def cmd_mms(args) -> int:
     check_count(args.agent, "--agent", 1, instance.n)
     check_count(args.k, "--k", 1, max(instance.n, instance.m))
     row = instance.row(args.agent - 1)
-    eps = None if args.exact else as_rational(args.eps, "--eps")
-    cert = ShareOracle("exact" if args.exact else "ptas").share(row, args.k, eps)
+    if args.exact:
+        cert = mms_exact(row, args.k)
+    else:
+        cert = mms_approx(row, args.k, as_rational(args.eps, "--eps"))
     payload = {
         "agent": args.agent,
         "k": cert.k,

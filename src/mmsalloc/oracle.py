@@ -33,8 +33,9 @@ MB: under 2 KB an entry, 1.8 KB at the worst case, 22 goods and k = 22,
 where the witness is 22 one-good tuples.  A certificate of 105 goods at
 k = 10 takes 1.6 KB.  A share asked again, by the same command or a later
 one in the process, is not searched again.  Errors are never kept.
-Approximate shares: the memo of the :class:`ShareOracle` of one solve or
-one :func:`xi_vector` call, gone with that oracle.
+Approximate shares keep no memo: each query searches.  :func:`share` asks
+either, exactly when eps is None, and :func:`_accuracy` alone reads a mode
+string, ``"exact"`` or ``"ptas"``, into that eps.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -387,17 +388,18 @@ def _checked_witness(
 
 
 def _maximin(
-    vals: Sequence[int], k: int, mode: str, eps: Optional[RationalLike] = None
+    vals: Sequence[int], k: int, eps: Optional[Fraction]
 ) -> MaximinCertificate:
     """The maximin certificate over k bundles of vals, values that
     :func:`_validated_values` has passed, from one search stopped at
-    (1 - loss) times its bound: loss 0, the exact share, in ``exact`` mode
-    and eps in ``ptas`` mode.  Ptas mode starts at the raised split, its
-    witness until a cover beats it.  Exact mode starts one below the raised
-    split's value when that beats greedy, else at greedy, and its witness
-    is the greedy split when that attains the share, else the cover found
-    at the share."""
-    loss = Fraction(0) if mode == "exact" else _as_eps(eps)
+    (1 - loss) times its bound: loss 0, the exact share, when eps is None,
+    and eps, a Fraction that :func:`_as_eps` has passed, otherwise.  An
+    approximate search starts at the raised split, its witness until a
+    cover beats it.  The exact search starts one below the raised split's
+    value when that beats greedy, else at greedy, and its witness is the
+    greedy split when that attains the share, else the cover found at the
+    share."""
+    loss = eps or Fraction(0)
     if not loss and len(vals) > EXACT_ITEM_CAP:
         raise InputError(
             f"{len(vals)} goods exceeds the exact search cap of "
@@ -425,7 +427,8 @@ def _maximin(
     if len(items) < len(vals):
         best[0].extend(j for j, v in enumerate(vals) if v == 0)
     witness = _checked_witness(vals, best, value)
-    return MaximinCertificate(value, k, witness, mode, upper, loss or None)
+    mode = "exact" if eps is None else "ptas"
+    return MaximinCertificate(value, k, witness, mode, upper, eps)
 
 
 def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
@@ -444,7 +447,7 @@ def mms_exact(values: Sequence[int], k: int) -> MaximinCertificate:
 # immutable, so a kept answer is the one a new search would give.
 @functools.lru_cache(maxsize=512)
 def _exact_memo(vals: tuple[int, ...], k: int) -> MaximinCertificate:
-    return _maximin(vals, k, "exact")
+    return _maximin(vals, k, None)
 
 
 def mms_approx(
@@ -458,7 +461,7 @@ def mms_approx(
     >>> mms_approx([1, 1, 1, 1], 2, Fraction(1, 10)).value
     2
     """
-    return _maximin(_validated_values(values, k), k, "ptas", eps)
+    return _maximin(_validated_values(values, k), k, _as_eps(eps))
 
 
 def greedy_floor(values: Sequence[int], k: int) -> int:
@@ -478,44 +481,30 @@ def greedy_floor(values: Sequence[int], k: int) -> int:
     return min(loads)
 
 
-class ShareOracle:
-    """A share oracle, ``exact`` or ``ptas``.  :meth:`share` answers by
-    :func:`mms_exact`, or in ptas mode by :func:`mms_approx` at eps, and
-    :meth:`lower` is a certified lower bound on the share for any number of
-    goods.  Exact shares: one process memo, under :func:`mms_exact`;
-    approximate shares: this oracle's own memo, which lives for one solve
-    or one :func:`xi_vector` call.  All are called through this module's
-    names, so wrapping those sees every query.
+def _accuracy(mode: str, eps: Optional[RationalLike]) -> Optional[Fraction]:
+    """The eps that :func:`share` takes in mode: None for ``"exact"``, and
+    eps, checked, for ``"ptas"``.  The one reader of a mode string; any
+    other mode raises InputError."""
+    if mode == "exact":
+        return None
+    if mode == "ptas":
+        return _as_eps(eps)
+    raise InputError(f"oracle mode must be 'exact' or 'ptas', got {mode!r}")
+
+
+def share(
+    values: Sequence[int], k: int, eps: Optional[RationalLike] = None
+) -> MaximinCertificate:
+    """The k-maximin share of values: :func:`mms_exact` when eps is None,
+    else :func:`mms_approx` at eps.  Called through this module's names, so
+    wrapping those sees every query.
+
+    >>> share([4, 3, 2, 1], 2).value
+    5
     """
-
-    def __init__(self, mode: str) -> None:
-        if mode not in ("exact", "ptas"):
-            raise InputError(f"oracle mode must be 'exact' or 'ptas', got {mode!r}")
-        self.mode = mode
-        self._memo: dict[tuple, MaximinCertificate] = {}
-
-    def loss(self, eps: RationalLike) -> Fraction:
-        """The accuracy :meth:`share` gives up when asked at eps."""
-        return Fraction(0) if self.mode == "exact" else _as_eps(eps)
-
-    def share(
-        self, values: Sequence[int], k: int, eps: Optional[RationalLike] = None
-    ) -> MaximinCertificate:
-        if self.mode == "exact":
-            return mms_exact(values, k)
-        key = (_validated_values(values, k), k, _as_eps(eps))
-        cert = self._memo.get(key)
-        if cert is None:
-            cert = self._memo[key] = mms_approx(*key)
-        return cert
-
-    def lower(self, values: Sequence[int], k: int) -> int:
-        """The exact share for up to EXACT_ITEM_CAP goods, and the greedy
-        floor beyond, where the exact search is out of reach."""
-        vals = _validated_values(values, k)
-        if len(vals) <= EXACT_ITEM_CAP:
-            return mms_exact(vals, k).value
-        return greedy_floor(vals, k)
+    if eps is None:
+        return mms_exact(values, k)
+    return mms_approx(values, k, eps)
 
 
 def xi_vector(
@@ -524,10 +513,9 @@ def xi_vector(
     eps: Optional[RationalLike] = None,
     mode: str = "ptas",
 ) -> tuple[MaximinCertificate, ...]:
-    """Per-agent maximin certificates over all goods and k bundles, from a
-    fresh :class:`ShareOracle` in ``mode``.  Exact shares come from the
-    process memo under :func:`mms_exact`; approximate ones from that
-    oracle's memo, so agents with identical rows cost one search, and a
-    later call searches again."""
-    oracle = ShareOracle(mode)
-    return tuple(oracle.share(instance.row(i), k, eps) for i in instance.agents)
+    """Per-agent maximin certificates over all goods and k bundles, each
+    from :func:`share` at the accuracy of mode and eps.  Exact shares come
+    from the process memo under :func:`mms_exact`; approximate ones are
+    searched for every agent, identical rows included."""
+    eps = _accuracy(mode, eps)
+    return tuple(share(instance.row(i), k, eps) for i in instance.agents)

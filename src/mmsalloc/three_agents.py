@@ -12,11 +12,12 @@ larger minimum; agent 2 chooses from the kept split, agent 1 takes the
 other half, and agent 0 takes the untouched set, which is one of her own
 bundles (branch d).
 
-One :class:`ShareOracle` per solve answers the three estimates and every
-two-way split.  With exact oracle calls every agent ends at or above 7/8 of
-her true three-way maximin value; in ptas mode with parameter eps the
-factor is (7/8 - eps), with internal accuracy eps' = 8*eps/7 for branch d's
-two-way splits.
+:func:`~mmsalloc.oracle.share` answers the three estimates and every
+two-way split, at eps None in exact mode.  Approximate shares keep no
+memo, so identical rows are searched once each.  With exact oracle calls
+every agent ends at or above 7/8 of her true three-way maximin value; in
+ptas mode with parameter eps the factor is (7/8 - eps), with internal
+accuracy eps' = 8*eps/7 for branch d's two-way splits.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import GuaranteeError, InputError, Instance, Partition, partition
-from .oracle import RationalLike, ShareOracle, _as_eps
+from .oracle import RationalLike, _accuracy, _as_eps, share
 
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def _cut_and_choose(
-    oracle: ShareOracle, rows: Sequence[Sequence[int]], cutter: int, chooser: int,
-    pool: Sequence[int], eps: Fraction,
+    rows: Sequence[Sequence[int]], cutter: int, chooser: int,
+    pool: Sequence[int], eps: Optional[Fraction],
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """The cutter's 2-way split of the ascending goods in pool at eps, as
-    (her split value, the two halves as ascending tuples of goods, the index
-    of the half the chooser values more, the first on ties)."""
-    cert = oracle.share([rows[cutter][g] for g in pool], 2, eps)
+    """The cutter's 2-way split of the ascending goods in pool at eps (None
+    for exact), as (her split value, the two halves as ascending tuples of
+    goods, the index of the half the chooser values more, the first on
+    ties)."""
+    cert = share([rows[cutter][g] for g in pool], 2, eps)
     halves = tuple(tuple(pool[p] for p in part) for part in cert.witness)
     pick = max(range(2), key=lambda j: (sum(rows[chooser][g] for g in halves[j]), -j))
     return cert.value, halves, pick
@@ -53,8 +55,8 @@ def apx_3_mms(
     (7/8 - eps) times her maximin value ((7/8) times it in exact mode).
 
     eps must lie in (0, 7/8); ``oracle_mode`` is ``"exact"`` or ``"ptas"``.
-    One oracle in that mode answers the three estimates and the two-way
-    splits, so identical rows cost one search and no split repeats a query.
+    :func:`~mmsalloc.oracle.share` answers the three estimates and the
+    two-way splits, and no split repeats a query.
     ``trace``, if given, receives one dict naming the branch taken ("b",
     "c", or "d") and its intermediate data.
 
@@ -65,10 +67,9 @@ def apx_3_mms(
     """
     if instance.n != 3:
         raise InputError(f"this solver needs exactly 3 agents, got n={instance.n}")
-    eps = _as_eps(eps, Fraction(7, 8))
-    oracle = ShareOracle(oracle_mode)
+    eps = _accuracy(oracle_mode, _as_eps(eps, Fraction(7, 8)))
     rows = [instance.row(i) for i in instance.agents]
-    certs = [oracle.share(row, 3, eps) for row in rows]
+    certs = [share(row, 3, eps) for row in rows]
     xi = [cert.value for cert in certs]
 
     # Branch b: a single good already worth 7/8 of someone's estimate.
@@ -77,9 +78,7 @@ def apx_3_mms(
             if 8 * rows[i][g] >= 7 * xi[i]:
                 rest = [h for h in instance.goods if h != g]
                 cutter, chooser = [a for a in range(3) if a != i]
-                _, halves, pick = _cut_and_choose(
-                    oracle, rows, cutter, chooser, rest, eps
-                )
+                _, halves, pick = _cut_and_choose(rows, cutter, chooser, rest, eps)
                 if trace is not None:
                     trace.append(
                         {"branch": "b", "agent": i, "good": g, "cutter": cutter,
@@ -112,9 +111,9 @@ def apx_3_mms(
             f"expected exactly two sets below agent 1's threshold, found {len(bad)}"
         )
     (good_j,) = [j for j in range(3) if j not in bad]
-    eps_prime = 8 * eps / 7
+    eps_prime = None if eps is None else 8 * eps / 7
     pools = [sorted(a_sets[good_j] + a_sets[j]) for j in bad]
-    splits = [_cut_and_choose(oracle, rows, 1, 2, pool, eps_prime) for pool in pools]
+    splits = [_cut_and_choose(rows, 1, 2, pool, eps_prime) for pool in pools]
     x = max(range(2), key=lambda x: (splits[x][0], -x))
     _, halves, pick = splits[x]
     if trace is not None:

@@ -1,9 +1,10 @@
 """Bundle-matching solver with a rho(n) guarantee, one level at a time.
 
-apx_mms asks one ShareOracle for every agent's n-way maximin estimate xi_i,
-and from it sets her threshold (1 - eps') * rho(n) * xi_i; every level
-partitions with the same oracle at eps'.  Exact shares: one process memo;
-approximate shares: that oracle's, for the one solve.  It then runs levels
+apx_mms asks :func:`~mmsalloc.oracle.share` for every agent's n-way maximin
+estimate xi_i at eps' (None in exact mode), and from it sets her threshold
+(1 - eps') * rho(n) * xi_i; every level partitions with the same call.
+Exact shares come from one process memo; approximate shares keep no memo,
+so the first level searches the partitioner's xi again.  It then runs levels
 until every agent is seated, each level taking only its active agents K and
 the goods left: the lowest-indexed active agent partitions those goods into
 |K| bundles as well as she can, a bipartite preference graph records which
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import GuaranteeError, Instance, Partition, check_count, partition
 from .matching import build_preference_graph, compute_x_plus, maximum_matching
-from .oracle import MaximinCertificate, RationalLike, ShareOracle, _as_eps
+from .oracle import MaximinCertificate, RationalLike, _accuracy, _as_eps, share
 
 
 def rho(n: int) -> Fraction:
@@ -61,9 +62,9 @@ def rec_mms(
     next level; and the sorted goods of the bundles it did not seat, which
     that level shares.  ``thresholds[i]`` is agent i's threshold
     (1 - eps') * rho(n) * xi_i, and ``oracle(values, k)`` is the level
-    oracle, both fixed by apx_mms for every level; there the oracle is its
-    ShareOracle at eps', and a memo answers the first level, the
-    partitioner's own xi query.  Raises GuaranteeError if the partitioner
+    oracle, both fixed by apx_mms for every level; there the oracle is
+    :func:`~mmsalloc.oracle.share` at eps', and the first level asks the
+    partitioner's own xi query again.  Raises GuaranteeError if the partitioner
     fails her own threshold on one of her bundles or ends up in X+, which
     the balance invariant rules out for inputs reachable from apx_mms.
     """
@@ -136,16 +137,15 @@ def apx_mms(
     [2, 2]
     """
     eps = _as_eps(eps, Fraction(1, 3))
-    oracle = ShareOracle(oracle_mode)
+    eps_prime = _accuracy(oracle_mode, 3 * eps / 4)
     if instance.n == 1:
         return partition([tuple(instance.goods)])
-    eps_prime = oracle.loss(3 * eps / 4)
-    factor = (1 - eps_prime) * rho(instance.n)
+    factor = (1 - (eps_prime or 0)) * rho(instance.n)
     thresholds = tuple(
-        factor * oracle.share(instance.row(i), instance.n, eps_prime).value
+        factor * share(instance.row(i), instance.n, eps_prime).value
         for i in instance.agents
     )
-    level_oracle = partial(oracle.share, eps=eps_prime)
+    level_oracle = partial(share, eps=eps_prime)
     agents, goods = tuple(instance.agents), tuple(instance.goods)
     bundles: dict[int, tuple[int, ...]] = {}
     while agents:

@@ -184,17 +184,17 @@ def three_agent_suite(count: int = 200, seed: int = 424242) -> list[Instance]:
 
 
 def record_searches(monkeypatch) -> list[tuple]:
-    """Record every maximin search, one call of oracle._maximin, as (mode,
-    values, k, eps).  A share a memo answers makes no search, so a query
-    recorded twice was searched twice."""
+    """Record every maximin search, one call of oracle._maximin, as (values,
+    k, eps), eps None for an exact search.  A share a memo answers makes no
+    search, so a query recorded twice was searched twice."""
     import mmsalloc.oracle as oracle
 
     searches: list[tuple] = []
     real = oracle._maximin
 
-    def recorded(values, k, mode, eps=None):
-        searches.append((mode, tuple(values), k, eps))
-        return real(values, k, mode, eps)
+    def recorded(values, k, eps):
+        searches.append((tuple(values), k, eps))
+        return real(values, k, eps)
 
     monkeypatch.setattr(oracle, "_maximin", recorded)
     return searches

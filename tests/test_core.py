@@ -487,7 +487,7 @@ def test_public_names_resolve():
     deleted = {
         "AgentCheck", "RecursionState", "lift_allocation", "profile_rows",
         "sort_reduce", "proportional_upper_bound", "VerificationReport",
-        "Allocation",
+        "Allocation", "ShareOracle",
     }
     assert not deleted & set(mmsalloc.__all__)
     assert not [name for name in deleted if hasattr(mmsalloc, name)]

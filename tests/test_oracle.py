@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -25,10 +26,10 @@ from mmsalloc import (
     GuaranteeError,
     InputError,
     Instance,
-    ShareOracle,
     greedy_floor,
     mms_approx,
     mms_exact,
+    share,
     xi_vector,
 )
 from mmsalloc.cli import main
@@ -160,22 +161,26 @@ def test_input_validation():
 _THREE = Instance.from_rows([[3, 2, 2, 1]] * 3)
 
 #: Each entry point that takes an accuracy, and the bound eps must lie below.
+#: "loss" is the accuracy a ptas query gives up, read from the mode.
 _EPS_ENTRY_POINTS = {
     "mms_approx": (lambda eps: mms_approx([3, 2, 2, 1], 2, eps), Fraction(1)),
     "xi_vector": (lambda eps: xi_vector(_THREE, 2, eps, mode="ptas"), Fraction(1)),
-    "share": (lambda eps: ShareOracle("ptas").share([3, 2, 2, 1], 2, eps), 1),
-    "loss": (lambda eps: ShareOracle("ptas").loss(eps), 1),
+    "share": (lambda eps: share([3, 2, 2, 1], 2, eps), 1),
+    "loss": (lambda eps: oracle._accuracy("ptas", eps), 1),
     "apx_mms": (lambda eps: mmsalloc.apx_mms(_THREE, eps), Fraction(1, 3)),
     "apx_3_mms": (lambda eps: mmsalloc.apx_3_mms(_THREE, eps), Fraction(7, 8)),
 }
 
+_BAD_EPS = ["abc", "1/0", None, float("inf"), float("nan"), 0, Fraction(-1, 2),
+            "bound"]
 
-@pytest.mark.parametrize("entry", _EPS_ENTRY_POINTS)
-@pytest.mark.parametrize(
-    "eps", ["abc", "1/0", None, float("inf"), float("nan"), 0, Fraction(-1, 2),
-            "bound"],
-    ids=repr,
-)
+
+@pytest.mark.parametrize(("eps", "entry"), [
+    pytest.param(eps, entry, id=f"{eps!r}-{entry}")
+    for entry in _EPS_ENTRY_POINTS for eps in _BAD_EPS
+    # share(values, k, None) asks the exact share.
+    if not (eps is None and entry == "share")
+])
 def test_every_entry_point_rejects_a_bad_eps(entry, eps):
     call, bound = _EPS_ENTRY_POINTS[entry]
     with pytest.raises(InputError):
@@ -196,10 +201,8 @@ _ROW_ENTRY_POINTS = {
     "mms_exact": lambda values: mms_exact(values, 2),
     "mms_approx": lambda values: mms_approx(values, 2, "1/2"),
     "greedy_floor": lambda values: greedy_floor(values, 2),
-    "exact share": lambda values: ShareOracle("exact").share(values, 2),
-    "ptas share": lambda values: ShareOracle("ptas").share(values, 2, "1/2"),
-    "exact lower": lambda values: ShareOracle("exact").lower(values, 2),
-    "ptas lower": lambda values: ShareOracle("ptas").lower(values, 2),
+    "exact share": lambda values: share(values, 2),
+    "ptas share": lambda values: share(values, 2, "1/2"),
 }
 
 
@@ -214,7 +217,7 @@ def test_every_entry_point_rejects_a_row_that_is_no_row_of_ints(entry, values):
 @pytest.mark.parametrize("call", [
     lambda eps: mms_approx([1, 2, 3], 2, eps),
     lambda eps: mmsalloc.apx_mms(_THREE, eps),
-    lambda eps: ShareOracle("ptas").share([1, 2, 3], 2, eps),
+    lambda eps: share([1, 2, 3], 2, eps),
 ], ids=["mms_approx", "apx_mms", "share"])
 def test_eps_with_a_huge_exponent_is_refused_at_once(call, eps):
     # Building 10**99999999 to read such an eps would take minutes.
@@ -266,31 +269,27 @@ def test_xi_vector_reuses_identical_rows(monkeypatch):
     assert certs[0].value == certs[1].value == certs[2].value
 
 
-def test_approximate_shares_are_not_kept_past_their_oracle(monkeypatch):
-    # Approximate shares live in the oracle of one xi_vector call: within
-    # the call identical rows search once, and a second call searches again.
+def test_approximate_shares_are_never_kept(monkeypatch):
+    # Only exact shares have a memo: within one xi_vector call identical
+    # rows are searched once each, and a second call searches them again.
     inst = Instance.from_rows([[9, 7, 5, 3, 1]] * 2 + [[1, 3, 5, 7, 9]])
     searches = record_searches(monkeypatch)
     first = xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas")
-    assert len(searches) == 2
+    assert len(searches) == 3 and searches[0] == searches[1]
     assert xi_vector(inst, 2, eps=Fraction(1, 10), mode="ptas") == first
-    assert len(searches) == 4
-    assert searches[2:] == searches[:2]
+    assert searches[3:] == searches[:3]
 
 
-def test_one_ptas_query_is_one_search_whatever_its_form(monkeypatch):
-    # A list row at "1/10" and a tuple row at Fraction(1, 10) ask one
-    # question, so the oracle's memo answers the second.
-    share = ShareOracle("ptas").share
-    searches = record_searches(monkeypatch)
-    first = share([9, 7, 5, 3, 1], 2, "1/10")
-    assert share((9, 7, 5, 3, 1), 2, Fraction(1, 10)) is first
-    assert len(searches) == 1
+def test_share_asks_the_exact_share_without_eps():
+    assert share([9, 7, 5, 3, 1], 2) is mms_exact([9, 7, 5, 3, 1], 2)
+    cert = share([9, 7, 5, 3, 1], 2, "1/10")
+    assert cert == mms_approx((9, 7, 5, 3, 1), 2, Fraction(1, 10))
+    assert (cert.mode, cert.eps) == ("ptas", Fraction(1, 10))
 
 
 def test_xi_vector_takes_only_a_mode_string():
     inst = Instance.from_rows([[4, 3, 2, 1]])
-    for bad_mode in ("fast", ShareOracle("exact")):
+    for bad_mode in ("fast", SimpleNamespace(mode="exact")):
         with pytest.raises(InputError):
             xi_vector(inst, 2, mode=bad_mode)
 
@@ -386,7 +385,7 @@ def test_exact_memo_answers_as_a_fresh_search(queries):
     # Each query is asked twice with the others in between; the memo stays
     # warm from one example to the next.
     for values, k in queries + queries:
-        assert mms_exact(values, k) == oracle._maximin(values, k, "exact")
+        assert mms_exact(values, k) == oracle._maximin(values, k, None)
 
 
 def _lpt_by_scan(items, k):

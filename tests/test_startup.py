@@ -229,19 +229,20 @@ def test_each_command_executes_only_the_modules_it_runs(tmp_path, command):
 
 #: ``mmsalloc.__all__`` as it stood when ``import mmsalloc`` executed
 #: ``core`` and ``oracle`` and kept three lists of names, less the deleted
-#: ``Allocation``: an allocation is a bare partition tuple.
+#: ``Allocation`` (an allocation is a bare partition tuple) and
+#: ``ShareOracle``, whose place ``share`` takes.
 PUBLIC_NAMES = [
     "Certificate", "EXACT_ITEM_CAP", "GuaranteeError",
     "InputError", "Instance", "MaximinCertificate", "PartitionError",
-    "PreferenceGraph", "ShareOracle", "TrialConfig", "TrialStats",
+    "PreferenceGraph", "TrialConfig", "TrialStats",
     "XPlusDecomposition", "allocation_from_json", "allocation_to_json",
     "apx_3_mms", "apx_mms", "apx_mms_half", "build_preference_graph",
     "bundle_value", "compute_x_plus", "exact_mms_012", "gen_uniform_instance",
     "greedy_floor", "greedy_round_robin", "instance_from_json",
     "instance_to_json", "load_allocation", "load_instance", "maximum_matching",
     "mms_approx", "mms_exact", "modified_greedy_round_robin", "report_text",
-    "rho", "run_existence_trials", "save_instance", "verify_allocation",
-    "xi_vector", "__version__",
+    "rho", "run_existence_trials", "save_instance", "share",
+    "verify_allocation", "xi_vector", "__version__",
 ]
 
 

@@ -3,6 +3,7 @@
 import doctest
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from mmsalloc import (
     GuaranteeError,
     InputError,
     Instance,
-    ShareOracle,
     XPlusDecomposition,
     apx_mms,
     bundle_value,
@@ -63,8 +63,8 @@ def test_eps_domain():
     for bad in (Fraction(0), Fraction(1, 3), Fraction(-1, 10), Fraction(1)):
         with pytest.raises(InputError):
             apx_mms(inst, bad)
-    # A mode is a string; an oracle object is not one.
-    for bad_mode in ("fast", ShareOracle("exact")):
+    # A mode is a string; an object that holds one is not one.
+    for bad_mode in ("fast", SimpleNamespace(mode="exact")):
         with pytest.raises(InputError):
             apx_mms(inst, Fraction(1, 10), oracle_mode=bad_mode)
 
@@ -225,12 +225,17 @@ class TestGuaranteeChecks:
 
 
 @pytest.mark.parametrize("mode", ["exact", "ptas"])
-def test_first_level_reuses_the_partitioner_share(monkeypatch, mode):
+def test_first_level_asks_the_partitioner_share_again(monkeypatch, mode):
+    # The first level asks the partitioner's own xi query again and no other
+    # query repeats.  The process memo under mms_exact answers an exact
+    # share; approximate shares keep no memo, so that one is searched again.
     searches = record_searches(monkeypatch)
     rows = [[5, 4, 3, 2, 1, 1], [1, 2, 3, 4, 5, 1], [2, 2, 2, 2, 2, 2]]
     apx_mms(Instance.from_rows(rows), Fraction(1, 10), oracle_mode=mode)
-    assert len(searches) == len(set(searches))
-    assert searches[0][1:3] == (tuple(rows[0]), 3)
+    assert searches[0][:2] == (tuple(rows[0]), 3)
+    again = [query for query in searches[1:] if query in searches[:1]]
+    assert len(searches) - len(set(searches)) == len(again)
+    assert len(again) == (mode == "ptas")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
