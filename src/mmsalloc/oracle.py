@@ -213,6 +213,16 @@ def _raise_worst(
 # order and the first one that succeeds, hence the answer and the witness,
 # is unchanged.
 #
+# The closing value.  The member that brings a cover to t closes it.  When
+# a smaller value later in the pool would bring it to t as well, swapping
+# the two keeps the cover at t and only raises the bundle that holds the
+# smaller one, so if a split at t closes on the larger value, one closes on
+# the smaller.  The walk closes each cover on the smallest later value that
+# reaches t (the dominance of bin completion: R. E. Korf, "An improved
+# algorithm for optimal bin packing", IJCAI 2003).  This changes which
+# split a probe finds, never whether it finds one, so the memo below stays
+# sound.
+#
 # The memo.  Equal values are interchangeable: when the walk declines an
 # item it declines all equal-valued followers at once, and a pool whose
 # covers all failed is remembered in the fail memo, which maps (bundle
@@ -240,11 +250,14 @@ def _cover_walk(
     with the total still at t or above.  Every cover built is minimal: items
     are taken largest first and a cover ends as soon as it reaches t, so its
     last member is its smallest and is worth more than the excess over t.
+    That last member is the smallest later value that reaches t (the
+    closing value, above).
 
     The walk takes each value that fits under cap; coming back, it declines
-    that value together with every equal one after it.  Those skip points
-    wait on a stack as (index, worth so far, members chosen), so coming back
-    is one pop, and a branch that cannot reach t is never pushed.
+    that value together with every equal one after it, and a closing value
+    together with every larger one it stood for.  Those skip points wait on
+    a stack as (index, worth so far, members chosen), so coming back is one
+    pop, and a branch that cannot reach t is never pushed.
     """
     n = len(vals)
     suffix = list(accumulate(reversed(vals), initial=0))[::-1]
@@ -262,6 +275,11 @@ def _cover_walk(
                 break
             v = vals[i]
             if acc + v <= cap:
+                if acc + v >= t:
+                    # Close with the smallest value that still reaches t.
+                    while skip[i] < n and acc + vals[skip[i]] >= t:
+                        i = skip[i]
+                    v = vals[i]
                 if acc + suffix[skip[i]] >= t:
                     stack.append((skip[i], acc, len(chosen)))
                 chosen.append(i)
@@ -347,16 +365,21 @@ def _search_maximin(
     """
     # A cover found at floor t with worst bundle w is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
-    # - Its first bundle reaches t only with its last member and is worth at
-    #   least w, so the walk at w builds it as well, and the other bundles,
-    #   each worth at least w, keep it within w's cap.  A good that is a
-    #   bundle of its own at one floor is one at the other.
-    # - Any cover built at w before it starts with a prefix that first
-    #   reaches t.  That prefix is a cover at t, within t's cap, which is no
-    #   smaller than w's, and it comes before the found bundle in the walk at
-    #   t, which therefore tried it and failed on its remainder.
-    # - Feasibility only falls as the pool shrinks or the floor rises, so
-    #   the earlier cover's remainder fails at w, and level by level the
+    # - Its first bundle reaches t only with its last member, the smallest
+    #   value that does, and is worth at least w.  So every value from the
+    #   first that reaches t down to that member reaches w, no smaller one
+    #   does, and the walk at w builds the bundle as well.  The other
+    #   bundles, each worth at least w, keep it within w's cap.  A good that
+    #   is a bundle of its own at one floor is one at the other.
+    # - Any cover built at w before it starts with a prefix p that first
+    #   reaches t with a member c.  At t the walk closes p on the smallest
+    #   value c' that reaches t, within t's cap, which is no smaller than
+    #   w's, and before the found bundle, so it tried p + c' and failed on
+    #   its remainder.
+    # - Feasibility only falls as the pool shrinks, as a good is swapped for
+    #   a smaller one or as the floor rises.  The earlier cover's remainder
+    #   lies within that of p + c, which is that of p + c' with its c
+    #   swapped for the smaller c', so it fails at w, and level by level the
     #   search at w makes the same choices as the one at t.
     p, q = loss.numerator, loss.denominator
     memo: dict = {}
