@@ -333,9 +333,12 @@ def verify_allocation(
     if len(thresholds) != instance.n:
         raise InputError(f"got {len(thresholds)} thresholds for n={instance.n} agents")
     label = "threshold of agent {i}"
+    # The partition is judged, so each good is summed unchecked.
     return tuple(
-        Certificate(i, bundle_value(instance, i, bundles[i]), as_rational(t, label, i))
-        for i, t in enumerate(thresholds)
+        Certificate(i, sum(map(row.__getitem__, bundle)), as_rational(t, label, i))
+        for i, (row, bundle, t) in enumerate(
+            zip(instance.valuations, bundles, thresholds)
+        )
     )
 
 

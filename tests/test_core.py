@@ -12,6 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -581,6 +582,18 @@ class TestVerifyAllocation:
             self.inst, self.alloc, [Fraction(5_000_001, 1_000_000), 2]
         )
         assert not all(row.ok for row in rows)
+
+    def test_checks_each_good_once(self):
+        # _require_partition checks each good, and the sums read the judged
+        # bundles with no second check per good, nor one per agent.
+        inst = mmsalloc.gen_uniform_instance(30, 600, seed=1)
+        alloc = mmsalloc.greedy_round_robin(inst)
+        with patch.object(core, "check_count", wraps=core.check_count) as checked:
+            rows = verify_allocation(inst, alloc, [0] * inst.n)
+        assert checked.call_count == inst.m
+        assert [c.value for c in rows] == [
+            bundle_value(inst, i, alloc[i]) for i in inst.agents
+        ]
 
     def test_structural_error_beats_value_check(self):
         broken = ((0,), (1, 2))
