@@ -6,15 +6,13 @@ and a violation exits with status 1 instead of emitting the result.  Exact
 shares: one process memo, under :func:`mms_exact`, so the thresholds search
 no share the solver asked, nor does a later command of the same process
 (each run of this program starts with the memo empty).  Approximate shares
-keep no memo; the thresholds ask none.  When the exact oracle is out of
-reach (more than ``EXACT_ITEM_CAP`` goods) the thresholds fall back to the
-greedy floor, a certified lower bound on each maximin share, so the check
-stays sound.  ``--oracle`` is passed on as a mode string, which
-``oracle._accuracy`` alone reads.  Exit codes: 0 success, 1 guarantee
-violation, 2 input error.  Good and agent indices are 1-based in all files
-and printed artifacts.  ``solve --trace``
-prints each solver's own trace steps through one rule that holds for every
-solver (:func:`_one_based`).  The library builds each result as text, and
+keep no memo; the thresholds ask none.  Past ``EXACT_ITEM_CAP`` goods the
+thresholds fall back to the greedy floor, a certified lower bound on each
+maximin share, so the check stays sound.  Exit codes: 0 success, 1
+guarantee violation, 2 input error.  Good and agent indices are 1-based in
+all files and printed artifacts.  ``solve --trace`` prints each solver's
+own trace steps through one rule that holds for every solver
+(:func:`_one_based`).  The library builds each result as text, and
 :func:`_emit` alone writes it, to the ``--out`` file or to stdout.  ``gen``
 alone hands it pieces, one per row, each drawn as it is written, so it
 never holds an ``Instance`` or the whole text.
@@ -56,7 +54,7 @@ from .core import (
     load_instance,
     verify_allocation,
 )
-from .oracle import EXACT_ITEM_CAP, _accuracy, greedy_floor, mms_approx, mms_exact
+from .oracle import EXACT_ITEM_CAP, _accuracy, greedy_floor, mms_exact, share
 
 ALGORITHMS = ("rr", "rr-modified", "half", "twothirds", "three78", "ternary")
 _EPS_ALGOS = ("twothirds", "three78")
@@ -75,11 +73,10 @@ def _solve_thresholds(
         return out
     if algo == "rr-modified":
         return [Fraction(0)] * n
-    # The exact share where the search is in reach, the greedy floor beyond.
     if instance.m <= EXACT_ITEM_CAP:
-        base = [mms_exact(instance.row(i), n).value for i in instance.agents]
+        base = [mms_exact(row, n).value for row in instance.valuations]
     else:
-        base = [greedy_floor(instance.row(i), n) for i in instance.agents]
+        base = [greedy_floor(row, n) for row in instance.valuations]
     if algo == "half":
         return [Fraction(b, 2) for b in base]
     if algo == "twothirds" and n > 1:
@@ -226,10 +223,8 @@ def cmd_mms(args) -> int:
     check_count(args.agent, "--agent", 1, instance.n)
     check_count(args.k, "--k", 1, max(instance.n, instance.m))
     row = instance.row(args.agent - 1)
-    if args.exact:
-        cert = mms_exact(row, args.k)
-    else:
-        cert = mms_approx(row, args.k, as_rational(args.eps, "--eps"))
+    eps = None if args.exact else as_rational(args.eps, "--eps")
+    cert = share(row, args.k, eps)
     payload = {
         "agent": args.agent,
         "k": cert.k,

@@ -335,10 +335,8 @@ def verify_allocation(
     label = "threshold of agent {i}"
     # The partition is judged, so each good is summed unchecked.
     return tuple(
-        Certificate(i, sum(map(row.__getitem__, bundle)), as_rational(t, label, i))
-        for i, (row, bundle, t) in enumerate(
-            zip(instance.valuations, bundles, thresholds)
-        )
+        Certificate(i, sum(map(row.__getitem__, b)), as_rational(t, label, i))
+        for i, (row, b, t) in enumerate(zip(instance.valuations, bundles, thresholds))
     )
 
 

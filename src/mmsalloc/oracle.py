@@ -33,9 +33,8 @@ MB: under 2 KB an entry, 1.8 KB at the worst case, 22 goods and k = 22,
 where the witness is 22 one-good tuples.  A certificate of 105 goods at
 k = 10 takes 1.6 KB.  A share asked again, by the same command or a later
 one in the process, is not searched again.  Errors are never kept.
-Approximate shares keep no memo: each query searches.  :func:`share` asks
-either, exactly when eps is None, and :func:`_accuracy` alone reads a mode
-string, ``"exact"`` or ``"ptas"``, into that eps.
+Approximate shares keep no memo.  :func:`share` asks either, exactly when
+eps is None; :func:`_accuracy` alone reads a mode string into that eps.
 
 All arithmetic is on integers and Fractions; no floats touch any decision.
 """
@@ -213,15 +212,11 @@ def _raise_worst(
 # order and the first one that succeeds, hence the answer and the witness,
 # is unchanged.
 #
-# The closing value.  The member that brings a cover to t closes it.  When
-# a smaller value later in the pool would bring it to t as well, swapping
-# the two keeps the cover at t and only raises the bundle that holds the
-# smaller one, so if a split at t closes on the larger value, one closes on
-# the smaller.  The walk closes each cover on the smallest later value that
-# reaches t (the dominance of bin completion: R. E. Korf, "An improved
-# algorithm for optimal bin packing", IJCAI 2003).  This changes which
-# split a probe finds, never whether it finds one, so the memo below stays
-# sound.
+# The closing value.  A cover closes on the smallest later value that
+# brings it to t: swapping a larger closing value for it keeps the cover at
+# t and only raises the bundle that held it (the dominance of bin
+# completion, R. E. Korf, IJCAI 2003).  So the cut changes which split a
+# probe finds, never whether it finds one, and the memo below stays sound.
 #
 # The memo.  Equal values are interchangeable: when the walk declines an
 # item it declines all equal-valued followers at once, and a pool whose
@@ -250,8 +245,6 @@ def _cover_walk(
     with the total still at t or above.  Every cover built is minimal: items
     are taken largest first and a cover ends as soon as it reaches t, so its
     last member is its smallest and is worth more than the excess over t.
-    That last member is the smallest later value that reaches t (the
-    closing value, above).
 
     The walk takes each value that fits under cap; coming back, it declines
     that value together with every equal one after it, and a closing value
@@ -366,21 +359,19 @@ def _search_maximin(
     # A cover found at floor t with worst bundle w is the cover the
     # search finds at floor w too, so the answer needs no search of its own:
     # - Its first bundle reaches t only with its last member, the smallest
-    #   value that does, and is worth at least w.  So every value from the
-    #   first that reaches t down to that member reaches w, no smaller one
-    #   does, and the walk at w builds the bundle as well.  The other
+    #   value that does, and is worth at least w: every larger value reaches
+    #   w, no smaller one does, and the walk at w closes on it too.  The other
     #   bundles, each worth at least w, keep it within w's cap.  A good that
     #   is a bundle of its own at one floor is one at the other.
     # - Any cover built at w before it starts with a prefix p that first
-    #   reaches t with a member c.  At t the walk closes p on the smallest
-    #   value c' that reaches t, within t's cap, which is no smaller than
-    #   w's, and before the found bundle, so it tried p + c' and failed on
-    #   its remainder.
-    # - Feasibility only falls as the pool shrinks, as a good is swapped for
-    #   a smaller one or as the floor rises.  The earlier cover's remainder
-    #   lies within that of p + c, which is that of p + c' with its c
-    #   swapped for the smaller c', so it fails at w, and level by level the
-    #   search at w makes the same choices as the one at t.
+    #   reaches t with a member c.  The walk at t, with a cap no smaller than
+    #   w's, builds p + c', c' the smallest value that reaches t, before the
+    #   found bundle, so it tried it and failed on its remainder.
+    # - Feasibility only falls as the pool shrinks, a good gives way to a
+    #   smaller one or the floor rises.  The earlier cover's remainder lies
+    #   within that of p + c, which is that of p + c' with c' for c, so it
+    #   fails at w, and level by level the search at w makes the same
+    #   choices as the one at t.
     p, q = loss.numerator, loss.denominator
     memo: dict = {}
     climbs = (hi - lo).bit_length()
@@ -416,12 +407,11 @@ def _maximin(
     """The maximin certificate over k bundles of vals, values that
     :func:`_validated_values` has passed, from one search stopped at
     (1 - loss) times its bound: loss 0, the exact share, when eps is None,
-    and eps, a Fraction that :func:`_as_eps` has passed, otherwise.  An
-    approximate search starts at the raised split, its witness until a
-    cover beats it.  The exact search starts one below the raised split's
-    value when that beats greedy, else at greedy, and its witness is the
-    greedy split when that attains the share, else the cover found at the
-    share."""
+    else eps, checked by :func:`_as_eps`.  Ptas mode starts at the raised
+    split, its witness until a cover beats it.  Exact mode starts one below
+    the raised split's value when that beats greedy, else at greedy, and its
+    witness is the greedy split when that attains the share, else the cover
+    found at the share."""
     loss = eps or Fraction(0)
     if not loss and len(vals) > EXACT_ITEM_CAP:
         raise InputError(
@@ -519,12 +509,8 @@ def share(
     values: Sequence[int], k: int, eps: Optional[RationalLike] = None
 ) -> MaximinCertificate:
     """The k-maximin share of values: :func:`mms_exact` when eps is None,
-    else :func:`mms_approx` at eps.  Called through this module's names, so
-    wrapping those sees every query.
-
-    >>> share([4, 3, 2, 1], 2).value
-    5
-    """
+    else :func:`mms_approx` at eps, each called through this module's name,
+    so wrapping those sees every query."""
     if eps is None:
         return mms_exact(values, k)
     return mms_approx(values, k, eps)

@@ -13,8 +13,7 @@ other half, and agent 0 takes the untouched set, which is one of her own
 bundles (branch d).
 
 :func:`~mmsalloc.oracle.share` answers the three estimates and every
-two-way split, at eps None in exact mode.  Approximate shares keep no
-memo, so identical rows are searched once each.  With exact oracle calls
+two-way split, with no memo of approximate shares.  With exact oracle calls
 every agent ends at or above 7/8 of her true three-way maximin value; in
 ptas mode with parameter eps the factor is (7/8 - eps), with internal
 accuracy eps' = 8*eps/7 for branch d's two-way splits.
@@ -35,10 +34,9 @@ def _cut_and_choose(
     rows: Sequence[Sequence[int]], cutter: int, chooser: int,
     pool: Sequence[int], eps: Optional[Fraction],
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """The cutter's 2-way split of the ascending goods in pool at eps (None
-    for exact), as (her split value, the two halves as ascending tuples of
-    goods, the index of the half the chooser values more, the first on
-    ties)."""
+    """The cutter's 2-way split of the ascending goods in pool at eps, as
+    (her split value, the two halves as ascending tuples of goods, the index
+    of the half the chooser values more, the first on ties)."""
     cert = share([rows[cutter][g] for g in pool], 2, eps)
     halves = tuple(tuple(pool[p] for p in part) for part in cert.witness)
     pick = max(range(2), key=lambda j: (sum(rows[chooser][g] for g in halves[j]), -j))

@@ -1,10 +1,9 @@
 """Bundle-matching solver with a rho(n) guarantee, one level at a time.
 
-apx_mms asks :func:`~mmsalloc.oracle.share` for every agent's n-way maximin
-estimate xi_i at eps' (None in exact mode), and from it sets her threshold
-(1 - eps') * rho(n) * xi_i; every level partitions with the same call.
-Exact shares come from one process memo; approximate shares keep no memo,
-so the first level searches the partitioner's xi again.  It then runs levels
+apx_mms asks :func:`~mmsalloc.oracle.share` at eps' for every agent's n-way
+maximin estimate xi_i, and from it sets her threshold (1 - eps') * rho(n) *
+xi_i; every level partitions with the same call, which keeps no memo of
+approximate shares.  It then runs levels
 until every agent is seated, each level taking only its active agents K and
 the goods left: the lowest-indexed active agent partitions those goods into
 |K| bundles as well as she can, a bipartite preference graph records which
@@ -64,9 +63,10 @@ def rec_mms(
     (1 - eps') * rho(n) * xi_i, and ``oracle(values, k)`` is the level
     oracle, both fixed by apx_mms for every level; there the oracle is
     :func:`~mmsalloc.oracle.share` at eps', and the first level asks the
-    partitioner's own xi query again.  Raises GuaranteeError if the partitioner
-    fails her own threshold on one of her bundles or ends up in X+, which
-    the balance invariant rules out for inputs reachable from apx_mms.
+    partitioner's own xi query again.  Raises GuaranteeError if the
+    partitioner fails her own threshold on one of her bundles or ends up in
+    X+, which the balance invariant rules out for inputs reachable from
+    apx_mms.
     """
     partitioner = agents[0]
     k = len(agents)
