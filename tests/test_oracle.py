@@ -934,10 +934,10 @@ def test_cover_search_decides_as_exhaustive_search(pool, k):
     # changes which split a probe finds, never whether it finds one.
     values = [v for v, _ in pool]
     value_of = {j: v for v, j in pool}
-    share = exhaustive_mms(values, k)
+    best = exhaustive_mms(values, k)
     for t in range(1, oracle._upper_bound(pool, sum(values), k) + 1):
         got = oracle._cover_search(pool, k, t, {})
-        assert (got is not None) == (t <= share)
+        assert (got is not None) == (t <= best)
         if got is not None:
             assert sorted(j for b in got for j in b) == sorted(value_of)
             assert len(got) == k
